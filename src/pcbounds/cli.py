@@ -461,21 +461,17 @@ def _cmd_verify(args) -> tuple[BoundsReport, int]:
 
 def _cmd_simulate(args) -> tuple[BoundsReport, int]:
     law = _read_law_json(args.law)
-    records = simulate_trial(law, n_per_arm=args.n, seed=args.seed)
-    written = write_records_csv(records, args.out)
-    per_arm = {}
+    dataset = simulate_trial(law, n_per_arm=args.n, seed=args.seed)
+    written = write_records_csv(dataset, args.out)
+    diagnostics = [f"wrote {written} records to {args.out}"]
     for x in (0, 1):
-        arm = [r for r in records if r.x == x]
-        per_arm[x] = (len(arm), sum(r.y for r in arm))
+        events, total = dataset.arm_counts(x)
+        diagnostics.append(f"arm X={x}: {events} events in {total} records")
     report = BoundsReport(
         method="simulate",
         interval=None,
         derived=None,
-        diagnostics=[
-            f"wrote {written} records to {args.out}",
-            f"arm X=0: {per_arm[0][1]} events in {per_arm[0][0]} records",
-            f"arm X=1: {per_arm[1][1]} events in {per_arm[1][0]} records",
-        ],
+        diagnostics=diagnostics,
         assumptions=[],
         inputs_echo={
             "kind": "law",

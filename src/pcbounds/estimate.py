@@ -7,9 +7,17 @@ observed mediator value identifies the response at that value (the
 mediator itself is not randomized); that assumption is recorded in
 report metadata by the CLI rather than adjudicated here.
 
+Records are held as columns: a :class:`Dataset` keeps read-only int8
+arrays ``x``, ``m`` (``None`` without a mediator) and ``y`` and counts
+its eight (x, m, y) cells once. :meth:`Dataset.from_records` builds one
+from row objects such as :class:`TrialRecord`;
+:func:`~pcbounds.oracle.simulate_trial` and :func:`read_records_csv`
+return one, and :func:`write_records_csv` writes one.
+
 File formats owned by this module:
 
-* record CSV: header ``x,m,y`` or ``x,y``, every value 0 or 1,
+* record CSV: header ``x,m,y`` or ``x,y``, every value 0 or 1
+  (the accepted variants are listed in :func:`read_records_csv`),
 * count JSON: object with integer fields ``exposed_event``,
   ``exposed_total``, ``unexposed_event``, ``unexposed_total``,
 * margins JSON: an object whose key set picks the type, either
@@ -20,6 +28,7 @@ File formats owned by this module:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -38,11 +47,11 @@ from .core import (
     prob_from_counts,
 )
 from .mediation import CompleteMediationMargins, PartialMediationMargins
-from .oracle import TrialRecord
 from .simple import SimpleMargins
 
 __all__ = [
     "Dataset",
+    "TrialRecord",
     "DirectEffectWarning",
     "estimate_simple",
     "estimate_partial",
@@ -60,56 +69,114 @@ class DirectEffectWarning(UserWarning):
     than sampling noise explains, which contradicts complete mediation."""
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable batch of trial records with cached count summaries."""
+@dataclass(frozen=True, slots=True)
+class TrialRecord:
+    """One trial participant as a row object, for :meth:`Dataset.from_records`."""
 
-    records: tuple[TrialRecord, ...]
+    x: int
+    m: int | None
+    y: int
+
+    def __post_init__(self) -> None:
+        if self.x not in (0, 1):
+            raise InvalidInputError(f"x must be 0 or 1, got {self.x!r}")
+        if self.m is not None and self.m not in (0, 1):
+            raise InvalidInputError(f"m must be 0, 1, or None, got {self.m!r}")
+        if self.y not in (0, 1):
+            raise InvalidInputError(f"y must be 0 or 1, got {self.y!r}")
+
+
+def _column(name: str, values) -> np.ndarray:
+    """A read-only int8 copy of a 1-d column whose values are all 0 or 1."""
+    a = np.asarray(values)
+    if a.ndim != 1 or a.dtype.kind not in "biuf" or not np.all((a == 0) | (a == 1)):
+        raise InvalidInputError(f"column {name!r} must be a 1-d array of 0s and 1s")
+    a = a.astype(np.int8)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """An immutable batch of trial records, stored as columns.
+
+    ``x``, ``m`` and ``y`` are read-only int8 arrays of one length, each
+    value 0 or 1, in record order; ``m`` is ``None`` for mediator-free
+    records. The constructor copies the columns it is given. The eight
+    (x, m, y) cell counts are taken once here, so the count methods are
+    lookups.
+    """
+
+    x: np.ndarray = field(repr=False)
+    m: np.ndarray | None = field(repr=False)
+    y: np.ndarray = field(repr=False)
     source: str = ""
     # filled in __post_init__; kept out of the constructor signature
     has_mediator: bool = field(init=False, default=False)
+    _cells: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        records = tuple(self.records)
-        if not records:
+        x = _column("x", self.x)
+        y = _column("y", self.y)
+        m = None if self.m is None else _column("m", self.m)
+        if y.size != x.size or (m is not None and m.size != x.size):
+            raise InvalidInputError("columns x, m and y must have one length")
+        if x.size == 0:
             raise InsufficientDataError("dataset has no records")
-        object.__setattr__(self, "records", records)
-        with_m = sum(1 for r in records if r.m is not None)
-        if 0 < with_m < len(records):
+        cells = x.view(np.uint8) << 2 | y.view(np.uint8)
+        if m is not None:
+            cells |= m.view(np.uint8) << 1
+        counts = np.bincount(cells, minlength=8).reshape(2, 2, 2).tolist()
+        for name, value in (("x", x), ("m", m), ("y", y),
+                            ("has_mediator", m is not None), ("_cells", counts)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_records(cls, records, source: str = "") -> "Dataset":
+        """Columns from row objects with ``x``, ``m`` and ``y`` attributes.
+
+        Raises :class:`InsufficientDataError` for no rows and
+        :class:`InvalidInputError` when some rows carry ``m`` and some
+        do not.
+        """
+        rows = list(records)
+        if not rows:
+            raise InsufficientDataError("dataset has no records")
+        with_m = sum(1 for r in rows if r.m is not None)
+        if 0 < with_m < len(rows):
             raise InvalidInputError(
                 f"records mix mediator and mediator-free rows "
-                f"({with_m} of {len(records)} carry m)"
+                f"({with_m} of {len(rows)} carry m)"
             )
-        object.__setattr__(self, "has_mediator", with_m == len(records))
-        x = np.fromiter((r.x for r in records), dtype=np.int8, count=len(records))
-        y = np.fromiter((r.y for r in records), dtype=np.int8, count=len(records))
-        if self.has_mediator:
-            mcol = np.fromiter(
-                (r.m for r in records), dtype=np.int8, count=len(records)
-            )
-        else:
-            mcol = None
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_y", y)
-        object.__setattr__(self, "_m", mcol)
+        return cls(
+            x=np.array([r.x for r in rows]),
+            m=np.array([r.m for r in rows]) if with_m else None,
+            y=np.array([r.y for r in rows]),
+            source=source,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.x.size
+
+    def _mediator_cells(self, x: int) -> list:
+        if not self.has_mediator:
+            raise InvalidInputError("records carry no mediator column")
+        return self._cells[x]
 
     def arm_counts(self, x: int) -> tuple[int, int]:
         """(events, total) within arm x."""
-        in_arm = self._x == x
-        return int(self._y[in_arm].sum()), int(in_arm.sum())
+        (n00, n01), (n10, n11) = self._cells[x]
+        return n01 + n11, n00 + n01 + n10 + n11
 
     def stratum_counts(self, x: int, m: int) -> tuple[int, int]:
         """(events, total) within the (x, m) stratum."""
-        sel = (self._x == x) & (self._m == m)
-        return int(self._y[sel].sum()), int(sel.sum())
+        n0, n1 = self._mediator_cells(x)[m]
+        return n1, n0 + n1
 
     def mediator_counts(self, x: int) -> tuple[int, int]:
         """(m=1 count, total) within arm x."""
-        in_arm = self._x == x
-        return int(self._m[in_arm].sum()), int(in_arm.sum())
+        (n00, n01), (n10, n11) = self._mediator_cells(x)
+        return n10 + n11, n00 + n01 + n10 + n11
 
 
 def _require_arm(d: Dataset, x: int) -> int:
@@ -216,74 +283,151 @@ def margins_from_count_table(t: CountTable) -> SimpleMargins:
     )
 
 
+_HEADER_WIDTHS = {b"x,m,y": 3, b"x,y": 2}
+
+
+def _canonical_columns(data: bytes) -> np.ndarray | None:
+    """The (rows, width) columns of a canonical record CSV, else None.
+
+    Canonical means the header ``x,m,y`` or ``x,y`` and at least one row
+    of bare ``0``/``1`` tokens joined by commas, with every line, the
+    last included, ending in the header's LF or CRLF. Every such file
+    parses the same under :func:`_parsed_columns`; this is its one-pass
+    shortcut.
+    """
+    head, newline, _ = data.partition(b"\n")
+    width = _HEADER_WIDTHS.get(head.removesuffix(b"\r"))
+    if width is None or not newline:
+        return None
+    row = b",".join([b"1"] * width) + (b"\r\n" if head.endswith(b"\r") else b"\n")
+    body = np.frombuffer(data, np.uint8, offset=len(head) + 1)
+    if body.size == 0 or body.size % len(row):
+        return None
+    cells = body.reshape(-1, len(row))
+    # OR-ing 1 into the token bytes maps '0' and '1', and only those, to '1'.
+    token_bits = np.zeros(len(row), np.uint8)
+    token_bits[0 : 2 * width : 2] = 1
+    if not ((cells | token_bits) == np.frombuffer(row, np.uint8)).all():
+        return None
+    return cells[:, 0 : 2 * width : 2] - ord("0")
+
+
+def _parsed_columns(path: Path, data: bytes) -> np.ndarray:
+    """Row-by-row ``csv.reader`` parse of a record CSV into (rows, width)."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
+    except UnicodeDecodeError as e:
+        # bytes.splitlines breaks lines where csv.reader does: LF, CR, CRLF
+        lineno = len(data[: e.start + 1].splitlines())
+        raise RecordParseError(
+            f"{path}:{lineno}: not {e.encoding} text ({e.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _reader_columns(path, reader)
+    except csv.Error as e:
+        raise RecordParseError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def _reader_columns(path: Path, reader) -> np.ndarray:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise RecordParseError(f"{path}:1: file is empty") from None
+    header = [h.strip() for h in header]
+    if header == ["x", "m", "y"]:
+        width = 3
+    elif header == ["x", "y"]:
+        width = 2
+    else:
+        raise RecordParseError(
+            f"{path}:1: header must be 'x,m,y' or 'x,y', got {','.join(header)!r}"
+        )
+    values = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise RecordParseError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+            )
+        for col, token in zip(header, row):
+            token = token.strip()
+            if token not in ("0", "1"):
+                raise RecordParseError(
+                    f"{path}:{lineno}: column {col!r} must be 0 or 1, "
+                    f"got {token!r}"
+                )
+            values.append(token == "1")
+    if not values:
+        raise RecordParseError(f"{path}:1: no data rows")
+    return np.array(values, dtype=np.int8).reshape(-1, width)
+
+
 def read_records_csv(path: str | Path) -> Dataset:
     """Parse a record CSV into a :class:`Dataset`.
 
     The header fixes the schema (``x,m,y`` or ``x,y``); every data cell
-    must be the token 0 or 1. Errors name the offending line.
+    must be the token 0 or 1. Errors name the offending line as
+    ``path:line``. The file is read once. A file as
+    :func:`write_records_csv` writes it (LF or CRLF line ends, a final
+    newline, no spaces) is checked and converted in one vectorized pass;
+    any other file goes through ``csv.reader`` row by row, which decides
+    the result in every case below. Both routes give the same columns.
+
+    * Accepted: LF, CRLF, lone-CR or mixed line ends; no final newline;
+      spaces or tabs around header names and tokens; quoted tokens such
+      as ``"1"``.
+    * ``path:N: expected W fields, got K``: a short or long row, and a
+      blank line after the header, at the end too (``got 0``).
+    * ``path:N: column 'c' must be 0 or 1, got '...'``: any other token,
+      such as ``2``, ``+1`` or ``1.0``.
+    * ``path:1: header must be 'x,m,y' or 'x,y', got '...'``: any other
+      header, a UTF-8 byte-order mark included.
+    * ``path:1: file is empty`` and ``path:1: no data rows``: no header
+      or no rows after it.
+    * ``path:N: not utf-8 text (...)``: bytes the locale's encoding
+      cannot decode; ``path:N: field larger than field limit (...)``:
+      a field ``csv.reader`` refuses.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RecordParseError(f"{path}:1: file is empty") from None
-        header = [h.strip() for h in header]
-        if header == ["x", "m", "y"]:
-            with_m = True
-        elif header == ["x", "y"]:
-            with_m = False
-        else:
-            raise RecordParseError(
-                f"{path}:1: header must be 'x,m,y' or 'x,y', got {','.join(header)!r}"
-            )
-        width = 3 if with_m else 2
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise RecordParseError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
-            values = []
-            for col, token in zip(header, row):
-                token = token.strip()
-                if token not in ("0", "1"):
-                    raise RecordParseError(
-                        f"{path}:{lineno}: column {col!r} must be 0 or 1, "
-                        f"got {token!r}"
-                    )
-                values.append(int(token))
-            if with_m:
-                records.append(TrialRecord(x=values[0], m=values[1], y=values[2]))
-            else:
-                records.append(TrialRecord(x=values[0], m=None, y=values[1]))
-    if not records:
-        raise RecordParseError(f"{path}:1: no data rows")
-    return Dataset(records=tuple(records), source=str(path))
+    data = path.read_bytes()
+    cols = _canonical_columns(data)
+    if cols is None:
+        cols = _parsed_columns(path, data)
+    return Dataset(
+        x=cols[:, 0],
+        m=cols[:, 1] if cols.shape[1] == 3 else None,
+        y=cols[:, -1],
+        source=str(path),
+    )
 
 
 def write_records_csv(records, path: str | Path) -> int:
     """Write records in the CSV format :func:`read_records_csv` accepts.
 
-    Returns the number of rows written. The mediator column is present
-    exactly when the records carry mediator values.
+    ``records`` is a :class:`Dataset` or an iterable of row objects for
+    :meth:`Dataset.from_records`. The file is the header, then one
+    ``0``/``1`` row per record, every line ending in CRLF. The mediator
+    column is present exactly when the records carry mediator values.
+    Returns the number of rows written.
     """
-    records = list(records)
-    if not records:
-        raise InvalidInputError("no records to write")
-    with_m = records[0].m is not None
-    if any((r.m is not None) != with_m for r in records):
-        raise InvalidInputError("records mix mediator and mediator-free rows")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if with_m:
-            writer.writerow(["x", "m", "y"])
-            writer.writerows((r.x, r.m, r.y) for r in records)
-        else:
-            writer.writerow(["x", "y"])
-            writer.writerows((r.x, r.y) for r in records)
+    if not isinstance(records, Dataset):
+        try:
+            records = Dataset.from_records(records)
+        except InsufficientDataError:
+            raise InvalidInputError("no records to write") from None
+    cols = [records.x, records.y]
+    if records.has_mediator:
+        cols.insert(1, records.m)
+    width = len(cols)
+    lines = np.empty((len(records), 2 * width + 1), np.uint8)
+    lines[:, 1 : 2 * width - 1 : 2] = ord(",")
+    lines[:, -2:] = (ord("\r"), ord("\n"))
+    for k, col in enumerate(cols):
+        lines[:, 2 * k] = col + ord("0")
+    header = b"x,m,y\r\n" if width == 3 else b"x,y\r\n"
+    with Path(path).open("wb") as fh:
+        fh.write(header)
+        fh.write(lines.tobytes())
     return len(records)
 
 

@@ -20,7 +20,8 @@ the identification assumptions the bounds rely on.
 Random laws are drawn with a counter-based generator (Philox keyed via
 ``SeedSequence(seed, spawn_key=(law_index, attempt))``), so the same
 seed reproduces the same laws across runs, platforms, and parallel
-fan-out.
+fan-out. :func:`simulate_trial` draws trial records from a law the same
+way and returns them as a :class:`~pcbounds.estimate.Dataset` of columns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CLAMP_TOL,
     STRUCT_TOL,
     BoundInterval,
     InvalidInputError,
@@ -37,6 +39,7 @@ from .core import (
     PcUndefinedError,
     Probability,
 )
+from .estimate import Dataset
 from .mediation import (
     CompleteMediationMargins,
     PartialMediationMargins,
@@ -48,7 +51,6 @@ from .simple import SimpleMargins, simple_bounds
 __all__ = [
     "Coupling2",
     "PotentialOutcomeLaw",
-    "TrialRecord",
     "SoundnessReport",
     "frechet",
     "coupling_sweep_simple",
@@ -188,7 +190,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
         )
     cleaned = []
     for k, v in enumerate(cells):
-        if -1e-12 <= v < 0.0:
+        if -CLAMP_TOL <= v < 0.0:
             v = 0.0
         if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"{name}[{k}] = {v!r} is not a probability")
@@ -438,23 +440,6 @@ def sample_laws(
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One simulated or observed trial participant."""
-
-    x: int
-    m: int | None
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x not in (0, 1):
-            raise InvalidInputError(f"x must be 0 or 1, got {self.x!r}")
-        if self.m is not None and self.m not in (0, 1):
-            raise InvalidInputError(f"m must be 0, 1, or None, got {self.m!r}")
-        if self.y not in (0, 1):
-            raise InvalidInputError(f"y must be 0 or 1, got {self.y!r}")
-
-
 def _draw_cells(gen: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
     cdf = np.cumsum(probs)
     idx = np.searchsorted(cdf, gen.random(size), side="right")
@@ -463,12 +448,14 @@ def _draw_cells(gen: np.random.Generator, probs: np.ndarray, size: int) -> np.nd
 
 def simulate_trial(
     law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0
-) -> list[TrialRecord]:
+) -> Dataset:
     """Simulate a randomized trial of 2 * n_per_arm participants.
 
     Each participant in arm x gets a potential table drawn from the law
-    and contributes the record (x, M(x), Y*(x, M(x))). Arm 0 records
-    come first. Deterministic given (law, n_per_arm, seed).
+    and contributes the record (x, M(x), Y*(x, M(x))). Returns the
+    records as a :class:`~pcbounds.estimate.Dataset` with a mediator
+    column, arm 0 records first. Deterministic given (law, n_per_arm,
+    seed).
     """
     if not isinstance(n_per_arm, int) or isinstance(n_per_arm, bool) or n_per_arm < 1:
         raise InvalidInputError(
@@ -476,7 +463,7 @@ def simulate_trial(
         )
     m_probs = np.asarray(law.m_block)
     y_probs = np.asarray(law.y_block)
-    records: list[TrialRecord] = []
+    mcols, ycols = [], []
     for x in (0, 1):
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(x,)))
@@ -484,12 +471,13 @@ def simulate_trial(
         mcells = _draw_cells(gen, m_probs, n_per_arm)
         ycells = _draw_cells(gen, y_probs, n_per_arm)
         mvals = (mcells >> (1 - x)) & 1
-        yvals = (ycells >> (3 - (2 * x + mvals))) & 1
-        records.extend(
-            TrialRecord(x=x, m=int(mv), y=int(yv))
-            for mv, yv in zip(mvals.tolist(), yvals.tolist())
-        )
-    return records
+        mcols.append(mvals)
+        ycols.append((ycells >> (3 - (2 * x + mvals))) & 1)
+    return Dataset(
+        x=np.repeat(np.array([0, 1], dtype=np.int8), n_per_arm),
+        m=np.concatenate(mcols),
+        y=np.concatenate(ycols),
+    )
 
 
 @dataclass(frozen=True, slots=True)

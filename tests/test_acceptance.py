@@ -17,7 +17,6 @@ import pytest
 import pcbounds.cli as cli
 from pcbounds import (
     BoundInterval,
-    Dataset,
     InconsistentBoundsError,
     InsufficientDataError,
     PartialMediationMargins,
@@ -315,8 +314,7 @@ def test_criterion_7_simulation_round_trip(acceptance_log, example1_margins):
     t0 = time.perf_counter()
     law = PotentialOutcomeLaw.independent(example1_margins)
     n = 10**6
-    records = simulate_trial(law, n, seed=11)
-    dataset = Dataset(records=tuple(records))
+    dataset = simulate_trial(law, n, seed=11)
     est = estimate_partial(dataset)
     problems = []
     stratum_sizes = {

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,20 @@ class TestSimulateCommand:
         run(["simulate", "--law", law_file, "--n", "50", "--seed", "4",
              "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_bundled_law_bytes_pinned(self, capsys, tmp_path):
+        law = Path(__file__).resolve().parent.parent / "data" / "example1_law.json"
+        out_csv = tmp_path / "sim.csv"
+        assert run(["simulate", "--law", str(law), "--n", "1000", "--seed", "7",
+                    "--out", str(out_csv)]) == 0
+        out = capsys.readouterr().out
+        data = out_csv.read_bytes()
+        assert len(data) == 14007
+        assert hashlib.sha256(data).hexdigest() == (
+            "f5fd95f8bc18f7dcdd02d03855c3a16ed2631cc82e8154de4658afe4d317ba1f"
+        )
+        assert "arm X=0: 232 events in 1000 records" in out
+        assert "arm X=1: 702 events in 1000 records" in out
 
     def test_bad_law_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "law.json"

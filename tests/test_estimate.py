@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pcbounds import (
@@ -47,14 +48,14 @@ def balanced_records():
 class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
-            Dataset(records=())
+            Dataset.from_records(())
 
     def test_mixed_mediator_rejected(self):
         with pytest.raises(InvalidInputError):
-            Dataset(records=(TrialRecord(0, 0, 1), TrialRecord(1, None, 1)))
+            Dataset.from_records((TrialRecord(0, 0, 1), TrialRecord(1, None, 1)))
 
     def test_counts(self, balanced_records):
-        d = Dataset(records=tuple(balanced_records))
+        d = Dataset.from_records(balanced_records)
         assert len(d) == 70
         assert d.arm_counts(1) == (33, 40)
         assert d.stratum_counts(0, 1) == (5, 10)
@@ -62,25 +63,76 @@ class TestDataset:
         assert d.has_mediator
 
     def test_mediator_free(self):
-        d = Dataset(records=(TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
+        d = Dataset.from_records((TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
         assert not d.has_mediator
+        assert d.m is None
+        assert d.arm_counts(0) == (1, 1)
+        with pytest.raises(InvalidInputError):
+            d.stratum_counts(0, 0)
+        with pytest.raises(InvalidInputError):
+            d.mediator_counts(0)
+
+    def test_columns_keep_record_order(self, balanced_records):
+        d = Dataset.from_records(balanced_records)
+        for name in ("x", "m", "y"):
+            col = getattr(d, name)
+            assert col.dtype == np.int8
+            assert not col.flags.writeable
+            assert col.tolist() == [getattr(r, name) for r in balanced_records]
+
+    def test_column_constructor_copies(self, balanced_records):
+        ref = Dataset.from_records(balanced_records)
+        x, m, y = ref.x.astype(np.int64), ref.m.tolist(), ref.y.astype(bool)
+        d = Dataset(x=x, m=m, y=y, source="s")
+        x[:] = 0
+        assert np.array_equal(d.x, ref.x)
+        assert d.source == "s"
+        for xv in (0, 1):
+            assert d.arm_counts(xv) == ref.arm_counts(xv)
+            assert d.mediator_counts(xv) == ref.mediator_counts(xv)
+            for mv in (0, 1):
+                assert d.stratum_counts(xv, mv) == ref.stratum_counts(xv, mv)
+
+    def test_empty_columns_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            Dataset(x=[], m=None, y=[])
+
+    @pytest.mark.parametrize("columns", [
+        {"x": [0, 2], "m": None, "y": [0, 1]},
+        {"x": [0, 1], "m": [0, -1], "y": [0, 1]},
+        {"x": [0, 1], "m": None, "y": [0.5, 1]},
+        {"x": ["0", "1"], "m": None, "y": [0, 1]},
+        {"x": [0, 1], "m": None, "y": [0]},
+        {"x": [0, 1], "m": [0], "y": [0, 1]},
+        {"x": [[0, 1]], "m": None, "y": [[0, 1]]},
+    ])
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(InvalidInputError):
+            Dataset(**columns)
+
+    def test_from_records_rejects_bad_values(self):
+        class Row:
+            x, m, y = 1, None, 2
+
+        with pytest.raises(InvalidInputError):
+            Dataset.from_records([Row()])
 
 
 class TestEstimators:
     def test_simple(self, balanced_records):
-        d = Dataset(records=tuple(balanced_records))
+        d = Dataset.from_records(balanced_records)
         m = estimate_simple(d)
         assert float(m.p1) == 33 / 40
         assert float(m.p0) == 9 / 30
 
     def test_simple_requires_both_arms(self):
-        d = Dataset(records=(TrialRecord(1, None, 1),))
+        d = Dataset.from_records((TrialRecord(1, None, 1),))
         with pytest.raises(InsufficientDataError) as exc:
             estimate_simple(d)
         assert "X=0" in str(exc.value)
 
     def test_partial(self, balanced_records):
-        d = Dataset(records=tuple(balanced_records))
+        d = Dataset.from_records(balanced_records)
         m = estimate_partial(d)
         assert float(m.y00) == 0.2
         assert float(m.y01) == 0.5
@@ -90,13 +142,13 @@ class TestEstimators:
         assert float(m.m1) == 0.5
 
     def test_partial_requires_mediator(self):
-        d = Dataset(records=(TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
+        d = Dataset.from_records((TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
         with pytest.raises(InvalidInputError):
             estimate_partial(d)
 
     def test_partial_names_empty_stratum(self, balanced_records):
         thinned = [r for r in balanced_records if not (r.x == 1 and r.m == 0)]
-        d = Dataset(records=tuple(thinned))
+        d = Dataset.from_records(thinned)
         with pytest.raises(InsufficientDataError) as exc:
             estimate_partial(d)
         assert "(x=1, m=0)" in str(exc.value)
@@ -108,7 +160,7 @@ class TestEstimators:
             (1, 0, 0): 15, (1, 0, 1): 5,
             (1, 1, 0): 15, (1, 1, 1): 15,
         })
-        d = Dataset(records=tuple(records))
+        d = Dataset.from_records(records)
         m = estimate_complete(d)
         # a = P(M=0 | X=0) = 40/50, b = P(M=1 | X=1) = 30/50.
         assert float(m.a) == 0.8
@@ -118,7 +170,7 @@ class TestEstimators:
         assert float(m.d) == 0.5
 
     def test_complete_warns_on_direct_effect(self, balanced_records):
-        d = Dataset(records=tuple(balanced_records))
+        d = Dataset.from_records(balanced_records)
         with pytest.warns(DirectEffectWarning, match="M=0"):
             estimate_complete(d)
 
@@ -129,7 +181,7 @@ class TestEstimators:
             (1, 0, 0): 15, (1, 0, 1): 5,
             (1, 1, 0): 15, (1, 1, 1): 15,
         })
-        d = Dataset(records=tuple(records))
+        d = Dataset.from_records(records)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", DirectEffectWarning)
@@ -149,9 +201,11 @@ class TestRecordsCsv:
         assert n == 70
         d = read_records_csv(path)
         assert len(d) == 70
-        assert estimate_partial(d) == estimate_partial(
-            Dataset(records=tuple(balanced_records))
-        )
+        assert d.source == str(path)
+        ref = Dataset.from_records(balanced_records)
+        for name in ("x", "m", "y"):
+            assert np.array_equal(getattr(d, name), getattr(ref, name))
+        assert estimate_partial(d) == estimate_partial(ref)
 
     def test_mediator_free_round_trip(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -183,6 +237,20 @@ class TestRecordsCsv:
         with pytest.raises(RecordParseError):
             read_records_csv(path)
 
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,m,y\n0,1,1\r1,\xff,1\n")
+        with pytest.raises(RecordParseError) as exc:
+            read_records_csv(path)
+        assert str(exc.value).startswith(f"{path}:3: not ")
+
+    def test_oversized_field_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n0,1\n1," + "1" * 200_000 + "\n")
+        with pytest.raises(RecordParseError) as exc:
+            read_records_csv(path)
+        assert str(exc.value).startswith(f"{path}:3: field larger than field limit")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -201,6 +269,18 @@ class TestRecordsCsv:
                 [TrialRecord(0, 0, 1), TrialRecord(1, None, 1)],
                 tmp_path / "x.csv",
             )
+
+    def test_write_rejects_empty(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="no records to write"):
+            write_records_csv([], tmp_path / "x.csv")
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "records.csv"
+        d = Dataset(x=[0, 1, 1], m=[1, 0, 1], y=[0, 1, 1])
+        assert write_records_csv(d, path) == 3
+        assert path.read_bytes() == b"x,m,y\r\n0,1,0\r\n1,0,1\r\n1,1,1\r\n"
+        write_records_csv(Dataset(x=[1, 0], m=None, y=[1, 0]), path)
+        assert path.read_bytes() == b"x,y\r\n1,1\r\n0,0\r\n"
 
 
 class TestCountJson:

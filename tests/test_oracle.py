@@ -269,26 +269,32 @@ class TestSampleLaws:
 class TestSimulateTrial:
     def test_shape_and_arm_order(self, example1_margins):
         law = PotentialOutcomeLaw.independent(example1_margins)
-        records = simulate_trial(law, 50, seed=0)
-        assert len(records) == 100
-        assert all(r.x == 0 for r in records[:50])
-        assert all(r.x == 1 for r in records[50:])
-        assert all(r.m in (0, 1) for r in records)
+        d = simulate_trial(law, 50, seed=0)
+        assert len(d) == 100
+        assert np.all(d.x[:50] == 0)
+        assert np.all(d.x[50:] == 1)
+        assert d.has_mediator
+        assert np.all((d.m == 0) | (d.m == 1))
 
     def test_deterministic(self, example1_margins):
         law = PotentialOutcomeLaw.independent(example1_margins)
-        assert simulate_trial(law, 20, seed=9) == simulate_trial(law, 20, seed=9)
-        assert simulate_trial(law, 20, seed=9) != simulate_trial(law, 20, seed=10)
+
+        def columns(seed):
+            d = simulate_trial(law, 20, seed=seed)
+            return np.stack([d.x, d.m, d.y])
+
+        assert np.array_equal(columns(9), columns(9))
+        assert not np.array_equal(columns(9), columns(10))
 
     def test_frequencies_match_law(self, example1_margins):
         law = PotentialOutcomeLaw.independent(example1_margins)
         n = 20000
-        records = simulate_trial(law, n, seed=1)
-        arm1 = [r for r in records if r.x == 1]
-        m1_hat = sum(r.m for r in arm1) / n
+        d = simulate_trial(law, n, seed=1)
+        arm1 = d.x == 1
+        m1_hat = d.m[arm1].sum() / n
         m1_true = float(example1_margins.m1)
         assert abs(m1_hat - m1_true) <= 4 * math.sqrt(m1_true * (1 - m1_true) / n)
-        p1_hat = sum(r.y for r in arm1) / n
+        p1_hat = d.y[arm1].sum() / n
         assert abs(p1_hat - 0.688268) <= 4 * math.sqrt(0.688268 * (1 - 0.688268) / n)
 
     def test_n_validation(self, example1_margins):
