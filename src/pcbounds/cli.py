@@ -6,7 +6,8 @@ outcome only), ``complete`` and ``partial`` (mediator-informed),
 soundness check of the partial bounds), and ``simulate`` (draw trial
 records from an explicit law). Every subcommand accepts ``--json`` for
 a schema-stable machine report and ``--tol`` to override the reporting
-tolerance used by consistency checks.
+tolerance used by consistency checks (a nonnegative number; NaN or a
+negative value is invalid input).
 
 Exit codes: 0 success, 1 invalid input, 2 inestimable (undefined PC or
 missing strata), 3 verification failure.
@@ -609,6 +610,10 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    if args.tol is not None and not args.tol >= 0.0:
+        print(f"error: --tol must be a nonnegative number, got {args.tol!r}",
+              file=sys.stderr)
+        return 1
     try:
         report, code = _HANDLERS[args.command](args, args.tol)
     except (InvalidInputError, AssumptionViolationError, InconsistentBoundsError) as e:

@@ -86,15 +86,19 @@ class Probability(float):
 
     Values within ``CLAMP_TOL`` below 0 or above 1 are clamped to the
     boundary; anything further out raises :class:`InvalidInputError`.
-    Instances behave as plain floats in arithmetic, and ``min``/``max``
-    work on them directly. Helpers that are guaranteed to land back in
-    [0, 1] return ``Probability`` again.
+    A value already in [0, 1] (including -0.0, whose sign is kept) takes
+    a fast path that only converts it; NaN and out-of-range values go on
+    to the clamp-or-raise checks. Instances behave as plain floats in
+    arithmetic, and ``min``/``max`` work on them directly. Helpers that
+    are guaranteed to land back in [0, 1] return ``Probability`` again.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: float) -> "Probability":
         v = float(value)
+        if 0.0 <= v <= 1.0:
+            return float.__new__(cls, v)
         if math.isnan(v):
             raise InvalidInputError("probability must not be NaN")
         if -CLAMP_TOL <= v < 0.0:
@@ -118,7 +122,8 @@ class Probability(float):
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
-    Construction coerces both endpoints through :class:`Probability`.
+    Construction coerces an endpoint through :class:`Probability` unless
+    it already is one (then it is validated and passes through as is).
     A lower endpoint at most ``CLAMP_TOL`` above the upper one is float
     noise and collapses to the degenerate interval at ``lower`` (the
     lower endpoint is kept because it is shared across bound families
@@ -130,8 +135,8 @@ class BoundInterval:
     upper: Probability
 
     def __post_init__(self) -> None:
-        lo = Probability(self.lower)
-        hi = Probability(self.upper)
+        lo = self.lower if type(self.lower) is Probability else Probability(self.lower)
+        hi = self.upper if type(self.upper) is Probability else Probability(self.upper)
         if lo > hi:
             if lo - hi <= CLAMP_TOL:
                 hi = lo

@@ -18,6 +18,12 @@ joint event {Y(0)=0, Y(1)=1}, hence a tighter upper bound. The upper
 numerators are sums of Frechet caps: one product per mediator
 trajectory (m0, m1), each capping how much of that trajectory's mass
 can land on response pairs with Y*(0, m0)=0 and Y*(1, m1)=1.
+
+Each formula has one source, a private helper on plain floats that the
+public functions wrap (``_partial_rates``, ``_partial_parts``,
+``_decomposition``, ``_complete_parts``, ``simple._simple_interval``).
+:func:`compare` is one pass over them: it reads the six margins once,
+derives p1 and p0 once and builds only the objects its report returns.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from .core import (
     AssumptionViolationError,
     BoundInterval,
     InconsistentBoundsError,
+    InvalidInputError,
     PcUndefinedError,
     Probability,
 )
-from .simple import SimpleMargins, simple_bounds
+from .simple import SimpleMargins, _simple_interval
 
 __all__ = [
     "CompleteMediationMargins",
@@ -109,15 +116,12 @@ class PartialMediationMargins:
         )
 
 
-def complete_numerator(m: CompleteMediationMargins) -> Probability:
-    """Largest feasible P(Y(0)=0, Y(1)=1 | X<-1) under complete mediation.
+def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
+    return (m.y00, m.y01, m.y10, m.y11, m.m0, m.m1)
 
-    Case split on the orderings of (a, b) and (c, d); ties land in the
-    "<=" branch, and the adjacent formulas agree at ties, so the split
-    is unambiguous. Every branch equals
-    min{a,b} min{c,d} + min{1-a,1-b} min{1-c,1-d}.
-    """
-    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+
+def _complete_parts(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """Raw derived (p1, p0) and upper numerator of complete margins."""
     if a <= b and c <= d:
         value = a * c + (1.0 - d) * (1.0 - b)
     elif a > b and c <= d:
@@ -126,7 +130,18 @@ def complete_numerator(m: CompleteMediationMargins) -> Probability:
         value = a * d + (1.0 - c) * (1.0 - b)
     else:  # a > b and c > d
         value = b * d + (1.0 - a) * (1.0 - c)
-    return Probability(value)
+    return b * d + (1.0 - b) * (1.0 - c), (1.0 - a) * d + a * (1.0 - c), value
+
+
+def complete_numerator(m: CompleteMediationMargins) -> Probability:
+    """Largest feasible P(Y(0)=0, Y(1)=1 | X<-1) under complete mediation.
+
+    Case split on the orderings of (a, b) and (c, d); ties land in the
+    "<=" branch, and the adjacent formulas agree at ties, so the split
+    is unambiguous. Every branch equals
+    min{a,b} min{c,d} + min{1-a,1-b} min{1-c,1-d}.
+    """
+    return Probability(_complete_parts(m.a, m.b, m.c, m.d)[2])
 
 
 def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
@@ -135,10 +150,14 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
     p1 = b d + (1-b)(1-c) and p0 = (1-a) d + a (1-c): push the mediator
     response for each arm through the shared outcome surface.
     """
-    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
-    p1 = b * d + (1.0 - b) * (1.0 - c)
-    p0 = (1.0 - a) * d + a * (1.0 - c)
-    return SimpleMargins(p1=Probability(p1), p0=Probability(p0))
+    return SimpleMargins(*_complete_parts(m.a, m.b, m.c, m.d)[:2])
+
+
+def _complete_interval(a: float, b: float, c: float, d: float) -> BoundInterval:
+    p1, p0, numerator = map(Probability, _complete_parts(a, b, c, d))
+    lower, _ = _simple_interval(p1, p0, "derived P(Y=1 | X<-1) = 0 under complete "
+                                "mediation: the probability of causation is undefined")
+    return BoundInterval(Probability(lower), Probability(numerator / p1))
 
 
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
@@ -148,15 +167,19 @@ def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     rates (a mediator never improves the lower bound); the upper
     endpoint divides :func:`complete_numerator` by the derived p1.
     """
-    derived = derive_simple_from_complete(m)
-    if derived.p1 == 0.0:
-        raise PcUndefinedError(
-            "derived P(Y=1 | X<-1) = 0 under complete mediation: the "
-            "probability of causation is undefined"
-        )
-    lower = simple_bounds(derived).lower
-    upper = float(complete_numerator(m)) / float(derived.p1)
-    return BoundInterval(lower, Probability(upper))
+    return _complete_interval(m.a, m.b, m.c, m.d)
+
+
+def _partial_parts(v: tuple[float, ...]) -> tuple[float, ...]:
+    """The four trajectory caps and their sum, the partial upper numerator."""
+    y00, y01, y10, y11, m0, m1 = v
+    q00 = 1.0 - y00
+    q01 = 1.0 - y01
+    t1 = min(q00, y10) * min(1.0 - m0, 1.0 - m1)
+    t2 = min(q00, y11) * min(1.0 - m0, m1)
+    t3 = min(q01, y10) * min(m0, 1.0 - m1)
+    t4 = min(q01, y11) * min(m0, m1)
+    return t1, t2, t3, t4, t1 + t2 + t3 + t4
 
 
 def partial_upper_terms(
@@ -167,15 +190,7 @@ def partial_upper_terms(
     Term order is (m0, m1) = (0,0), (0,1), (1,0), (1,1), writing
     q_xm = 1 - y_xm for the no-outcome rates.
     """
-    q00 = 1.0 - float(m.y00)
-    q01 = 1.0 - float(m.y01)
-    y10, y11 = float(m.y10), float(m.y11)
-    m0, m1 = float(m.m0), float(m.m1)
-    t1 = min(q00, y10) * min(1.0 - m0, 1.0 - m1)
-    t2 = min(q00, y11) * min(1.0 - m0, m1)
-    t3 = min(q01, y10) * min(m0, 1.0 - m1)
-    t4 = min(q01, y11) * min(m0, m1)
-    return (t1, t2, t3, t4)
+    return _partial_parts(_fields(m))[:4]
 
 
 def partial_upper_numerator(m: PartialMediationMargins) -> float:
@@ -185,15 +200,27 @@ def partial_upper_numerator(m: PartialMediationMargins) -> float:
     certain), so it is a plain float, not a probability; the bound
     clamps only after dividing by p1.
     """
-    t1, t2, t3, t4 = partial_upper_terms(m)
-    return t1 + t2 + t3 + t4
+    return _partial_parts(_fields(m))[4]
+
+
+def _partial_rates(v: tuple[float, ...]) -> tuple[float, float]:
+    y00, y01, y10, y11, m0, m1 = v
+    return y10 * (1.0 - m1) + y11 * m1, y00 * (1.0 - m0) + y01 * m0
 
 
 def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
     """Arm response rates implied by the six partial-mediation margins."""
-    p1 = float(m.y10) * (1.0 - float(m.m1)) + float(m.y11) * float(m.m1)
-    p0 = float(m.y00) * (1.0 - float(m.m0)) + float(m.y01) * float(m.m0)
-    return SimpleMargins(p1=Probability(p1), p0=Probability(p0))
+    return SimpleMargins(*_partial_rates(_fields(m)))
+
+
+def _partial_pass(v: tuple[float, ...], undefined: str | None = None):
+    """(simple interval, partial interval, four-term numerator) of margins v."""
+    p1, p0 = map(Probability, _partial_rates(v))
+    lower, upper = _simple_interval(p1, p0, undefined)
+    lower, numerator = Probability(lower), _partial_parts(v)[4]
+    partial_upper = Probability(min(1.0, numerator / p1))
+    simple_iv = BoundInterval(lower, Probability(upper))
+    return simple_iv, BoundInterval(lower, partial_upper), numerator
 
 
 def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
@@ -203,15 +230,18 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     rates; the upper endpoint is the four-term numerator over p1,
     clamped at 1.
     """
-    derived = derive_simple_from_partial(m)
-    if derived.p1 == 0.0:
-        raise PcUndefinedError(
-            "derived P(Y=1 | X<-1) = 0: the probability of causation is "
-            "undefined for these margins"
-        )
-    lower = simple_bounds(derived).lower
-    upper = min(1.0, partial_upper_numerator(m) / float(derived.p1))
-    return BoundInterval(lower, Probability(upper))
+    return _partial_pass(_fields(m), "derived P(Y=1 | X<-1) = 0: the probability "
+                         "of causation is undefined for these margins")[1]
+
+
+def _decomposition(v: tuple[float, ...]) -> tuple[Probability, ...]:
+    """(alpha, beta, gamma, delta) and the simple numerator from them."""
+    y00, y01, y10, y11, m0, m1 = v
+    alpha = Probability((1.0 - y00) * (1.0 - m0))
+    beta = Probability((1.0 - y01) * m0)
+    gamma = Probability(y10 * (1.0 - m1))
+    delta = Probability(y11 * m1)
+    return alpha, beta, gamma, delta, Probability(min(alpha + beta, gamma + delta))
 
 
 def decomposition(
@@ -222,16 +252,7 @@ def decomposition(
     alpha + beta = P(Y(0)=0) and gamma + delta = P(Y(1)=1), with each
     piece attributing the arm event to one mediator value.
     """
-    alpha = (1.0 - float(m.y00)) * (1.0 - float(m.m0))
-    beta = (1.0 - float(m.y01)) * float(m.m0)
-    gamma = float(m.y10) * (1.0 - float(m.m1))
-    delta = float(m.y11) * float(m.m1)
-    return (
-        Probability(alpha),
-        Probability(beta),
-        Probability(gamma),
-        Probability(delta),
-    )
+    return _decomposition(_fields(m))[:4]
 
 
 def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probability:
@@ -241,21 +262,23 @@ def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probabilit
     before returning; a mismatch means the decomposition and the
     derivation disagree, which is a logic bug, not a data problem.
     """
-    alpha, beta, gamma, delta = decomposition(m)
-    derived = derive_simple_from_partial(m)
-    left = float(alpha) + float(beta)
-    right = float(gamma) + float(delta)
-    if abs(left - (1.0 - float(derived.p0))) > 1e-12:
+    v = _fields(m)
+    alpha, beta, gamma, delta, numerator = _decomposition(v)
+    p1, p0 = map(Probability, _partial_rates(v))
+    left, right = alpha + beta, gamma + delta
+    if abs(left - (1.0 - p0)) > 1e-12:
         raise InconsistentBoundsError(
-            f"alpha + beta = {left!r} does not reproduce 1 - p0 = "
-            f"{1.0 - float(derived.p0)!r}"
+            f"alpha + beta = {left!r} does not reproduce 1 - p0 = {1.0 - p0!r}"
         )
-    if abs(right - float(derived.p1)) > 1e-12:
+    if abs(right - p1) > 1e-12:
         raise InconsistentBoundsError(
-            f"gamma + delta = {right!r} does not reproduce p1 = "
-            f"{float(derived.p1)!r}"
+            f"gamma + delta = {right!r} does not reproduce p1 = {p1!r}"
         )
-    return Probability(min(left, right))
+    return numerator
+
+
+def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
+    return (1.0 - v[4], v[5], 1.0 - v[0], v[3])
 
 
 def collapse_to_complete(m: PartialMediationMargins) -> CompleteMediationMargins:
@@ -265,12 +288,7 @@ def collapse_to_complete(m: PartialMediationMargins) -> CompleteMediationMargins
     y01 = y11); the caller is responsible for checking that claim. The
     map is a = 1-m0, b = m1, c = 1-y00, d = y11.
     """
-    return CompleteMediationMargins(
-        a=Probability(1.0 - float(m.m0)),
-        b=Probability(float(m.m1)),
-        c=Probability(1.0 - float(m.y00)),
-        d=Probability(float(m.y11)),
-    )
+    return CompleteMediationMargins(*_collapsed(_fields(m)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,23 +330,23 @@ def compare(
     required to hold within ``claim_tol`` (keep the default for analytic
     margins; pass a statistical tolerance for estimated ones), the
     margins are collapsed, and the complete-mediation interval joins the
-    intersection.
+    intersection. A NaN or negative ``claim_tol`` is invalid input.
     """
+    if not claim_tol >= 0.0:
+        raise InvalidInputError(
+            f"claim_tol must be a nonnegative number, got {claim_tol!r}"
+        )
+    v = _fields(m)
     if complete_claim:
-        for mval, lhs, rhs, names in (
-            (0, float(m.y00), float(m.y10), ("y00", "y10")),
-            (1, float(m.y01), float(m.y11), ("y01", "y11")),
-        ):
-            gap = abs(lhs - rhs)
+        for mval in (0, 1):
+            gap = abs(v[mval] - v[2 + mval])
             if gap > claim_tol:
                 raise AssumptionViolationError(
                     f"complete-mediation claim fails at M={mval}: "
-                    f"|{names[0]} - {names[1]}| = {gap:.6g} exceeds {claim_tol:.6g}"
+                    f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
-    derived = derive_simple_from_partial(m)
-    simple_iv = simple_bounds(derived)
-    partial_iv = partial_bounds(m)
-    complete_iv = complete_bounds(collapse_to_complete(m)) if complete_claim else None
+    simple_iv, partial_iv, numerator = _partial_pass(v)
+    complete_iv = _complete_interval(*_collapsed(v)) if complete_claim else None
 
     lowers = [simple_iv.lower, partial_iv.lower]
     uppers = [simple_iv.upper, partial_iv.upper]
@@ -337,7 +355,7 @@ def compare(
         uppers.append(complete_iv.upper)
     combined = BoundInterval(max(lowers), min(uppers))
 
-    alpha, beta, gamma, delta = decomposition(m)
+    alpha, beta, gamma, delta, numerator_simple = _decomposition(v)
     return ComparisonReport(
         simple_interval=simple_iv,
         partial_interval=partial_iv,
@@ -347,6 +365,6 @@ def compare(
         beta=beta,
         gamma=gamma,
         delta=delta,
-        numerator_simple=simple_numerator_via_decomposition(m),
-        numerator_partial=partial_upper_numerator(m),
+        numerator_simple=numerator_simple,
+        numerator_partial=numerator,
     )

@@ -44,19 +44,24 @@ def risk_ratio(m: SimpleMargins) -> float:
     return float(m.p1) / float(m.p0)
 
 
+def _simple_interval(
+    p1: float, p0: float, undefined: str | None = None
+) -> tuple[float, float]:
+    """Raw (lower, upper); p1 = 0 raises with ``undefined`` or the default."""
+    if p1 == 0.0:
+        raise PcUndefinedError(
+            undefined
+            or "P(Y=1 | X<-1) = 0: there are no exposed cases, so the "
+            "probability of causation is undefined"
+        )
+    return max(0.0, 1.0 - p0 / p1), min(1.0 - p0, p1) / p1
+
+
 def simple_bounds(m: SimpleMargins) -> BoundInterval:
     """Sharp PC bounds from the two arm rates.
 
     Raises :class:`PcUndefinedError` when p1 = 0: with no exposed cases
     the conditioning event is empty and PC has no value.
     """
-    p1 = float(m.p1)
-    p0 = float(m.p0)
-    if p1 == 0.0:
-        raise PcUndefinedError(
-            "P(Y=1 | X<-1) = 0: there are no exposed cases, so the "
-            "probability of causation is undefined"
-        )
-    lower = max(0.0, 1.0 - p0 / p1)
-    upper = min(1.0 - p0, p1) / p1
+    lower, upper = _simple_interval(float(m.p1), float(m.p0))
     return BoundInterval(Probability(lower), Probability(upper))

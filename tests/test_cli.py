@@ -298,6 +298,25 @@ class TestHarness:
         assert cli._sig12(float(iv.lower)) == rep["interval"]["lower"]
         assert cli._sig12(float(iv.upper)) == rep["interval"]["upper"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-0.1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["compare", "--complete"], ["partial"], ["partial", "--counts", None]],
+    )
+    def test_invalid_tol_exits_1(self, capsys, partial_file, counts_file, command, tol):
+        # A NaN tolerance would accept any complete-mediation claim and
+        # switch the counts cross-check off; a negative one rejects all.
+        argv = [counts_file if a is None else a for a in command]
+        assert run([*argv, "--margins", partial_file, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --tol must be a nonnegative number, got {float(tol)!r}\n"
+        )
+
+    def test_zero_tol_accepted(self, capsys, partial_file):
+        assert run(["partial", "--margins", partial_file, "--tol", "0"]) == 0
+
     def test_twelve_digit_rounding(self):
         assert cli._sig12(0.6512259759279816) == 0.651225975928
         assert cli._sig12(1 / 3) == 0.333333333333

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pcbounds import (
+    CLAMP_TOL,
     BoundInterval,
     CountTable,
     InconsistentBoundsError,
@@ -57,6 +59,67 @@ class TestProbability:
         assert abs(float(p.complement().complement()) - x) <= 1e-15
 
 
+def _reference_probability(value):
+    """``Probability.__new__``'s checks as they were before the in-range
+    fast path, kept verbatim as the reference for the boundary cases."""
+    v = float(value)
+    if math.isnan(v):
+        raise InvalidInputError("probability must not be NaN")
+    if -CLAMP_TOL <= v < 0.0:
+        v = 0.0
+    elif 1.0 < v <= 1.0 + CLAMP_TOL:
+        v = 1.0
+    if not 0.0 <= v <= 1.0:
+        raise InvalidInputError(f"probability {value!r} outside [0, 1]")
+    return v
+
+
+def _outcome(make, value):
+    try:
+        return float.hex(make(value))
+    except InvalidInputError as e:
+        return str(e)
+
+
+class TestProbabilityFastPath:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0, -0.0, 1.0, 0.5,
+            -CLAMP_TOL, 1.0 + CLAMP_TOL, -CLAMP_TOL / 2, 1.0 + CLAMP_TOL / 2,
+            -2 * CLAMP_TOL, 1.0 + 2 * CLAMP_TOL,
+            math.nan, math.inf, -math.inf,
+            np.float64(0.25), np.float64(-0.0), np.float64(1.5),
+            np.float64(math.nan),
+            0, 1, 2, -1, True, False,
+            "0.5", "1e-13", "-1e-13", "1.5", "nan",
+        ],
+        ids=repr,
+    )
+    def test_same_value_or_error_as_reference(self, value):
+        assert _outcome(Probability, value) == _outcome(_reference_probability, value)
+
+    def test_negative_zero_keeps_its_sign(self):
+        p = Probability(-0.0)
+        assert type(p) is Probability
+        assert math.copysign(1.0, p) == -1.0
+
+    def test_clamps_just_outside(self):
+        assert float(Probability(-CLAMP_TOL)) == 0.0
+        assert float(Probability(1.0 + CLAMP_TOL)) == 1.0
+
+    @pytest.mark.parametrize("value", [-2 * CLAMP_TOL, 1.0 + 2 * CLAMP_TOL])
+    def test_rejects_twice_the_clamp_window(self, value):
+        with pytest.raises(InvalidInputError, match="outside"):
+            Probability(value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.25), 1, True, "0.25"])
+    def test_converts_other_numeric_types(self, value):
+        p = Probability(value)
+        assert type(p) is Probability
+        assert float(p) == float(value)
+
+
 class TestBoundInterval:
     def test_basic(self):
         iv = BoundInterval(Probability(0.2), Probability(0.8))
@@ -67,6 +130,17 @@ class TestBoundInterval:
     def test_coerces_floats(self):
         iv = BoundInterval(0.2, 0.8)
         assert isinstance(iv.lower, Probability)
+
+    def test_probability_endpoints_pass_through(self):
+        lo, hi = Probability(0.2), Probability(0.8)
+        iv = BoundInterval(lo, hi)
+        assert iv.lower is lo and iv.upper is hi
+
+    def test_still_checks_probability_endpoints_for_inversion(self):
+        with pytest.raises(InconsistentBoundsError):
+            BoundInterval(Probability(0.7), Probability(0.3))
+        iv = BoundInterval(Probability(0.5 + 5e-13), Probability(0.5))
+        assert iv.upper is iv.lower
 
     def test_collapses_float_noise_crossing(self):
         iv = BoundInterval(0.5 + 5e-13, 0.5)

@@ -1,13 +1,19 @@
+import math
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pcbounds import (
+    STRUCT_TOL,
     AssumptionViolationError,
+    BoundInterval,
+    ComparisonReport,
     CompleteMediationMargins,
     InconsistentBoundsError,
     InvalidInputError,
     PartialMediationMargins,
+    PcBoundsError,
     Probability,
     collapse_to_complete,
     compare,
@@ -27,11 +33,84 @@ from pcbounds import (
 probs = st.floats(min_value=0.0, max_value=1.0)
 
 
-def partial_margin_sets():
+grid = st.integers(0, 20).map(lambda k: k / 20)
+
+
+def partial_margin_sets(values=probs):
     return st.builds(
         PartialMediationMargins,
-        y00=probs, y01=probs, y10=probs, y11=probs, m0=probs, m1=probs,
+        y00=values, y01=values, y10=values, y11=values, m0=values, m1=values,
     )
+
+
+@st.composite
+def x_invariant_sets(draw):
+    """Margins with y00 = y10 and y01 = y11, on the grid or uniform."""
+    values = draw(st.sampled_from([probs, grid]))
+    y0, y1, m0, m1 = (draw(values) for _ in range(4))
+    return PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
+
+
+def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
+    """``compare`` as the composition of public calls it was before it
+    became a single pass, kept verbatim as the differential reference."""
+    if complete_claim:
+        for mval, lhs, rhs, names in (
+            (0, float(m.y00), float(m.y10), ("y00", "y10")),
+            (1, float(m.y01), float(m.y11), ("y01", "y11")),
+        ):
+            gap = abs(lhs - rhs)
+            if gap > claim_tol:
+                raise AssumptionViolationError(
+                    f"complete-mediation claim fails at M={mval}: "
+                    f"|{names[0]} - {names[1]}| = {gap:.6g} exceeds {claim_tol:.6g}"
+                )
+    derived = derive_simple_from_partial(m)
+    simple_iv = simple_bounds(derived)
+    partial_iv = partial_bounds(m)
+    complete_iv = complete_bounds(collapse_to_complete(m)) if complete_claim else None
+
+    lowers = [simple_iv.lower, partial_iv.lower]
+    uppers = [simple_iv.upper, partial_iv.upper]
+    if complete_iv is not None:
+        lowers.append(complete_iv.lower)
+        uppers.append(complete_iv.upper)
+    combined = BoundInterval(max(lowers), min(uppers))
+
+    alpha, beta, gamma, delta = decomposition(m)
+    return ComparisonReport(
+        simple_interval=simple_iv,
+        partial_interval=partial_iv,
+        complete_interval=complete_iv,
+        combined_interval=combined,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        delta=delta,
+        numerator_simple=simple_numerator_via_decomposition(m),
+        numerator_partial=partial_upper_numerator(m),
+    )
+
+
+def _bits(x):
+    return type(x).__name__, float.hex(x)
+
+
+def report_bits(make, *args, **kwargs):
+    """Every report field as (type name, float.hex), or the error raised."""
+    try:
+        rep = make(*args, **kwargs)
+    except PcBoundsError as e:
+        return type(e), str(e)
+    out = {}
+    for name in ("simple_interval", "partial_interval", "complete_interval",
+                 "combined_interval"):
+        iv = getattr(rep, name)
+        out[name] = None if iv is None else (_bits(iv.lower), _bits(iv.upper))
+    for name in ("alpha", "beta", "gamma", "delta", "numerator_simple",
+                 "numerator_partial"):
+        out[name] = _bits(getattr(rep, name))
+    return out
 
 
 class TestCompleteMediation:
@@ -178,6 +257,13 @@ class TestCollapse:
         assert float(cm.c) == 0.7
         assert float(cm.d) == 0.8
 
+    def test_mapping_reads_the_unexposed_surface(self):
+        # c and d come from y00 and y11 even when the claim does not hold.
+        m = PartialMediationMargins(y00=0.3, y01=0.6, y10=0.5, y11=0.8,
+                                    m0=0.4, m1=0.7)
+        cm = collapse_to_complete(m)
+        assert (float(cm.c), float(cm.d)) == (0.7, 0.8)
+
     @given(y0=probs, y1=probs, m0=probs, m1=probs)
     def test_complete_never_looser_within_its_model(self, y0, y1, m0, m1):
         m = PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
@@ -276,6 +362,63 @@ class TestCompare:
                 numerator_simple=Probability(0.2),
                 numerator_partial=1.0,
             )
+
+
+class TestSinglePassCompare:
+    """``compare`` against the composition of public calls, bit for bit."""
+
+    @given(partial_margin_sets(), st.booleans())
+    def test_uniform_sets(self, m, claim):
+        assert report_bits(compare, m, claim) == report_bits(reference_compare, m, claim)
+
+    @given(partial_margin_sets(grid), st.booleans())
+    def test_grid_sets(self, m, claim):
+        assert report_bits(compare, m, claim) == report_bits(reference_compare, m, claim)
+
+    @given(x_invariant_sets())
+    def test_x_invariant_claimed_sets(self, m):
+        assert report_bits(compare, m, True) == report_bits(reference_compare, m, True)
+
+    @given(partial_margin_sets(grid), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_wide_claim_tolerances(self, m, tol):
+        # Wide tolerances admit claims whose complete-mediation p1 is 0 or
+        # whose intervals cross; both sides must fail the same way.
+        assert report_bits(compare, m, True, tol) == report_bits(
+            reference_compare, m, True, tol
+        )
+
+    @pytest.mark.parametrize(
+        "values, claim",
+        [
+            ((0.2, 0.5, 0.0, 0.6, 0.3, 0.0), False),  # p1 = 0
+            ((0.2, 0.5, 0.0, 0.6, 0.3, 0.0), True),  # claim fails at M=0
+            ((0.2, 0.5, 0.2, 0.6, 0.3, 0.4), True),  # claim fails at M=1
+            ((0.0, 0.0, 0.0, 0.0, 0.3, 0.4), True),  # claim holds, p1 = 0
+        ],
+    )
+    def test_error_paths_raise_the_same(self, values, claim):
+        m = PartialMediationMargins(*values)
+        got = report_bits(compare, m, claim)
+        assert isinstance(got, tuple) and issubclass(got[0], PcBoundsError)
+        assert got == report_bits(reference_compare, m, claim)
+
+    @given(partial_margin_sets())
+    def test_numerators_match_their_checked_forms(self, m):
+        assume(float(derive_simple_from_partial(m).p1) > 0.0)
+        rep = compare(m)
+        d = derive_simple_from_partial(m)
+        assert abs(float(rep.alpha) + float(rep.beta) - (1.0 - float(d.p0))) <= 1e-12
+        assert abs(float(rep.gamma) + float(rep.delta) - float(d.p1)) <= 1e-12
+        assert rep.numerator_simple == simple_numerator_via_decomposition(m)
+        assert rep.numerator_partial <= 2.0 * float(rep.numerator_simple) + STRUCT_TOL
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0])
+    @pytest.mark.parametrize("claim", [False, True])
+    def test_claim_tol_must_be_nonnegative(self, tol, claim):
+        # |y00 - y10| = 0.8: a NaN tolerance used to accept this claim.
+        m = PartialMediationMargins(0.1, 0.2, 0.9, 0.8, 0.3, 0.4)
+        with pytest.raises(InvalidInputError, match="claim_tol"):
+            compare(m, complete_claim=claim, claim_tol=tol)
 
 
 def test_margin_validation():
