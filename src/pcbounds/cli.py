@@ -5,9 +5,17 @@ outcome only), ``complete`` and ``partial`` (mediator-informed),
 ``compare`` (all applicable intervals intersected), ``verify`` (oracle
 soundness check of the partial bounds), and ``simulate`` (draw trial
 records from an explicit law). Every subcommand accepts ``--json`` for
-a schema-stable machine report and ``--tol`` to override the reporting
-tolerance used by consistency checks (a nonnegative number; NaN or a
-negative value is invalid input).
+a schema-stable machine report and ``--tol`` (a nonnegative number; NaN
+or a negative value is invalid input), the reporting tolerance of the
+consistency checks of ``complete``, ``partial`` and ``compare``; the
+other subcommands accept it and ignore it.
+
+``_REGIMES`` holds one record per evidence regime: its margins class,
+whose dataclass fields are the keys the help text lists and the input
+echo reports, the name a wrong-kind error gives it, the echo ``kind``
+and the assumption tags. The margins reader, the parser and the reports
+all read it, and ``complete`` and ``partial`` share one handler that
+differs only in the estimator, derivation and bound it calls.
 
 Exit codes: 0 success, 1 invalid input, 2 inestimable (undefined PC or
 missing strata), 3 verification failure.
@@ -16,28 +24,27 @@ missing strata), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .core import (
     REPORT_TOL,
     STRUCT_TOL,
-    AssumptionViolationError,
     BoundInterval,
-    CountTable,
-    InconsistentBoundsError,
     InsufficientDataError,
     InvalidInputError,
     LawGenerationError,
+    PcBoundsError,
     PcUndefinedError,
-    RecordParseError,
+    _require_tol,
 )
 from .estimate import (
-    Dataset,
+    _read_json,
     estimate_complete,
     estimate_partial,
     margins_from_count_table,
@@ -60,10 +67,39 @@ from .simple import SimpleMargins, risk_ratio, simple_bounds
 
 __all__ = ["BoundsReport", "run", "main"]
 
-_SIMPLE_TAGS = ["randomization", "exchangeability"]
-_PARTIAL_TAGS = ["A1", "A2", "A3", "randomization", "exchangeability"]
-_COMPLETE_TAGS = ["A1", "A2", "A3", "complete-mediation", "randomization",
-                  "exchangeability"]
+
+@dataclass(frozen=True)
+class _Regime:
+    """What defines one evidence regime for the CLI."""
+
+    margins: type
+    noun: str
+    kind: str
+    tags: tuple[str, ...]
+
+    @property
+    def keys(self) -> str:
+        return "{" + ", ".join(f.name for f in fields(self.margins)) + "}"
+
+
+_BASE_TAGS = ("randomization", "exchangeability")
+_REGIMES = {
+    "simple": _Regime(
+        SimpleMargins, "simple margins {p0, p1}", "simple-margins", _BASE_TAGS
+    ),
+    "complete": _Regime(
+        CompleteMediationMargins,
+        "complete-mediation margins {a, b, c, d}",
+        "complete-margins",
+        ("A1", "A2", "A3", "complete-mediation", *_BASE_TAGS),
+    ),
+    "partial": _Regime(
+        PartialMediationMargins,
+        "partial-mediation margins {y00, y01, y10, y11, m0, m1}",
+        "partial-margins",
+        ("A1", "A2", "A3", *_BASE_TAGS),
+    ),
+}
 _MEDIATOR_NOTE = (
     "mediator response rates are read from exposure-randomized strata; the "
     "mediator itself is not randomized (response-surface identification assumed)"
@@ -91,10 +127,6 @@ def _sig12(x: float) -> float:
 
 
 def _round_tree(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return obj
     if isinstance(obj, float):
         return _sig12(obj)
     if isinstance(obj, dict):
@@ -150,45 +182,24 @@ def _print_report(r: BoundsReport, as_json: bool) -> None:
 
 
 def _margins_values(m) -> dict:
-    if isinstance(m, SimpleMargins):
-        return {"p1": float(m.p1), "p0": float(m.p0)}
-    if isinstance(m, CompleteMediationMargins):
-        return {"a": float(m.a), "b": float(m.b), "c": float(m.c), "d": float(m.d)}
-    return {
-        "y00": float(m.y00),
-        "y01": float(m.y01),
-        "y10": float(m.y10),
-        "y11": float(m.y11),
-        "m0": float(m.m0),
-        "m1": float(m.m1),
-    }
+    return {f.name: float(getattr(m, f.name)) for f in fields(m)}
 
 
-_KIND_NAMES = {
-    SimpleMargins: "simple margins {p0, p1}",
-    CompleteMediationMargins: "complete-mediation margins {a, b, c, d}",
-    PartialMediationMargins: "partial-mediation margins "
-    "{y00, y01, y10, y11, m0, m1}",
-}
-
-
-def _read_margins_of(path: str, want: type, command: str):
+def _read_margins(path: str, regime: _Regime, command: str, **extra):
+    """Read margins of the regime's kind; return them and the input echo."""
     m = read_margins_json(path)
-    if not isinstance(m, want):
+    if not isinstance(m, regime.margins):
+        held = next(r for r in _REGIMES.values() if type(m) is r.margins)
         raise InvalidInputError(
-            f"{path}: holds {_KIND_NAMES[type(m)]}, but '{command}' needs "
-            f"{_KIND_NAMES[want]}"
+            f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
-    return m
+    echo = {"kind": regime.kind, "source": path, "values": _margins_values(m)}
+    return m, {**echo, **extra}
 
 
 def _read_law_json(path: str | Path) -> PotentialOutcomeLaw:
     path = Path(path)
-    try:
-        with path.open() as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise RecordParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    data = _read_json(path)
     if not isinstance(data, dict) or set(data) != {"m_block", "y_block"}:
         raise InvalidInputError(
             f"{path}: law file must be an object with exactly the fields "
@@ -202,84 +213,65 @@ def _read_law_json(path: str | Path) -> PotentialOutcomeLaw:
             raise InvalidInputError(
                 f"{path}: field {name!r} must be a list of {size} numbers"
             )
-    return PotentialOutcomeLaw(
-        m_block=tuple(float(v) for v in data["m_block"]),
-        y_block=tuple(float(v) for v in data["y_block"]),
-    )
+    return PotentialOutcomeLaw(m_block=data["m_block"], y_block=data["y_block"])
 
 
-def _counts_cross_check(
-    derived: SimpleMargins, counts_path: str, tol: float, diagnostics: list[str]
-) -> None:
-    """Flag disagreement between derived rates and an observed count table."""
-    table = read_count_json(counts_path)
-    observed = margins_from_count_table(table)
-    div = max(
-        abs(float(derived.p1) - float(observed.p1)),
-        abs(float(derived.p0) - float(observed.p0)),
-    )
+def _counts_check(derived: SimpleMargins, counts_path: str, tol: float) -> str:
+    """Say whether derived rates agree with an observed count table."""
+    observed = margins_from_count_table(read_count_json(counts_path))
+    pairs = zip((derived.p1, derived.p0), (observed.p1, observed.p0))
+    div = max(abs(float(a) - float(b)) for a, b in pairs)
     if div > tol:
-        diagnostics.append(
+        return (
             f"derived rates disagree with the count table {counts_path}: max "
             f"divergence {div:.4g} exceeds {tol:.4g}"
         )
-    else:
-        diagnostics.append(
-            f"derived rates agree with the count table {counts_path} "
-            f"(max divergence {div:.4g} <= {tol:.4g})"
-        )
+    return (
+        f"derived rates agree with the count table {counts_path} "
+        f"(max divergence {div:.4g} <= {tol:.4g})"
+    )
 
 
-def _estimation_warnings(ws) -> list[str]:
-    return [f"estimation warning: {w.message}" for w in ws]
+def _rates_text(d: SimpleMargins) -> str:
+    return f"derived arm rates: p1 = {float(d.p1):.6g}, p0 = {float(d.p0):.6g}"
 
 
-def _cmd_simple(args) -> tuple[BoundsReport, int]:
+def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
     if args.counts:
         table = read_count_json(args.counts)
-        margins = margins_from_count_table(table)
-        echo = {
-            "kind": "counts",
-            "source": args.counts,
-            "values": {
-                "exposed_event": table.exposed_event,
-                "exposed_total": table.exposed_total,
-                "unexposed_event": table.unexposed_event,
-                "unexposed_total": table.unexposed_total,
-            },
-        }
-        derived = margins
+        margins = derived = margins_from_count_table(table)
+        echo = {"kind": "counts", "source": args.counts, "values": asdict(table)}
     else:
-        margins = _read_margins_of(args.margins, SimpleMargins, "simple")
-        echo = {
-            "kind": "simple-margins",
-            "source": args.margins,
-            "values": _margins_values(margins),
-        }
+        margins, echo = _read_margins(args.margins, _REGIMES["simple"], "simple")
         derived = None
-    iv = simple_bounds(margins)
     rr = risk_ratio(margins)
     rr_text = "undefined (no events in either arm)" if math.isnan(rr) else f"{rr:.6g}"
-    report = BoundsReport(
+    return BoundsReport(
         method="simple",
-        interval=iv,
+        interval=simple_bounds(margins),
         derived=derived,
         diagnostics=[f"risk ratio p1/p0 = {rr_text}"],
-        assumptions=list(_SIMPLE_TAGS),
+        assumptions=list(_REGIMES["simple"].tags),
         inputs_echo=echo,
-    )
-    return report, 0
+    ), 0
 
 
-def _cmd_complete(args, tol: float) -> tuple[BoundsReport, int]:
-    diagnostics: list[str] = []
+def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
+    """``complete`` and ``partial``: margins or records in, one interval out."""
+    regime = _REGIMES[args.command]
+    if args.command == "complete":
+        derive, bounds = derive_simple_from_complete, complete_bounds
+        estimate = functools.partial(estimate_complete, tol=tol)
+    else:
+        derive, bounds = derive_simple_from_partial, partial_bounds
+        estimate = estimate_partial
+    notes: list[str] = []
     if args.records:
         dataset = read_records_csv(args.records)
         with warnings.catch_warnings(record=True) as ws:
             warnings.simplefilter("always")
-            margins = estimate_complete(dataset, tol=tol)
-        diagnostics.extend(_estimation_warnings(ws))
-        diagnostics.append(_MEDIATOR_NOTE)
+            margins = estimate(dataset)
+        notes = [f"estimation warning: {w.message}" for w in ws] + [_MEDIATOR_NOTE]
         echo = {
             "kind": "records",
             "source": args.records,
@@ -287,90 +279,34 @@ def _cmd_complete(args, tol: float) -> tuple[BoundsReport, int]:
             "estimated_margins": _margins_values(margins),
         }
     else:
-        margins = _read_margins_of(args.margins, CompleteMediationMargins, "complete")
-        echo = {
-            "kind": "complete-margins",
-            "source": args.margins,
-            "values": _margins_values(margins),
-        }
-    derived = derive_simple_from_complete(margins)
-    diagnostics.insert(
-        0,
-        f"derived arm rates: p1 = {float(derived.p1):.6g}, "
-        f"p0 = {float(derived.p0):.6g}",
-    )
+        margins, echo = _read_margins(args.margins, regime, args.command)
+    derived = derive(margins)
+    diagnostics = [_rates_text(derived), *notes]
     if args.counts:
-        _counts_cross_check(derived, args.counts, tol, diagnostics)
-    iv = complete_bounds(margins)
-    report = BoundsReport(
-        method="complete",
-        interval=iv,
+        diagnostics.append(_counts_check(derived, args.counts, tol))
+    return BoundsReport(
+        method=args.command,
+        interval=bounds(margins),
         derived=derived,
         diagnostics=diagnostics,
-        assumptions=list(_COMPLETE_TAGS),
+        assumptions=list(regime.tags),
         inputs_echo=echo,
+    ), 0
+
+
+def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
+    margins, echo = _read_margins(
+        args.margins, _REGIMES["partial"], "compare", complete_claim=bool(args.complete)
     )
-    return report, 0
-
-
-def _cmd_partial(args, tol: float) -> tuple[BoundsReport, int]:
-    diagnostics: list[str] = []
-    if args.records:
-        dataset = read_records_csv(args.records)
-        margins = estimate_partial(dataset)
-        diagnostics.append(_MEDIATOR_NOTE)
-        echo = {
-            "kind": "records",
-            "source": args.records,
-            "n_records": len(dataset),
-            "estimated_margins": _margins_values(margins),
-        }
-    else:
-        margins = _read_margins_of(args.margins, PartialMediationMargins, "partial")
-        echo = {
-            "kind": "partial-margins",
-            "source": args.margins,
-            "values": _margins_values(margins),
-        }
-    derived = derive_simple_from_partial(margins)
-    diagnostics.insert(
-        0,
-        f"derived arm rates: p1 = {float(derived.p1):.6g}, "
-        f"p0 = {float(derived.p0):.6g}",
-    )
-    if args.counts:
-        _counts_cross_check(derived, args.counts, tol, diagnostics)
-    iv = partial_bounds(margins)
-    report = BoundsReport(
-        method="partial",
-        interval=iv,
-        derived=derived,
-        diagnostics=diagnostics,
-        assumptions=list(_PARTIAL_TAGS),
-        inputs_echo=echo,
-    )
-    return report, 0
-
-
-def _cmd_compare(args, tol: float | None) -> tuple[BoundsReport, int]:
-    margins = _read_margins_of(args.margins, PartialMediationMargins, "compare")
-    claim_tol = STRUCT_TOL if tol is None else tol
+    claim_tol = STRUCT_TOL if args.tol is None else tol
     rep = compare(margins, complete_claim=args.complete, claim_tol=claim_tol)
     derived = derive_simple_from_partial(margins)
-    diagnostics = [
-        f"derived arm rates: p1 = {float(derived.p1):.6g}, "
-        f"p0 = {float(derived.p0):.6g}",
-        f"simple interval {rep.simple_interval}",
-        f"partial interval {rep.partial_interval}",
-    ]
-    uppers = {
-        "simple": float(rep.simple_interval.upper),
-        "partial": float(rep.partial_interval.upper),
-    }
+    intervals = {"simple": rep.simple_interval, "partial": rep.partial_interval}
     if rep.complete_interval is not None:
-        diagnostics.append(f"complete interval {rep.complete_interval}")
-        uppers["complete"] = float(rep.complete_interval.upper)
-    winner = min(uppers, key=uppers.get)
+        intervals["complete"] = rep.complete_interval
+    diagnostics = [_rates_text(derived)]
+    diagnostics += [f"{name} interval {iv}" for name, iv in intervals.items()]
+    winner = min(intervals, key=lambda name: float(intervals[name].upper))
     diagnostics.append(f"{winner} upper bound is smallest")
     diagnostics.append(
         f"decomposition: alpha = {float(rep.alpha):.6g}, beta = "
@@ -385,28 +321,23 @@ def _cmd_compare(args, tol: float | None) -> tuple[BoundsReport, int]:
         else f"upper-bound numerators: simple 0, partial {rep.numerator_partial:.6g}"
     )
     if args.counts:
-        _counts_cross_check(
-            derived, args.counts, REPORT_TOL if tol is None else tol, diagnostics
-        )
-    assumptions = list(_COMPLETE_TAGS if args.complete else _PARTIAL_TAGS)
-    report = BoundsReport(
+        diagnostics.append(_counts_check(derived, args.counts, tol))
+    regime = _REGIMES["complete" if args.complete else "partial"]
+    return BoundsReport(
         method="compare",
         interval=rep.combined_interval,
         derived=derived,
         diagnostics=diagnostics,
-        assumptions=assumptions,
-        inputs_echo={
-            "kind": "partial-margins",
-            "source": args.margins,
-            "values": _margins_values(margins),
-            "complete_claim": bool(args.complete),
-        },
+        assumptions=list(regime.tags),
+        inputs_echo=echo,
+    ), 0
+
+
+def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
+    margins, echo = _read_margins(
+        args.margins, _REGIMES["partial"], "verify",
+        samples=args.samples, seed=args.seed, confounded=bool(args.confounded),
     )
-    return report, 0
-
-
-def _cmd_verify(args) -> tuple[BoundsReport, int]:
-    margins = _read_margins_of(args.margins, PartialMediationMargins, "verify")
     rep = soundness_report(
         margins, n_laws=args.samples, seed=args.seed, confounded=args.confounded
     )
@@ -430,20 +361,14 @@ def _cmd_verify(args) -> tuple[BoundsReport, int]:
         )
     else:
         diagnostics.append("all sampled laws fall inside both intervals")
-    report = BoundsReport(
+    code = 3 if (not rep.passed and not rep.confounded) else 0
+    return BoundsReport(
         method="verify",
         interval=rep.interval,
         derived=derive_simple_from_partial(margins),
         diagnostics=diagnostics,
-        assumptions=list(_PARTIAL_TAGS),
-        inputs_echo={
-            "kind": "partial-margins",
-            "source": args.margins,
-            "values": _margins_values(margins),
-            "samples": args.samples,
-            "seed": args.seed,
-            "confounded": bool(args.confounded),
-        },
+        assumptions=list(_REGIMES["partial"].tags),
+        inputs_echo=echo,
         oracle={
             "samples": rep.n_laws,
             "violations": rep.violations,
@@ -455,12 +380,10 @@ def _cmd_verify(args) -> tuple[BoundsReport, int]:
             "upper_gap": rep.upper_gap,
             "confounded": rep.confounded,
         },
-    )
-    code = 3 if (not rep.passed and not rep.confounded) else 0
-    return report, code
+    ), code
 
 
-def _cmd_simulate(args) -> tuple[BoundsReport, int]:
+def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
     law = _read_law_json(args.law)
     dataset = simulate_trial(law, n_per_arm=args.n, seed=args.seed)
     written = write_records_csv(dataset, args.out)
@@ -468,12 +391,11 @@ def _cmd_simulate(args) -> tuple[BoundsReport, int]:
     for x in (0, 1):
         events, total = dataset.arm_counts(x)
         diagnostics.append(f"arm X={x}: {events} events in {total} records")
-    report = BoundsReport(
+    return BoundsReport(
         method="simulate",
         interval=None,
         derived=None,
         diagnostics=diagnostics,
-        assumptions=[],
         inputs_echo={
             "kind": "law",
             "source": args.law,
@@ -481,8 +403,30 @@ def _cmd_simulate(args) -> tuple[BoundsReport, int]:
             "seed": args.seed,
             "out": str(args.out),
         },
+    ), 0
+
+
+_COMMANDS = {
+    "simple": (_cmd_simple, "bounds from exposure and outcome alone"),
+    "complete": (_cmd_mediated, "bounds assuming complete mediation"),
+    "partial": (
+        _cmd_mediated,
+        "bounds using the mediator without the complete-mediation claim",
+    ),
+    "compare": (_cmd_compare, "all applicable intervals, intersected"),
+    "verify": (
+        _cmd_verify,
+        "sample laws at the given margins and test the bounds against them",
+    ),
+    "simulate": (_cmd_simulate, "draw trial records from a law file"),
+}
+_COUNTS_HELP = "optional count JSON cross-check of the derived arm rates"
+
+
+def _add_margins(parser, regime: _Regime, **kwargs) -> None:
+    parser.add_argument(
+        "--margins", metavar="FILE", help=f"margins JSON file {regime.keys}", **kwargs
     )
-    return report, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--tol",
         type=float,
-        default=None,
         metavar="X",
         help="override the reporting tolerance used by consistency checks "
         f"(default {REPORT_TOL})",
@@ -504,77 +447,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "data, with optional mediator information.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "simple", parents=[shared], help="bounds from exposure and outcome alone"
-    )
-    src = p.add_mutually_exclusive_group(required=True)
+    cmd = {
+        name: sub.add_parser(name, parents=[shared], help=text)
+        for name, (_, text) in _COMMANDS.items()
+    }
+    src = cmd["simple"].add_mutually_exclusive_group(required=True)
     src.add_argument("--counts", metavar="FILE", help="count JSON file")
-    src.add_argument("--margins", metavar="FILE", help="margins JSON file {p1, p0}")
+    _add_margins(src, _REGIMES["simple"])
+    for name in ("complete", "partial"):
+        src = cmd[name].add_mutually_exclusive_group(required=True)
+        _add_margins(src, _REGIMES[name])
+        src.add_argument("--records", metavar="FILE", help="record CSV file (x,m,y)")
+        cmd[name].add_argument("--counts", metavar="FILE", help=_COUNTS_HELP)
 
-    p = sub.add_parser(
-        "complete", parents=[shared], help="bounds assuming complete mediation"
-    )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--margins", metavar="FILE", help="margins JSON file {a, b, c, d}"
-    )
-    src.add_argument("--records", metavar="FILE", help="record CSV file (x,m,y)")
-    p.add_argument(
-        "--counts",
-        metavar="FILE",
-        help="optional count JSON cross-check of the derived arm rates",
-    )
-
-    p = sub.add_parser(
-        "partial",
-        parents=[shared],
-        help="bounds using the mediator without the complete-mediation claim",
-    )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--margins",
-        metavar="FILE",
-        help="margins JSON file {y00, y01, y10, y11, m0, m1}",
-    )
-    src.add_argument("--records", metavar="FILE", help="record CSV file (x,m,y)")
-    p.add_argument(
-        "--counts",
-        metavar="FILE",
-        help="optional count JSON cross-check of the derived arm rates",
-    )
-
-    p = sub.add_parser(
-        "compare", parents=[shared], help="all applicable intervals, intersected"
-    )
-    p.add_argument(
-        "--margins",
-        metavar="FILE",
-        required=True,
-        help="margins JSON file {y00, y01, y10, y11, m0, m1}",
-    )
+    p = cmd["compare"]
+    _add_margins(p, _REGIMES["partial"], required=True)
     p.add_argument(
         "--complete",
         action="store_true",
         help="also claim complete mediation (requires y00 = y10 and y01 = y11)",
     )
-    p.add_argument(
-        "--counts",
-        metavar="FILE",
-        help="optional count JSON cross-check of the derived arm rates",
-    )
+    p.add_argument("--counts", metavar="FILE", help=_COUNTS_HELP)
 
-    p = sub.add_parser(
-        "verify",
-        parents=[shared],
-        help="sample laws at the given margins and test the bounds against them",
-    )
-    p.add_argument(
-        "--margins",
-        metavar="FILE",
-        required=True,
-        help="margins JSON file {y00, y01, y10, y11, m0, m1}",
-    )
+    p = cmd["verify"]
+    _add_margins(p, _REGIMES["partial"], required=True)
     p.add_argument("--samples", type=int, default=1000, help="laws to sample")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
@@ -583,24 +479,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="break the no-confounding assumption on purpose (diagnostic mode)",
     )
 
-    p = sub.add_parser(
-        "simulate", parents=[shared], help="draw trial records from a law file"
-    )
+    p = cmd["simulate"]
     p.add_argument("--law", metavar="FILE", required=True, help="law JSON file")
     p.add_argument("--n", type=int, required=True, help="participants per arm")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out", metavar="FILE", required=True, help="output record CSV")
     return parser
-
-
-_HANDLERS = {
-    "simple": lambda args, tol: _cmd_simple(args),
-    "complete": lambda args, tol: _cmd_complete(args, REPORT_TOL if tol is None else tol),
-    "partial": lambda args, tol: _cmd_partial(args, REPORT_TOL if tol is None else tol),
-    "compare": _cmd_compare,
-    "verify": lambda args, tol: _cmd_verify(args),
-    "simulate": lambda args, tol: _cmd_simulate(args),
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -610,22 +494,17 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    if args.tol is not None and not args.tol >= 0.0:
-        print(f"error: --tol must be a nonnegative number, got {args.tol!r}",
-              file=sys.stderr)
-        return 1
+    tol = REPORT_TOL if args.tol is None else args.tol
     try:
-        report, code = _HANDLERS[args.command](args, args.tol)
-    except (InvalidInputError, AssumptionViolationError, InconsistentBoundsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        _require_tol("--tol", tol)
+        report, code = _COMMANDS[args.command][0](args, tol)
     except (PcUndefinedError, InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except LawGenerationError as e:
         print(f"error: verification could not complete: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except (PcBoundsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _print_report(report, args.json)

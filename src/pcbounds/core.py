@@ -18,7 +18,7 @@ a window of ``CLAMP_TOL``; anything larger is a real error and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 STRUCT_TOL = 1e-9
 REPORT_TOL = 0.005
@@ -88,7 +88,8 @@ class Probability(float):
     boundary; anything further out raises :class:`InvalidInputError`.
     A value already in [0, 1] (including -0.0, whose sign is kept) takes
     a fast path that only converts it; NaN and out-of-range values go on
-    to the clamp-or-raise checks. Instances behave as plain floats in
+    to the clamp-or-raise checks, and an integer too large for a float
+    raises :class:`InvalidInputError` too. Instances behave as plain floats in
     arithmetic, and ``min``/``max`` work on them directly. Helpers that
     are guaranteed to land back in [0, 1] return ``Probability`` again.
     """
@@ -96,7 +97,10 @@ class Probability(float):
     __slots__ = ()
 
     def __new__(cls, value: float) -> "Probability":
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:
+            raise InvalidInputError("probability too large for a float") from None
         if 0.0 <= v <= 1.0:
             return float.__new__(cls, v)
         if math.isnan(v):
@@ -164,6 +168,12 @@ def interval(lower: float, upper: float) -> BoundInterval:
     return BoundInterval(Probability(lower), Probability(upper))
 
 
+def _require_tol(name: str, value: float) -> None:
+    """Reject a NaN or negative tolerance as invalid input."""
+    if not value >= 0.0:
+        raise InvalidInputError(f"{name} must be a nonnegative number, got {value!r}")
+
+
 def _require_count(name: str, value: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
@@ -182,13 +192,8 @@ class CountTable:
     unexposed_total: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "exposed_event",
-            "exposed_total",
-            "unexposed_event",
-            "unexposed_total",
-        ):
-            _require_count(name, getattr(self, name))
+        for f in fields(self):
+            _require_count(f.name, getattr(self, f.name))
         if self.exposed_total == 0 or self.unexposed_total == 0:
             raise InvalidInputError("arm totals must be positive")
         if self.exposed_event > self.exposed_total:

@@ -32,7 +32,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .core import (
     InvalidInputError,
     Probability,
     RecordParseError,
+    _require_tol,
     prob_from_counts,
 )
 from .mediation import CompleteMediationMargins, PartialMediationMargins
@@ -238,8 +239,9 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
     mediator alone. When a stratum's outcome rates differ across arms
     by more than ``tol`` plus three standard errors, a
     :class:`DirectEffectWarning` is emitted (a diagnostic, not an
-    error).
+    error). A NaN or negative ``tol`` is invalid input.
     """
+    _require_tol("tol", tol)
     if not d.has_mediator:
         raise InvalidInputError("records carry no mediator column")
     for x in (0, 1):
@@ -431,12 +433,21 @@ def write_records_csv(records, path: str | Path) -> int:
     return len(records)
 
 
+def _read_json(path: Path):
+    """Decode a JSON file; any decoding failure is a RecordParseError."""
+    with path.open() as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise RecordParseError(
+                f"{path}:{e.lineno}: invalid JSON: {e.msg}"
+            ) from None
+        except ValueError as e:
+            raise RecordParseError(f"{path}: invalid JSON: {e}") from None
+
+
 def _load_json_object(path: Path) -> dict:
-    try:
-        with path.open() as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise RecordParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise RecordParseError(f"{path}: expected a JSON object")
     return data
@@ -446,27 +457,20 @@ def read_count_json(path: str | Path) -> CountTable:
     """Parse a count JSON file into a :class:`CountTable`."""
     path = Path(path)
     data = _load_json_object(path)
-    fields = ("exposed_event", "exposed_total", "unexposed_event", "unexposed_total")
-    unknown = sorted(set(data) - set(fields))
+    names = [f.name for f in fields(CountTable)]
+    unknown = sorted(set(data) - set(names))
     if unknown:
         raise InvalidInputError(f"{path}: unknown fields {unknown}")
-    missing = sorted(set(fields) - set(data))
+    missing = sorted(set(names) - set(data))
     if missing:
         raise InvalidInputError(f"{path}: missing fields {missing}")
     values = {}
-    for name in fields:
+    for name in names:
         v = data[name]
         if isinstance(v, bool) or not isinstance(v, int):
             raise InvalidInputError(f"{path}: field {name!r} must be an integer")
         values[name] = v
     return CountTable(**values)
-
-
-_MARGIN_SCHEMAS: tuple[tuple[frozenset, type], ...] = (
-    (frozenset({"p1", "p0"}), SimpleMargins),
-    (frozenset({"a", "b", "c", "d"}), CompleteMediationMargins),
-    (frozenset({"y00", "y01", "y10", "y11", "m0", "m1"}), PartialMediationMargins),
-)
 
 
 def read_margins_json(
@@ -475,8 +479,12 @@ def read_margins_json(
     """Parse a margins JSON file; the key set selects the margins type."""
     path = Path(path)
     data = _load_json_object(path)
+    schemas = {
+        cls: frozenset(f.name for f in fields(cls))
+        for cls in (SimpleMargins, CompleteMediationMargins, PartialMediationMargins)
+    }
     keys = frozenset(data)
-    for schema, cls in _MARGIN_SCHEMAS:
+    for cls, schema in schemas.items():
         if keys == schema:
             values = {}
             for name in sorted(schema):
@@ -488,7 +496,7 @@ def read_margins_json(
                 values[name] = Probability(v)
             return cls(**values)
     known = " | ".join(
-        "{" + ", ".join(sorted(schema)) + "}" for schema, _ in _MARGIN_SCHEMAS
+        "{" + ", ".join(sorted(schema)) + "}" for schema in schemas.values()
     )
     raise InvalidInputError(
         f"{path}: key set {sorted(keys)} matches no margins schema; expected "

@@ -35,9 +35,9 @@ from .core import (
     AssumptionViolationError,
     BoundInterval,
     InconsistentBoundsError,
-    InvalidInputError,
     PcUndefinedError,
     Probability,
+    _require_tol,
 )
 from .simple import SimpleMargins, _simple_interval
 
@@ -332,10 +332,7 @@ def compare(
     margins are collapsed, and the complete-mediation interval joins the
     intersection. A NaN or negative ``claim_tol`` is invalid input.
     """
-    if not claim_tol >= 0.0:
-        raise InvalidInputError(
-            f"claim_tol must be a nonnegative number, got {claim_tol!r}"
-        )
+    _require_tol("claim_tol", claim_tol)
     v = _fields(m)
     if complete_claim:
         for mval in (0, 1):

@@ -38,6 +38,7 @@ from .core import (
     LawGenerationError,
     PcUndefinedError,
     Probability,
+    _require_tol,
 )
 from .estimate import Dataset
 from .mediation import (
@@ -183,7 +184,12 @@ def _m_values(cell: int) -> tuple[int, int]:
 
 
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
-    cells = [float(v) for v in values]
+    try:
+        cells = [float(v) for v in values]
+    except OverflowError:
+        raise InvalidInputError(
+            f"{name} holds a number too large for a float"
+        ) from None
     if len(cells) != size:
         raise InvalidInputError(
             f"{name} must have {size} cells, got {len(cells)}"
@@ -519,9 +525,11 @@ def soundness_report(
     dependent M(0) margin (a deliberate break of the no-confounding
     assumption behind the bounds) to demonstrate that the interval can
     then fail; such runs are diagnostic and their violations expected.
+    A NaN or negative ``tol`` is invalid input.
     """
     if not isinstance(n_laws, int) or isinstance(n_laws, bool) or n_laws < 1:
         raise InvalidInputError(f"n_laws must be a positive integer, got {n_laws!r}")
+    _require_tol("tol", tol)
     iv = partial_bounds(m)
     simple_iv = simple_bounds(derive_simple_from_partial(m))
     if confounded:

@@ -322,3 +322,50 @@ class TestHarness:
         assert cli._sig12(1 / 3) == 0.333333333333
         assert cli._sig12(0.0) == 0.0
         assert cli._sig12(2.0) == 2.0
+
+
+class TestMalformedJsonExits:
+    """JSON that fails to decode or convert ends in one error line, exit 1."""
+
+    BIG_INT = "1" * 5000
+    HUGE_INT = "1" + "0" * 400
+    LAW_TAIL = ', 0, 0, 0], "y_block": [1' + ", 0" * 15 + "]}"
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["simple", "--margins"], '{"p1": ' + BIG_INT + ', "p0": 0.1}'),
+            (["simple", "--counts"], '{"exposed_event": ' + BIG_INT + "}"),
+            (["simulate", "--n", "5", "--out", "o.csv", "--law"],
+             '{"m_block": [' + BIG_INT + LAW_TAIL),
+            (["simple", "--margins"], '{"p1": ' + HUGE_INT + ', "p0": 0.1}'),
+            (["partial", "--margins"],
+             '{"y00": 0.1, "y01": 0.1, "y10": 0.1, "y11": 0.1, "m0": 0.1, '
+             '"m1": ' + HUGE_INT + "}"),
+            (["simulate", "--n", "5", "--out", "o.csv", "--law"],
+             '{"m_block": [' + HUGE_INT + LAW_TAIL),
+        ],
+        ids=["margins-digits", "counts-digits", "law-digits", "simple-overflow",
+             "partial-overflow", "law-overflow"],
+    )
+    def test_exits_1_with_one_error_line(
+        self, capsys, tmp_path, monkeypatch, command, text
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("in.json").write_text(text)
+        assert run(command + ["in.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not Path("o.csv").exists()
+
+    def test_messages_name_the_cause(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text('{"p1": ' + self.BIG_INT + ', "p0": 0.1}')
+        Path("law.json").write_text('{"m_block": [' + self.HUGE_INT + self.LAW_TAIL)
+        run(["simple", "--margins", "big.json"])
+        assert capsys.readouterr().err.startswith("error: big.json: invalid JSON: ")
+        run(["simulate", "--law", "law.json", "--n", "5", "--out", "o.csv"])
+        assert capsys.readouterr().err == (
+            "error: m_block holds a number too large for a float\n"
+        )

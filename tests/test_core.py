@@ -206,3 +206,10 @@ def test_prob_from_counts_rejects_bad_input():
         prob_from_counts(-1, 10)
     with pytest.raises(InvalidInputError):
         prob_from_counts(1, 0)
+
+
+def test_probability_rejects_integer_beyond_float_range():
+    with pytest.raises(InvalidInputError, match="too large for a float"):
+        Probability(10**400)
+    with pytest.raises(InvalidInputError):
+        Probability(-(10**400))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pcbounds import (
     InsufficientDataError,
     InvalidInputError,
     PartialMediationMargins,
+    PotentialOutcomeLaw,
     RecordParseError,
     SimpleMargins,
     TrialRecord,
@@ -21,6 +23,7 @@ from pcbounds import (
     read_count_json,
     read_margins_json,
     read_records_csv,
+    simulate_trial,
     write_records_csv,
 )
 
@@ -383,4 +386,42 @@ class TestMarginsJson:
         path = tmp_path / "m.json"
         path.write_text(json.dumps([0.3, 0.12]))
         with pytest.raises(RecordParseError):
+            read_margins_json(path)
+
+
+class TestToleranceValidation:
+    @pytest.fixture
+    def example1_records(self):
+        law = json.loads(
+            (Path(__file__).parent.parent / "data" / "example1_law.json").read_text()
+        )
+        law = PotentialOutcomeLaw(m_block=law["m_block"], y_block=law["y_block"])
+        return simulate_trial(law, n_per_arm=2000, seed=1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-12, -1.0])
+    def test_estimate_complete_rejects_nan_or_negative_tol(self, example1_records, tol):
+        with pytest.raises(InvalidInputError, match="tol must be a nonnegative"):
+            estimate_complete(example1_records, tol=tol)
+
+
+class TestJsonDecodeFailures:
+    """Every way JSON decoding fails is a RecordParseError naming the file."""
+
+    @pytest.mark.parametrize("reader", [read_margins_json, read_count_json])
+    def test_integer_over_the_digit_limit(self, tmp_path, reader):
+        path = tmp_path / "big.json"
+        path.write_text('{"p1": ' + "1" * 5000 + ', "p0": 0.1}')
+        with pytest.raises(RecordParseError, match="big.json: invalid JSON"):
+            reader(path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b'{"p1": 0.3, "p0": "\xff"}')
+        with pytest.raises(RecordParseError, match="bytes.json: invalid JSON"):
+            read_margins_json(path)
+
+    def test_margin_beyond_float_range(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"p1": 1' + "0" * 400 + ', "p0": 0.1}')
+        with pytest.raises(InvalidInputError, match="too large for a float"):
             read_margins_json(path)

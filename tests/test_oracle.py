@@ -340,3 +340,24 @@ class TestSoundnessReport:
     def test_n_validation(self, example1_margins):
         with pytest.raises(InvalidInputError):
             soundness_report(example1_margins, n_laws=0)
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0])
+    def test_soundness_report_rejects_nan_or_negative_tol(self, example1_margins, tol):
+        with pytest.raises(InvalidInputError, match="tol must be a nonnegative"):
+            soundness_report(
+                example1_margins, n_laws=200, seed=0, confounded=True, tol=tol
+            )
+
+    def test_zero_tol_still_counts_violations(self, example1_margins):
+        rep = soundness_report(
+            example1_margins, n_laws=200, seed=0, confounded=True, tol=0.0
+        )
+        assert rep.violations > 0
+
+    def test_law_cell_beyond_float_range(self):
+        with pytest.raises(InvalidInputError, match="m_block holds a number too large"):
+            PotentialOutcomeLaw(
+                m_block=(10**400, 0, 0, 0), y_block=(1.0,) + (0.0,) * 15
+            )
