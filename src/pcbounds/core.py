@@ -117,12 +117,15 @@ class Probability(float):
         """Return 1 - p as a validated probability."""
         return Probability(1.0 - float(self))
 
-    def product(self, other: float) -> "Probability":
-        """Return p * other, validated (other must be a probability)."""
-        return Probability(float(self) * float(Probability(other)))
+
+def _unit(v: float) -> Probability:
+    """``Probability(v)``; a v already in [0, 1] skips the Python ``__new__``."""
+    if 0.0 <= v <= 1.0:
+        return float.__new__(Probability, v)
+    return Probability(v)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
@@ -133,14 +136,18 @@ class BoundInterval:
     lower endpoint is kept because it is shared across bound families
     and must stay stable); a larger inversion raises
     :class:`InconsistentBoundsError`.
+
+    The hand-written ``__init__`` takes the generated one's parameters,
+    checks each endpoint and stores it once; ``fields``, ``replace``,
+    eq, hash, repr, pickling and frozenness are the dataclass's own.
     """
 
     lower: Probability
     upper: Probability
 
-    def __post_init__(self) -> None:
-        lo = self.lower if type(self.lower) is Probability else Probability(self.lower)
-        hi = self.upper if type(self.upper) is Probability else Probability(self.upper)
+    def __init__(self, lower: Probability, upper: Probability) -> None:
+        lo = lower if type(lower) is Probability else Probability(lower)
+        hi = upper if type(upper) is Probability else Probability(upper)
         if lo > hi:
             if lo - hi <= CLAMP_TOL:
                 hi = lo
@@ -150,14 +157,6 @@ class BoundInterval:
                 )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @property
-    def width(self) -> float:
-        return float(self.upper) - float(self.lower)
-
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        """Whether value lies in the interval, widened by tol on each side."""
-        return self.lower - tol <= value <= self.upper + tol
 
     def __str__(self) -> str:
         return f"[{float(self.lower):.6g}, {float(self.upper):.6g}]"

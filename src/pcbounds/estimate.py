@@ -493,7 +493,10 @@ def read_margins_json(
                     raise InvalidInputError(
                         f"{path}: field {name!r} must be a number, got {v!r}"
                     )
-                values[name] = Probability(v)
+                try:
+                    values[name] = Probability(v)
+                except InvalidInputError as e:
+                    raise InvalidInputError(f"{path}: field {name!r}: {e}") from None
             return cls(**values)
     known = " | ".join(
         "{" + ", ".join(sorted(schema)) + "}" for schema in schemas.values()

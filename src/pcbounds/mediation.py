@@ -24,6 +24,10 @@ public functions wrap (``_partial_rates``, ``_partial_parts``,
 ``_decomposition``, ``_complete_parts``, ``simple._simple_interval``).
 :func:`compare` is one pass over them: it reads the six margins once,
 derives p1 and p0 once and builds only the objects its report returns.
+Objects are built once: each margins class validates and stores every
+field in one hand-written ``__init__``, and a derived value already in
+[0, 1] becomes a :class:`Probability` through ``core._unit`` without a
+second Python-level call.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .core import (
     PcUndefinedError,
     Probability,
     _require_tol,
+    _unit,
 )
 from .simple import SimpleMargins, _simple_interval
 
@@ -59,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CompleteMediationMargins:
     """Margins when exposure acts on the outcome only through the mediator."""
 
@@ -68,12 +73,15 @@ class CompleteMediationMargins:
     c: Probability
     d: Probability
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Probability(getattr(self, name)))
+    def __init__(self, a: Probability, b: Probability, c: Probability,
+                 d: Probability) -> None:
+        object.__setattr__(self, "a", Probability(a))
+        object.__setattr__(self, "b", Probability(b))
+        object.__setattr__(self, "c", Probability(c))
+        object.__setattr__(self, "d", Probability(d))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PartialMediationMargins:
     """Response-surface and mediator margins when X may also act directly.
 
@@ -90,9 +98,14 @@ class PartialMediationMargins:
     m0: Probability
     m1: Probability
 
-    def __post_init__(self) -> None:
-        for name in ("y00", "y01", "y10", "y11", "m0", "m1"):
-            object.__setattr__(self, name, Probability(getattr(self, name)))
+    def __init__(self, y00: Probability, y01: Probability, y10: Probability,
+                 y11: Probability, m0: Probability, m1: Probability) -> None:
+        object.__setattr__(self, "y00", Probability(y00))
+        object.__setattr__(self, "y01", Probability(y01))
+        object.__setattr__(self, "y10", Probability(y10))
+        object.__setattr__(self, "y11", Probability(y11))
+        object.__setattr__(self, "m0", Probability(m0))
+        object.__setattr__(self, "m1", Probability(m1))
 
     @classmethod
     def from_zero_rates(
@@ -154,10 +167,10 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
 
 
 def _complete_interval(a: float, b: float, c: float, d: float) -> BoundInterval:
-    p1, p0, numerator = map(Probability, _complete_parts(a, b, c, d))
+    p1, p0, numerator = map(_unit, _complete_parts(a, b, c, d))
     lower, _ = _simple_interval(p1, p0, "derived P(Y=1 | X<-1) = 0 under complete "
                                 "mediation: the probability of causation is undefined")
-    return BoundInterval(Probability(lower), Probability(numerator / p1))
+    return BoundInterval(_unit(lower), _unit(numerator / p1))
 
 
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
@@ -215,12 +228,11 @@ def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
 
 def _partial_pass(v: tuple[float, ...], undefined: str | None = None):
     """(simple interval, partial interval, four-term numerator) of margins v."""
-    p1, p0 = map(Probability, _partial_rates(v))
+    p1, p0 = map(_unit, _partial_rates(v))
     lower, upper = _simple_interval(p1, p0, undefined)
-    lower, numerator = Probability(lower), _partial_parts(v)[4]
-    partial_upper = Probability(min(1.0, numerator / p1))
-    simple_iv = BoundInterval(lower, Probability(upper))
-    return simple_iv, BoundInterval(lower, partial_upper), numerator
+    lower, numerator = _unit(lower), _partial_parts(v)[4]
+    simple_iv = BoundInterval(lower, _unit(upper))
+    return simple_iv, BoundInterval(lower, _unit(min(1.0, numerator / p1))), numerator
 
 
 def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
@@ -237,11 +249,11 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
 def _decomposition(v: tuple[float, ...]) -> tuple[Probability, ...]:
     """(alpha, beta, gamma, delta) and the simple numerator from them."""
     y00, y01, y10, y11, m0, m1 = v
-    alpha = Probability((1.0 - y00) * (1.0 - m0))
-    beta = Probability((1.0 - y01) * m0)
-    gamma = Probability(y10 * (1.0 - m1))
-    delta = Probability(y11 * m1)
-    return alpha, beta, gamma, delta, Probability(min(alpha + beta, gamma + delta))
+    alpha = _unit((1.0 - y00) * (1.0 - m0))
+    beta = _unit((1.0 - y01) * m0)
+    gamma = _unit(y10 * (1.0 - m1))
+    delta = _unit(y11 * m1)
+    return alpha, beta, gamma, delta, _unit(min(alpha + beta, gamma + delta))
 
 
 def decomposition(
@@ -343,14 +355,20 @@ def compare(
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
     simple_iv, partial_iv, numerator = _partial_pass(v)
-    complete_iv = _complete_interval(*_collapsed(v)) if complete_claim else None
-
-    lowers = [simple_iv.lower, partial_iv.lower]
-    uppers = [simple_iv.upper, partial_iv.upper]
-    if complete_iv is not None:
-        lowers.append(complete_iv.lower)
-        uppers.append(complete_iv.upper)
-    combined = BoundInterval(max(lowers), min(uppers))
+    combined = BoundInterval(max(simple_iv.lower, partial_iv.lower),
+                             min(simple_iv.upper, partial_iv.upper))
+    complete_iv = None
+    if complete_claim:
+        complete_iv = _complete_interval(*_collapsed(v))
+        try:
+            combined = BoundInterval(max(combined.lower, complete_iv.lower),
+                                     min(combined.upper, complete_iv.upper))
+        except InconsistentBoundsError:
+            raise InconsistentBoundsError(
+                f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+                f"but its interval {complete_iv} is disjoint from {combined}, "
+                f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
+            ) from None
 
     alpha, beta, gamma, delta, numerator_simple = _decomposition(v)
     return ComparisonReport(

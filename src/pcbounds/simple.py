@@ -21,16 +21,16 @@ from .core import BoundInterval, PcUndefinedError, Probability
 __all__ = ["SimpleMargins", "risk_ratio", "simple_bounds"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SimpleMargins:
     """Arm response rates p1 = P(Y=1 | X<-1) and p0 = P(Y=1 | X<-0)."""
 
     p1: Probability
     p0: Probability
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", Probability(self.p1))
-        object.__setattr__(self, "p0", Probability(self.p0))
+    def __init__(self, p1: Probability, p0: Probability) -> None:
+        object.__setattr__(self, "p1", Probability(p1))
+        object.__setattr__(self, "p0", Probability(p0))
 
 
 def risk_ratio(m: SimpleMargins) -> float:

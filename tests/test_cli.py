@@ -168,6 +168,20 @@ class TestCompareCommand:
         assert run(["compare", "--margins", partial_file, "--complete"]) == 1
         assert "complete-mediation claim fails" in capsys.readouterr().err
 
+    def test_accepted_claim_with_disjoint_interval_names_both(self, capsys):
+        # A tolerance of 1 accepts any claim; example 1's complete-mediation
+        # interval then misses the simple and partial ones.
+        margins = str(Path(__file__).parent.parent / "data" / "example1_margins.json")
+        assert run(["compare", "--margins", margins, "--complete", "--tol", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: complete-mediation claim accepted at claim_tol 1, but its "
+            "interval [0, 0.603933] is disjoint from [0.651226, 0.819474], where "
+            "the simple [0.651226, 1] and partial [0.651226, 0.819474] intervals "
+            "meet\n"
+        )
+
     def test_complete_claim_accepted(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({

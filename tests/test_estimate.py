@@ -376,6 +376,26 @@ class TestMarginsJson:
         with pytest.raises(InvalidInputError):
             read_margins_json(path)
 
+    @pytest.mark.parametrize(
+        "text, field, cause",
+        [
+            ('{"p1": 0.3, "p0": 1.5}', "p0", "probability 1.5 outside [0, 1]"),
+            ('{"p1": NaN, "p0": 0.12}', "p1", "probability must not be NaN"),
+            ('{"p1": 0.3, "p0": 1' + "0" * 400 + "}", "p0",
+             "probability too large for a float"),
+            ('{"y00": 0.1, "y01": 0.1, "y10": 0.1, "y11": 0.1, "m0": 0.1, "m1": -1}',
+             "m1", "probability -1 outside [0, 1]"),
+        ],
+        ids=["range", "nan", "overflow", "partial-m1"],
+    )
+    def test_bad_value_names_the_file_and_the_field(self, tmp_path, text, field, cause):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as exc:
+            read_margins_json(path)
+        assert type(exc.value) is InvalidInputError
+        assert str(exc.value) == f"{path}: field {field!r}: {cause}"
+
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"p1": "high", "p0": 0.12}))

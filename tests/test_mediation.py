@@ -75,7 +75,19 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     if complete_iv is not None:
         lowers.append(complete_iv.lower)
         uppers.append(complete_iv.upper)
-    combined = BoundInterval(max(lowers), min(uppers))
+    try:
+        combined = BoundInterval(max(lowers), min(uppers))
+    except InconsistentBoundsError:
+        if complete_iv is None:
+            raise
+        # The one error ``compare`` words itself: an accepted claim whose
+        # interval misses the other two.
+        both = BoundInterval(max(lowers[:2]), min(uppers[:2]))
+        raise InconsistentBoundsError(
+            f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+            f"but its interval {complete_iv} is disjoint from {both}, "
+            f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
+        ) from None
 
     alpha, beta, gamma, delta = decomposition(m)
     return ComparisonReport(
@@ -346,6 +358,20 @@ class TestCompare:
             compare(m, complete_claim=True)
         rep = compare(m, complete_claim=True, claim_tol=0.005)
         assert rep.complete_interval is not None
+
+    def test_accepted_claim_with_disjoint_interval(self, example1_margins):
+        with pytest.raises(InconsistentBoundsError) as exc:
+            compare(example1_margins, complete_claim=True, claim_tol=1.0)
+        simple_iv = simple_bounds(derive_simple_from_partial(example1_margins))
+        partial_iv = partial_bounds(example1_margins)
+        complete_iv = complete_bounds(collapse_to_complete(example1_margins))
+        assert float(complete_iv.upper) < float(partial_iv.lower)
+        assert str(exc.value) == (
+            "complete-mediation claim accepted at claim_tol 1, but its interval "
+            f"{complete_iv} is disjoint from {partial_iv}, where the simple "
+            f"{simple_iv} and partial {partial_iv} intervals meet"
+        )
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
     def test_report_rejects_impossible_numerator_pair(self, example1_margins):
         rep = compare(example1_margins)

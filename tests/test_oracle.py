@@ -325,8 +325,9 @@ class TestSoundnessReport:
         assert rep.passed
         assert rep.violations == 0
         assert rep.simple_violations == 0
-        assert rep.interval.contains(rep.min_true_pc, tol=1e-9)
-        assert rep.interval.contains(rep.max_true_pc, tol=1e-9)
+        iv = rep.interval
+        assert iv.lower - 1e-9 <= rep.min_true_pc <= iv.upper + 1e-9
+        assert iv.lower - 1e-9 <= rep.max_true_pc <= iv.upper + 1e-9
         assert rep.lower_gap >= -1e-9
         assert rep.upper_gap >= -1e-9
 
