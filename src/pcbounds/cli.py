@@ -213,7 +213,10 @@ def _read_law_json(path: str | Path) -> PotentialOutcomeLaw:
             raise InvalidInputError(
                 f"{path}: field {name!r} must be a list of {size} numbers"
             )
-    return PotentialOutcomeLaw(m_block=data["m_block"], y_block=data["y_block"])
+    try:
+        return PotentialOutcomeLaw(m_block=data["m_block"], y_block=data["y_block"])
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def _counts_check(derived: SimpleMargins, counts_path: str, tol: float) -> str:

@@ -7,12 +7,14 @@ observed mediator value identifies the response at that value (the
 mediator itself is not randomized); that assumption is recorded in
 report metadata by the CLI rather than adjudicated here.
 
-Records are held as columns: a :class:`Dataset` keeps read-only int8
-arrays ``x``, ``m`` (``None`` without a mediator) and ``y`` and counts
-its eight (x, m, y) cells once. :meth:`Dataset.from_records` builds one
-from row objects such as :class:`TrialRecord`;
-:func:`~pcbounds.oracle.simulate_trial` and :func:`read_records_csv`
-return one, and :func:`write_records_csv` writes one.
+Records are held as one uint8 cell code each, ``x << 2 | m << 1 | y``
+(m = 0 without a mediator): a :class:`Dataset` keeps the code column,
+read-only int8 columns ``x``, ``m`` (``None`` without a mediator) and
+``y`` decoded from it, and its eight (x, m, y) cell counts, taken once.
+:meth:`Dataset.from_records` builds one from row objects such as
+:class:`TrialRecord`; :func:`~pcbounds.oracle.simulate_trial` and
+:func:`read_records_csv` return one built from codes, and
+:func:`write_records_csv` writes one from its codes.
 
 File formats owned by this module:
 
@@ -88,24 +90,38 @@ class TrialRecord:
 
 
 def _column(name: str, values) -> np.ndarray:
-    """A read-only int8 copy of a 1-d column whose values are all 0 or 1."""
+    """A uint8 copy of a 1-d column whose values are all 0 or 1."""
     a = np.asarray(values)
     if a.ndim != 1 or a.dtype.kind not in "biuf" or not np.all((a == 0) | (a == 1)):
         raise InvalidInputError(f"column {name!r} must be a 1-d array of 0s and 1s")
-    a = a.astype(np.int8)
-    a.flags.writeable = False
-    return a
+    return a.astype(np.uint8)
+
+
+# The bit of each CSV column in a cell code, and the CRLF line written per code.
+_SHIFTS = {True: (2, 1, 0), False: (2, 0)}
+_ROWS = {m: np.array([list(",".join(str(c >> s & 1) for s in shifts).encode() + b"\r\n")
+                      for c in range(8)], np.uint8) for m, shifts in _SHIFTS.items()}
+
+
+def _pack(columns) -> np.ndarray:
+    """Cell codes from the x, (m,) y columns; bit 0 of an entry is its value."""
+    codes = np.zeros(len(columns[0]), np.uint8)
+    for col, shift in zip(columns, _SHIFTS[len(columns) == 3]):
+        codes |= (col & 1) << shift
+    return codes
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable batch of trial records, stored as columns.
 
-    ``x``, ``m`` and ``y`` are read-only int8 arrays of one length, each
-    value 0 or 1, in record order; ``m`` is ``None`` for mediator-free
-    records. The constructor copies the columns it is given. The eight
-    (x, m, y) cell counts are taken once here, so the count methods are
-    lookups.
+    ``codes`` holds one read-only uint8 cell code per record,
+    ``x << 2 | m << 1 | y`` with m = 0 for mediator-free records, in
+    record order. ``x``, ``m`` and ``y`` are read-only int8 columns
+    decoded from it, each value 0 or 1; ``m`` is ``None`` for
+    mediator-free records. The constructor checks and copies the columns
+    it is given. The eight (x, m, y) cell counts are taken once here, so
+    the count methods are lookups.
     """
 
     x: np.ndarray = field(repr=False)
@@ -114,23 +130,34 @@ class Dataset:
     source: str = ""
     # filled in __post_init__; kept out of the constructor signature
     has_mediator: bool = field(init=False, default=False)
+    codes: np.ndarray = field(init=False, repr=False, default=None)
     _cells: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        x = _column("x", self.x)
-        y = _column("y", self.y)
-        m = None if self.m is None else _column("m", self.m)
-        if y.size != x.size or (m is not None and m.size != x.size):
+        columns = [_column("x", self.x), _column("y", self.y)]
+        if self.m is not None:
+            columns.insert(1, _column("m", self.m))
+        if any(col.size != columns[0].size for col in columns):
             raise InvalidInputError("columns x, m and y must have one length")
-        if x.size == 0:
+        if columns[0].size == 0:
             raise InsufficientDataError("dataset has no records")
-        cells = x.view(np.uint8) << 2 | y.view(np.uint8)
-        if m is not None:
-            cells |= m.view(np.uint8) << 1
-        counts = np.bincount(cells, minlength=8).reshape(2, 2, 2).tolist()
-        for name, value in (("x", x), ("m", m), ("y", y),
-                            ("has_mediator", m is not None), ("_cells", counts)):
+        self._fill(_pack(columns), self.m is not None, self.source)
+
+    @classmethod
+    def _from_codes(cls, codes: np.ndarray, has_mediator: bool, source: str = ""):
+        """A Dataset of nonempty uint8 codes that are valid by construction."""
+        return object.__new__(cls)._fill(codes, has_mediator, source)
+
+    def _fill(self, codes: np.ndarray, has_mediator: bool, source: str) -> "Dataset":
+        x, m, y = ((codes >> s & 1).view(np.int8) for s in (2, 1, 0))
+        for col in (codes, x, m, y):
+            col.flags.writeable = False
+        counts = np.bincount(codes, minlength=8).reshape(2, 2, 2).tolist()
+        for name, value in (("codes", codes), ("x", x), ("y", y),
+                            ("m", m if has_mediator else None), ("source", source),
+                            ("has_mediator", has_mediator), ("_cells", counts)):
             object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_records(cls, records, source: str = "") -> "Dataset":
@@ -285,37 +312,40 @@ def margins_from_count_table(t: CountTable) -> SimpleMargins:
     )
 
 
-_HEADER_WIDTHS = {b"x,m,y": 3, b"x,y": 2}
+_ZERO_TO_ONE = bytes.maketrans(b"0", b"1")
+_PIECE_BYTES = 1 << 16  # the canonical check compares pieces of about this size
 
 
 def _canonical_columns(data: bytes) -> np.ndarray | None:
-    """The (rows, width) columns of a canonical record CSV, else None.
+    """The (width, rows) token bytes of a canonical record CSV, else None.
 
     Canonical means the header ``x,m,y`` or ``x,y`` and at least one row
     of bare ``0``/``1`` tokens joined by commas, with every line, the
     last included, ending in the header's LF or CRLF. Every such file
     parses the same under :func:`_parsed_columns`; this is its one-pass
-    shortcut.
+    shortcut. The result is a view of ``data``, ``ord("0")`` or
+    ``ord("1")`` per token, so bit 0 of each entry is the value.
     """
     head, newline, _ = data.partition(b"\n")
-    width = _HEADER_WIDTHS.get(head.removesuffix(b"\r"))
+    width = {b"x,m,y": 3, b"x,y": 2}.get(head.removesuffix(b"\r"))
     if width is None or not newline:
         return None
     row = b",".join([b"1"] * width) + (b"\r\n" if head.endswith(b"\r") else b"\n")
-    body = np.frombuffer(data, np.uint8, offset=len(head) + 1)
-    if body.size == 0 or body.size % len(row):
+    start = len(head) + 1
+    if len(data) == start or (len(data) - start) % len(row):
         return None
-    cells = body.reshape(-1, len(row))
-    # OR-ing 1 into the token bytes maps '0' and '1', and only those, to '1'.
-    token_bits = np.zeros(len(row), np.uint8)
-    token_bits[0 : 2 * width : 2] = 1
-    if not ((cells | token_bits) == np.frombuffer(row, np.uint8)).all():
-        return None
-    return cells[:, 0 : 2 * width : 2] - ord("0")
+    # Translating 0 to 1 maps '0' and '1', and only those, to '1'.
+    piece = row * (_PIECE_BYTES // len(row))
+    for i in range(start, len(data), len(piece)):
+        chunk = data[i : i + len(piece)].translate(_ZERO_TO_ONE)
+        if chunk != piece[: len(chunk)]:
+            return None
+    cells = np.frombuffer(data, np.uint8, offset=start).reshape(-1, len(row))
+    return cells[:, 0 : 2 * width : 2].T
 
 
 def _parsed_columns(path: Path, data: bytes) -> np.ndarray:
-    """Row-by-row ``csv.reader`` parse of a record CSV into (rows, width)."""
+    """Row-by-row ``csv.reader`` parse of a record CSV into (width, rows)."""
     try:
         text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
     except UnicodeDecodeError as e:
@@ -361,7 +391,7 @@ def _reader_columns(path: Path, reader) -> np.ndarray:
             values.append(token == "1")
     if not values:
         raise RecordParseError(f"{path}:1: no data rows")
-    return np.array(values, dtype=np.int8).reshape(-1, width)
+    return np.array(values, dtype=np.uint8).reshape(-1, width).T
 
 
 def read_records_csv(path: str | Path) -> Dataset:
@@ -371,9 +401,10 @@ def read_records_csv(path: str | Path) -> Dataset:
     must be the token 0 or 1. Errors name the offending line as
     ``path:line``. The file is read once. A file as
     :func:`write_records_csv` writes it (LF or CRLF line ends, a final
-    newline, no spaces) is checked and converted in one vectorized pass;
-    any other file goes through ``csv.reader`` row by row, which decides
-    the result in every case below. Both routes give the same columns.
+    newline, no spaces) is checked piece by piece and its cell codes are
+    decoded from a view of its bytes; any other file goes through
+    ``csv.reader`` row by row, which decides the result in every case
+    below. Both routes give the same records.
 
     * Accepted: LF, CRLF, lone-CR or mixed line ends; no final newline;
       spaces or tabs around header names and tokens; quoted tokens such
@@ -395,12 +426,7 @@ def read_records_csv(path: str | Path) -> Dataset:
     cols = _canonical_columns(data)
     if cols is None:
         cols = _parsed_columns(path, data)
-    return Dataset(
-        x=cols[:, 0],
-        m=cols[:, 1] if cols.shape[1] == 3 else None,
-        y=cols[:, -1],
-        source=str(path),
-    )
+    return Dataset._from_codes(_pack(cols), len(cols) == 3, source=str(path))
 
 
 def write_records_csv(records, path: str | Path) -> int:
@@ -410,26 +436,18 @@ def write_records_csv(records, path: str | Path) -> int:
     :meth:`Dataset.from_records`. The file is the header, then one
     ``0``/``1`` row per record, every line ending in CRLF. The mediator
     column is present exactly when the records carry mediator values.
-    Returns the number of rows written.
+    Each row is looked up from the record's cell code in a table of eight
+    lines and written from the array's buffer. Returns the number of rows
+    written.
     """
     if not isinstance(records, Dataset):
         try:
             records = Dataset.from_records(records)
         except InsufficientDataError:
             raise InvalidInputError("no records to write") from None
-    cols = [records.x, records.y]
-    if records.has_mediator:
-        cols.insert(1, records.m)
-    width = len(cols)
-    lines = np.empty((len(records), 2 * width + 1), np.uint8)
-    lines[:, 1 : 2 * width - 1 : 2] = ord(",")
-    lines[:, -2:] = (ord("\r"), ord("\n"))
-    for k, col in enumerate(cols):
-        lines[:, 2 * k] = col + ord("0")
-    header = b"x,m,y\r\n" if width == 3 else b"x,y\r\n"
     with Path(path).open("wb") as fh:
-        fh.write(header)
-        fh.write(lines.tobytes())
+        fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
+        fh.write(_ROWS[records.has_mediator][records.codes])
     return len(records)
 
 
@@ -470,7 +488,10 @@ def read_count_json(path: str | Path) -> CountTable:
         if isinstance(v, bool) or not isinstance(v, int):
             raise InvalidInputError(f"{path}: field {name!r} must be an integer")
         values[name] = v
-    return CountTable(**values)
+    try:
+        return CountTable(**values)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def read_margins_json(

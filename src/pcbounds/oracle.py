@@ -21,7 +21,9 @@ Random laws are drawn with a counter-based generator (Philox keyed via
 ``SeedSequence(seed, spawn_key=(law_index, attempt))``), so the same
 seed reproduces the same laws across runs, platforms, and parallel
 fan-out. :func:`simulate_trial` draws trial records from a law the same
-way and returns them as a :class:`~pcbounds.estimate.Dataset` of columns.
+way: arm x uses Philox keyed by ``(seed, x)``, its first n uniforms pick
+the mediator cells and the next n the response cells. It fills one uint8
+cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
 """
 
 from __future__ import annotations
@@ -446,12 +448,6 @@ def sample_laws(
     ]
 
 
-def _draw_cells(gen: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    idx = np.searchsorted(cdf, gen.random(size), side="right")
-    return np.minimum(idx, len(probs) - 1)
-
-
 def simulate_trial(
     law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0
 ) -> Dataset:
@@ -461,29 +457,28 @@ def simulate_trial(
     and contributes the record (x, M(x), Y*(x, M(x))). Returns the
     records as a :class:`~pcbounds.estimate.Dataset` with a mediator
     column, arm 0 records first. Deterministic given (law, n_per_arm,
-    seed).
+    seed): arm x draws from Philox keyed by ``(seed, x)``, its first
+    n_per_arm uniforms pick the mediator cells and the next n_per_arm
+    the response cells, each by inverting the block's cumulative sum.
     """
     if not isinstance(n_per_arm, int) or isinstance(n_per_arm, bool) or n_per_arm < 1:
         raise InvalidInputError(
             f"n_per_arm must be a positive integer, got {n_per_arm!r}"
         )
-    m_probs = np.asarray(law.m_block)
-    y_probs = np.asarray(law.y_block)
-    mcols, ycols = [], []
-    for x in (0, 1):
+    cdfs = (np.cumsum(law.m_block), np.cumsum(law.y_block))
+    codes = np.empty((2, n_per_arm), np.uint8)
+    for x, arm in enumerate(codes):
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(x,)))
         )
-        mcells = _draw_cells(gen, m_probs, n_per_arm)
-        ycells = _draw_cells(gen, y_probs, n_per_arm)
-        mvals = (mcells >> (1 - x)) & 1
-        mcols.append(mvals)
-        ycols.append((ycells >> (3 - (2 * x + mvals))) & 1)
-    return Dataset(
-        x=np.repeat(np.array([0, 1], dtype=np.int8), n_per_arm),
-        m=np.concatenate(mcols),
-        y=np.concatenate(ycols),
-    )
+        mcells, ycells = (
+            np.minimum(np.searchsorted(cdf, gen.random(n_per_arm), side="right"),
+                       cdf.size - 1).astype(np.uint8)
+            for cdf in cdfs
+        )
+        mvals = mcells >> (1 - x) & 1
+        arm[:] = x << 2 | mvals << 1 | ycells >> (3 - 2 * x - mvals) & 1
+    return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -282,6 +282,18 @@ class TestSimulateCommand:
                     "--out", str(tmp_path / "o.csv")]) == 1
 
 
+    def test_bad_law_cell_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({
+            "m_block": [1.0, 0.0, 0.0, 0.0],
+            "y_block": [1.5] + [0.0] * 15,
+        }))
+        assert run(["simulate", "--law", str(path), "--n", "10",
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: y_block[0] = 1.5 is not a probability\n"
+        )
+
 class TestHarness:
     def test_usage_error_exits_1(self, capsys):
         assert run(["nonsense"]) == 1
@@ -381,5 +393,5 @@ class TestMalformedJsonExits:
         assert capsys.readouterr().err.startswith("error: big.json: invalid JSON: ")
         run(["simulate", "--law", "law.json", "--n", "5", "--out", "o.csv"])
         assert capsys.readouterr().err == (
-            "error: m_block holds a number too large for a float\n"
+            "error: law.json: m_block holds a number too large for a float\n"
         )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from pcbounds import (
     simulate_trial,
     soundness_report,
     true_pc,
+    write_records_csv,
 )
 from pcbounds.oracle import Coupling2
 
@@ -302,6 +304,76 @@ class TestSimulateTrial:
         for bad in (0, -5, True, 1.5):
             with pytest.raises(InvalidInputError):
                 simulate_trial(law, bad)
+
+
+def _draw_cells(gen, probs, size):
+    """The per-arm sampler of simulate_trial before cell codes, verbatim."""
+    cdf = np.cumsum(probs)
+    idx = np.searchsorted(cdf, gen.random(size), side="right")
+    return np.minimum(idx, len(probs) - 1)
+
+
+def reference_trial(law, n_per_arm, seed):
+    """simulate_trial's stream as int64 columns: arm x draws from Philox
+    keyed by (seed, x), mediator uniforms first, then response uniforms."""
+    m_probs = np.asarray(law.m_block)
+    y_probs = np.asarray(law.y_block)
+    mcols, ycols = [], []
+    for x in (0, 1):
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(x,)))
+        )
+        mcells = _draw_cells(gen, m_probs, n_per_arm)
+        ycells = _draw_cells(gen, y_probs, n_per_arm)
+        mvals = (mcells >> (1 - x)) & 1
+        mcols.append(mvals)
+        ycols.append((ycells >> (3 - (2 * x + mvals))) & 1)
+    return (
+        np.repeat(np.array([0, 1]), n_per_arm),
+        np.concatenate(mcols),
+        np.concatenate(ycols),
+    )
+
+
+class TestSimulateTrialStream:
+    """simulate_trial's draws are a contract: records, CSV bytes and the
+    CLI golden transcript all depend on them."""
+
+    @staticmethod
+    def laws(example1_margins):
+        zero_cells = PotentialOutcomeLaw(
+            m_block=(0.6, 0.0, 0.0, 0.4),
+            y_block=(0.0, 0.25, 0.0, 0.0, 0.1, 0.0, 0.0, 0.3,
+                     0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.15),
+        )
+        return [
+            PotentialOutcomeLaw.independent(example1_margins),
+            PotentialOutcomeLaw.point_mass(0, 1, 1, 0, 0, 1),
+            zero_cells,
+        ]
+
+    @pytest.mark.parametrize("n_per_arm", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 9, 4242])
+    def test_matches_reference_sampler(self, example1_margins, n_per_arm, seed):
+        for law in self.laws(example1_margins):
+            d = simulate_trial(law, n_per_arm, seed=seed)
+            x, m, y = reference_trial(law, n_per_arm, seed)
+            for name, want in (("x", x), ("m", m), ("y", y)):
+                got = getattr(d, name)
+                assert got.dtype == np.int8
+                assert got.tolist() == want.tolist(), name
+            assert d.codes.tolist() == (x << 2 | m << 1 | y).tolist()
+
+    def test_written_bytes_are_pinned(self, example1_margins, tmp_path):
+        # the CLI test pins the bundled law's file; this pins the independent law's
+        law = PotentialOutcomeLaw.independent(example1_margins)
+        path = tmp_path / "records.csv"
+        write_records_csv(simulate_trial(law, 1000, seed=4242), path)
+        data = path.read_bytes()
+        assert len(data) == 14007
+        assert hashlib.sha256(data).hexdigest() == (
+            "38c9837c98be8fb4b624bd2fb669bd6c7e773a12f459f883a680723e6a29299f"
+        )
 
 
 class TestTrialRecord:

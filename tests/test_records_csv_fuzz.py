@@ -10,11 +10,13 @@ give the same columns under both readers, or the same
 import csv
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbounds import RecordParseError, read_records_csv, write_records_csv
-from pcbounds.estimate import Dataset, _canonical_columns
+from pcbounds.estimate import _PIECE_BYTES, Dataset, _canonical_columns
 
 
 def reference_read(path):
@@ -171,7 +173,40 @@ def test_written_files_take_the_vectorized_path(tmp_path):
         for variant in (data, data.replace(b"\r\n", b"\n")):
             cols = _canonical_columns(variant)
             assert cols is not None
-            assert cols[:, 0].tolist() == [0, 1, 1]
-            assert cols[:, -1].tolist() == [1, 1, 0]
+            assert cols.shape == (2 if m is None else 3, 3)
+            assert (cols[0] & 1).tolist() == [0, 1, 1]
+            assert (cols[-1] & 1).tolist() == [1, 1, 0]
         assert _canonical_columns(data.replace(b"\r\n", b"\n", 1)) is None
         assert _canonical_columns(data[:-2]) is None
+
+
+@pytest.mark.parametrize("header, eol", [("x,m,y", b"\r\n"), ("x,y", b"\n")])
+def test_one_bad_byte_leaves_the_vectorized_path(tmp_path, header, eol):
+    """A file of several comparison pieces, with one bad token at the first
+    row, the last row, or either side of a piece boundary."""
+    width = header.count(",") + 1
+    row_len = 2 * width - 1 + len(eol)
+    piece_rows = _PIECE_BYTES // row_len
+    n = 4 * piece_rows + piece_rows // 2
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 2, (n, width))
+    data = header.encode() + eol + b"".join(
+        b",".join(b"%d" % v for v in r) + eol for r in rows
+    )
+    start = len(header) + len(eol)
+    assert (_canonical_columns(data) & 1).T.tolist() == rows.tolist()
+    bad_rows = [0, n - 1]
+    for k in range(1, n // piece_rows + 1):
+        bad_rows += [k * piece_rows - 1, k * piece_rows]
+    path = tmp_path / "r.csv"
+    for r in bad_rows:
+        # the last token before a boundary or the end, else the first after
+        col = width - 1 if r == n - 1 or r % piece_rows == piece_rows - 1 else 0
+        bad = bytearray(data)
+        bad[start + r * row_len + 2 * col] = ord("2")
+        bad = bytes(bad)
+        assert _canonical_columns(bad) is None, r
+        path.write_bytes(bad)
+        name = header.split(",")[col]
+        want = f"{path}:{r + 2}: column {name!r} must be 0 or 1, got '2'"
+        assert outcome(read_records_csv, path) == ("RecordParseError", want)
