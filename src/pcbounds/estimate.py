@@ -149,7 +149,7 @@ class Dataset:
         return object.__new__(cls)._fill(codes, has_mediator, source)
 
     def _fill(self, codes: np.ndarray, has_mediator: bool, source: str) -> "Dataset":
-        x, m, y = ((codes >> s & 1).view(np.int8) for s in (2, 1, 0))
+        x, m, y = ((codes >> s & 1).view(np.int8) for s in _SHIFTS[True])
         for col in (codes, x, m, y):
             col.flags.writeable = False
         counts = np.bincount(codes, minlength=8).reshape(2, 2, 2).tolist()

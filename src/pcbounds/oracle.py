@@ -42,7 +42,7 @@ from .core import (
     Probability,
     _require_tol,
 )
-from .estimate import Dataset
+from .estimate import Dataset, _pack
 from .mediation import (
     CompleteMediationMargins,
     PartialMediationMargins,
@@ -471,13 +471,12 @@ def simulate_trial(
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(x,)))
         )
-        mcells, ycells = (
-            np.minimum(np.searchsorted(cdf, gen.random(n_per_arm), side="right"),
-                       cdf.size - 1).astype(np.uint8)
-            for cdf in cdfs
-        )
+        mcells, ycells = (np.minimum(
+            np.searchsorted(cdf, gen.random(n_per_arm), side="right"), cdf.size - 1
+        ).astype(np.uint8) for cdf in cdfs)
         mvals = mcells >> (1 - x) & 1
-        arm[:] = x << 2 | mvals << 1 | ycells >> (3 - 2 * x - mvals) & 1
+        yvals = ycells >> (3 - 2 * x - mvals)
+        arm[:] = _pack((np.full(n_per_arm, x, np.uint8), mvals, yvals))
     return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 

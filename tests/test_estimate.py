@@ -298,7 +298,7 @@ def traced_peak_mib(fn):
 
 def test_round_trip_memory_per_stage(tmp_path):
     """Each stage of the round trip at 10^5 per arm stays near one byte per
-    record. Measured: simulate 2.6, write 1.4, read 3.6 MiB, against 10.1,
+    record. Measured: simulate 2.7, write 1.4, read 3.6 MiB, against 10.1,
     2.7 and 5.4 MiB when records passed through int64 and float64 columns;
     each bound leaves at least 25% headroom over the measured value."""
     path = tmp_path / "records.csv"
@@ -310,7 +310,7 @@ def test_round_trip_memory_per_stage(tmp_path):
     _, write_mib = traced_peak_mib(lambda: write_records_csv(d, path))
     back, read_mib = traced_peak_mib(lambda: read_records_csv(path))
     assert all(np.array_equal(getattr(back, c), getattr(d, c)) for c in "xmy")
-    assert simulate_mib <= 3.25, simulate_mib
+    assert simulate_mib <= 3.4, simulate_mib
     assert write_mib <= 1.8, write_mib
     assert read_mib <= 4.6, read_mib
 
