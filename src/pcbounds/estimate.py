@@ -152,7 +152,9 @@ class Dataset:
         x, m, y = ((codes >> s & 1).view(np.int8) for s in _SHIFTS[True])
         for col in (codes, x, m, y):
             col.flags.writeable = False
-        counts = np.bincount(codes, minlength=8).reshape(2, 2, 2).tolist()
+        # bincount widens its input to intp, so count in pieces of 2^16 codes
+        counts = sum(np.bincount(codes[i : i + (1 << 16)], minlength=8)
+                     for i in range(0, codes.size, 1 << 16)).reshape(2, 2, 2).tolist()
         for name, value in (("codes", codes), ("x", x), ("y", y),
                             ("m", m if has_mediator else None), ("source", source),
                             ("has_mediator", has_mediator), ("_cells", counts)):

@@ -17,6 +17,13 @@ pattern ``j`` with Y*(0,0) in the highest bit and Y*(1,1) in the
 lowest. The two blocks are independent by construction, which encodes
 the identification assumptions the bounds rely on.
 
+The layout is written down once, as two boolean mask tables: row x of
+``_M_MASKS`` marks the mediator cells with M(x) = 1, row 2x + m of
+``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
+independent law, the point masses, IPF and the 4 x 16 indicator tables
+of the PC enumeration are all read off them. :func:`true_pc` is the
+one-law case of the batched enumeration :func:`soundness_report` runs.
+
 Random laws are drawn with a counter-based generator (Philox keyed via
 ``SeedSequence(seed, spawn_key=(law_index, attempt))``), so the same
 seed reproduces the same laws across runs, platforms, and parallel
@@ -52,7 +59,6 @@ from .mediation import (
 from .simple import SimpleMargins, simple_bounds
 
 __all__ = [
-    "Coupling2",
     "PotentialOutcomeLaw",
     "SoundnessReport",
     "frechet",
@@ -68,6 +74,22 @@ IPF_TOL = 1e-12
 IPF_MAX_ROUNDS = 10000
 IPF_MAX_RETRIES = 100
 
+# The cell layout: M(x) is bit 1 - x of a mediator cell index and Y*(x, m)
+# is bit 3 - (2x + m) of a response cell index.
+_M_MASKS = (np.arange(4) >> np.array([[1], [0]]) & 1).astype(bool)
+_Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
+# Per mediator cell (row), the response cells with Y(x) = Y*(x, M(x)) = 1,
+# row 2x + M(x) of _Y_MASKS.
+_Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
+_JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
+
+
+def _require_int(name: str, value, least: int, what: str) -> None:
+    """Reject a bool, a non-integer or an integer below ``least``."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value < least:
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
@@ -78,61 +100,6 @@ def frechet(p_a: float, p_b: float) -> BoundInterval:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Coupling2:
-    """Joint law of two binary events (A, B) as four cell probabilities."""
-
-    p11: Probability
-    p10: Probability
-    p01: Probability
-    p00: Probability
-
-    def __post_init__(self) -> None:
-        for name in ("p11", "p10", "p01", "p00"):
-            object.__setattr__(self, name, Probability(getattr(self, name)))
-        total = (
-            float(self.p11) + float(self.p10) + float(self.p01) + float(self.p00)
-        )
-        if abs(total - 1.0) > STRUCT_TOL:
-            raise InvalidInputError(f"coupling cells sum to {total!r}, not 1")
-
-    @property
-    def margin_a(self) -> float:
-        return float(self.p11) + float(self.p10)
-
-    @property
-    def margin_b(self) -> float:
-        return float(self.p11) + float(self.p01)
-
-    @property
-    def intersection(self) -> float:
-        """P(A and B), the cell the Frechet bounds constrain."""
-        return float(self.p11)
-
-    @classmethod
-    def from_overlap(cls, p_a: float, p_b: float, p11: float) -> "Coupling2":
-        """Coupling with the given margins and intersection cell."""
-        pa, pb, p11 = float(p_a), float(p_b), float(p11)
-        return cls(
-            p11=Probability(p11),
-            p10=Probability(pa - p11),
-            p01=Probability(pb - p11),
-            p00=Probability(1.0 - pa - pb + p11),
-        )
-
-    @classmethod
-    def comonotone(cls, p_a: float, p_b: float) -> "Coupling2":
-        """The coupling attaining the Frechet upper bound."""
-        return cls.from_overlap(p_a, p_b, min(float(p_a), float(p_b)))
-
-    @classmethod
-    def antitone(cls, p_a: float, p_b: float) -> "Coupling2":
-        """The coupling attaining the Frechet lower bound."""
-        return cls.from_overlap(
-            p_a, p_b, max(float(p_a) + float(p_b) - 1.0, 0.0)
-        )
-
-
 def coupling_sweep_simple(m: SimpleMargins, steps: int = 1000) -> BoundInterval:
     """Extremes of PC over all couplings of (Y(0), Y(1)) with the given margins.
 
@@ -140,8 +107,7 @@ def coupling_sweep_simple(m: SimpleMargins, steps: int = 1000) -> BoundInterval:
     interval (endpoints included, so the result matches the closed form
     exactly up to float noise) and returns [min, max] of q / p1.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise InvalidInputError(f"steps must be an integer >= 2, got {steps!r}")
+    _require_int("steps", steps, 2, "an integer >= 2")
     p1 = float(m.p1)
     if p1 == 0.0:
         raise PcUndefinedError(
@@ -164,8 +130,7 @@ def complete_coupling_sweep(m: CompleteMediationMargins, steps: int = 201) -> fl
     the (Y*(0), Y*(1)) coupling. Each coupling has one free cell, swept
     over its Frechet range here (nested sweeps, endpoints included).
     """
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise InvalidInputError(f"steps must be an integer >= 2, got {steps!r}")
+    _require_int("steps", steps, 2, "an integer >= 2")
     a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
     t = np.linspace(max(a + b - 1.0, 0.0), min(a, b), steps)  # q01
     s = np.linspace(max(c + d - 1.0, 0.0), min(c, d), steps)  # r01
@@ -176,15 +141,6 @@ def complete_coupling_sweep(m: CompleteMediationMargins, steps: int = 201) -> fl
     return float((q01 * r01 + q10 * r10).max())
 
 
-# Bit position of Y*(x, m) inside a response-block cell index.
-def _y_value(cell: int, x: int, m: int) -> int:
-    return (cell >> (3 - (2 * x + m))) & 1
-
-
-def _m_values(cell: int) -> tuple[int, int]:
-    return ((cell >> 1) & 1, cell & 1)
-
-
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
     try:
         cells = [float(v) for v in values]
@@ -192,21 +148,23 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
         raise InvalidInputError(
             f"{name} holds a number too large for a float"
         ) from None
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"{name} must be a sequence of {size} numbers, got {values!r}"
+        ) from None
     if len(cells) != size:
         raise InvalidInputError(
             f"{name} must have {size} cells, got {len(cells)}"
         )
-    cleaned = []
     for k, v in enumerate(cells):
-        if -CLAMP_TOL <= v < 0.0:
-            v = 0.0
         if not 0.0 <= v <= 1.0:
-            raise InvalidInputError(f"{name}[{k}] = {v!r} is not a probability")
-        cleaned.append(v)
-    total = sum(cleaned)
+            if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
+                raise InvalidInputError(f"{name}[{k}] = {v!r} is not a probability")
+            cells[k] = 0.0 if v < 0.0 else 1.0
+    total = sum(cells)
     if abs(total - 1.0) > STRUCT_TOL:
         raise InvalidInputError(f"{name} sums to {total!r}, not 1")
-    return tuple(cleaned)
+    return tuple(cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,47 +186,23 @@ class PotentialOutcomeLaw:
 
     def margins(self) -> PartialMediationMargins:
         """One-dimensional margins of the law, in the P(=1) convention."""
-        m0 = sum(p for i, p in enumerate(self.m_block) if (i >> 1) & 1)
-        m1 = sum(p for i, p in enumerate(self.m_block) if i & 1)
-        y = []
-        for x in (0, 1):
-            for mv in (0, 1):
-                y.append(
-                    sum(
-                        p
-                        for j, p in enumerate(self.y_block)
-                        if _y_value(j, x, mv)
-                    )
-                )
-        return PartialMediationMargins(
-            y00=Probability(y[0]),
-            y01=Probability(y[1]),
-            y10=Probability(y[2]),
-            y11=Probability(y[3]),
-            m0=Probability(m0),
-            m1=Probability(m1),
-        )
+        # cumsum adds each margin's cells in index order; a matmul or .sum()
+        # orders the additions differently and can move a margin by an ulp.
+        m0, m1, y00, y01, y10, y11 = np.concatenate([
+            np.cumsum(np.where(masks, block, 0.0), axis=1)[:, -1]
+            for masks, block in ((_M_MASKS, self.m_block), (_Y_MASKS, self.y_block))
+        ]).tolist()
+        return PartialMediationMargins(y00, y01, y10, y11, m0, m1)
 
     @classmethod
     def independent(cls, m: PartialMediationMargins) -> "PotentialOutcomeLaw":
         """The law with all five coordinates mutually independent."""
-        mprobs = (float(m.m0), float(m.m1))
-        m_block = []
-        for i in range(4):
-            m0v, m1v = _m_values(i)
-            cell = (mprobs[0] if m0v else 1.0 - mprobs[0]) * (
-                mprobs[1] if m1v else 1.0 - mprobs[1]
-            )
-            m_block.append(cell)
-        yprobs = (float(m.y00), float(m.y01), float(m.y10), float(m.y11))
-        y_block = []
-        for j in range(16):
-            cell = 1.0
-            for k, p in enumerate(yprobs):
-                x, mv = divmod(k, 2)
-                cell *= p if _y_value(j, x, mv) else 1.0 - p
-            y_block.append(cell)
-        return cls(m_block=tuple(m_block), y_block=tuple(y_block))
+        # np.prod multiplies a cell's factors in coordinate order.
+        return cls(*(
+            np.prod(np.where(masks, p[:, None], 1.0 - p[:, None]), axis=0).tolist()
+            for masks, p in ((_M_MASKS, np.array([m.m0, m.m1])),
+                             (_Y_MASKS, np.array([m.y00, m.y01, m.y10, m.y11])))
+        ))
 
     @classmethod
     def point_mass(
@@ -279,92 +213,46 @@ class PotentialOutcomeLaw:
                         ("y10", y10), ("y11", y11)):
             if v not in (0, 1):
                 raise InvalidInputError(f"{name} must be 0 or 1, got {v!r}")
-        m_block = [0.0] * 4
-        m_block[2 * m0 + m1] = 1.0
-        y_block = [0.0] * 16
-        y_block[8 * y00 + 4 * y01 + 2 * y10 + y11] = 1.0
-        return cls(m_block=tuple(m_block), y_block=tuple(y_block))
+        return cls(np.all(_M_MASKS.T == (m0, m1), axis=1) * 1.0,
+                   np.all(_Y_MASKS.T == (y00, y01, y10, y11), axis=1) * 1.0)
+
+
+def _batch_true_pc(
+    m_blocks: np.ndarray,
+    y_blocks: np.ndarray,
+    undefined: str = "a sampled law gives P(Y(1)=1) = 0",
+) -> np.ndarray:
+    """PC of each stacked law, P(Y(0)=0, Y(1)=1) / P(Y(1)=1), over 64 cells."""
+    joint = ((m_blocks @ _JOINT_IND) * y_blocks).sum(axis=1)
+    p_y1 = ((m_blocks @ _Y1_IND) * y_blocks).sum(axis=1)
+    if np.any(p_y1 <= 0.0):
+        raise PcUndefinedError(undefined)
+    return joint / p_y1
 
 
 def true_pc(law: PotentialOutcomeLaw) -> Probability:
     """Exact PC under a fully specified law, by 64-cell enumeration.
 
-    An individual's outcomes are composed as Y(x) = Y*(x, M(x)); the
-    function accumulates P(Y(0)=0, Y(1)=1) and P(Y(1)=1) cell by cell
-    and returns their ratio.
+    An individual's outcomes are composed as Y(x) = Y*(x, M(x)); PC is
+    P(Y(0)=0, Y(1)=1) / P(Y(1)=1), summed over the cells of the law.
     """
-    p_joint = 0.0
-    p_y1 = 0.0
-    for i, mw in enumerate(law.m_block):
-        if mw == 0.0:
-            continue
-        m0v, m1v = _m_values(i)
-        for j, yw in enumerate(law.y_block):
-            w = mw * yw
-            if w == 0.0:
-                continue
-            y1 = _y_value(j, 1, m1v)
-            if y1 == 1:
-                p_y1 += w
-                if _y_value(j, 0, m0v) == 0:
-                    p_joint += w
-    if p_y1 == 0.0:
-        raise PcUndefinedError(
-            "law gives P(Y(1)=1) = 0: the probability of causation is undefined"
-        )
-    return Probability(p_joint / p_y1)
-
-
-def _indicator_matrices() -> tuple[np.ndarray, np.ndarray]:
-    joint = np.zeros((4, 16))
-    y1 = np.zeros((4, 16))
-    for i in range(4):
-        m0v, m1v = _m_values(i)
-        for j in range(16):
-            if _y_value(j, 1, m1v) == 1:
-                y1[i, j] = 1.0
-                if _y_value(j, 0, m0v) == 0:
-                    joint[i, j] = 1.0
-    return joint, y1
-
-
-_JOINT_IND, _Y1_IND = _indicator_matrices()
-
-
-def _batch_true_pc(m_blocks: np.ndarray, y_blocks: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`true_pc` over stacked block arrays."""
-    joint = ((m_blocks @ _JOINT_IND) * y_blocks).sum(axis=1)
-    p_y1 = ((m_blocks @ _Y1_IND) * y_blocks).sum(axis=1)
-    if np.any(p_y1 <= 0.0):
-        raise PcUndefinedError("a sampled law gives P(Y(1)=1) = 0")
-    return joint / p_y1
-
-
-# Margin masks: which cells of each block carry value 1 of each coordinate.
-_M_MASKS = np.array(
-    [[bool((i >> 1) & 1) for i in range(4)], [bool(i & 1) for i in range(4)]]
-)
-_Y_MASKS = np.array(
-    [
-        [bool(_y_value(j, x, mv)) for j in range(16)]
-        for x in (0, 1)
-        for mv in (0, 1)
-    ]
-)
+    (pc,) = _batch_true_pc(
+        np.array([law.m_block]), np.array([law.y_block]),
+        "law gives P(Y(1)=1) = 0: the probability of causation is undefined",
+    )
+    return Probability(pc)
 
 
 def _ipf(cells: np.ndarray, masks: np.ndarray, targets) -> np.ndarray:
     """Iterative proportional fitting of rows of ``cells`` to 1-dim margins.
 
-    ``targets`` holds one entry per mask, each a scalar or a per-row
-    array. Rows are rescaled in place; returns a boolean array marking
-    rows whose margins all converged to within ``IPF_TOL``.
+    ``targets`` holds one row of per-row margins per mask. Rows are
+    rescaled in place; returns a boolean array marking rows whose margins
+    all converged to within ``IPF_TOL``.
     """
-    n = cells.shape[0]
-    t_arrs = [np.broadcast_to(np.asarray(t, dtype=float), (n,)) for t in targets]
-    err = np.full(n, np.inf)
+    err = np.full(cells.shape[0], np.inf)
     for _ in range(IPF_MAX_ROUNDS):
-        for mask, t in zip(masks, t_arrs):
+        for mask, t in zip(masks, targets):
             s1 = cells[:, mask].sum(axis=1)
             s0 = cells[:, ~mask].sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,8 +260,8 @@ def _ipf(cells: np.ndarray, masks: np.ndarray, targets) -> np.ndarray:
                 f0 = np.where(s0 > 0.0, (1.0 - t) / s0, 0.0)
             cells[:, mask] *= f1[:, None]
             cells[:, ~mask] *= f0[:, None]
-        err = np.zeros(n)
-        for mask, t in zip(masks, t_arrs):
+        err = np.zeros(cells.shape[0])
+        for mask, t in zip(masks, targets):
             err = np.maximum(err, np.abs(cells[:, mask].sum(axis=1) - t))
         if np.all(err < IPF_TOL):
             break
@@ -386,14 +274,18 @@ def _law_generator(seed: int, index: int, attempt: int) -> np.random.Generator:
 
 
 def _sample_blocks(
-    n: int, m_targets, y_targets, seed: int
+    n: int, m: PartialMediationMargins, seed: int, m0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n (m_block, y_block) pairs matching the given margins.
+    """Draw n (m_block, y_block) pairs matching the margins ``m``.
 
+    ``m0``, if given, replaces the M(0) margin with one target per row.
     Starts each block from a symmetric random simplex draw and fits it
     to the margins with IPF; rows that fail to converge are resampled
     with a fresh stream, up to IPF_MAX_RETRIES times.
     """
+    targets = np.tile([[m.m0], [m.m1], [m.y00], [m.y01], [m.y10], [m.y11]], n)
+    if m0 is not None:
+        targets[0] = m0
     m_cells = np.empty((n, 4))
     y_cells = np.empty((n, 16))
     pending = np.arange(n)
@@ -407,8 +299,8 @@ def _sample_blocks(
             y_cells[row] = draw[4:] / draw[4:].sum()
         sub_m = m_cells[pending]
         sub_y = y_cells[pending]
-        ok_m = _ipf(sub_m, _M_MASKS, _subset_targets(m_targets, pending))
-        ok_y = _ipf(sub_y, _Y_MASKS, _subset_targets(y_targets, pending))
+        ok_m = _ipf(sub_m, _M_MASKS, targets[:2, pending])
+        ok_y = _ipf(sub_y, _Y_MASKS, targets[2:, pending])
         m_cells[pending] = sub_m
         y_cells[pending] = sub_y
         pending = pending[~(ok_m & ok_y)]
@@ -418,10 +310,6 @@ def _sample_blocks(
             f"after {IPF_MAX_RETRIES} resampling attempts"
         )
     return m_cells, y_cells
-
-
-def _subset_targets(targets, idx: np.ndarray):
-    return [t[idx] if isinstance(t, np.ndarray) else t for t in targets]
 
 
 def sample_laws(
@@ -434,14 +322,9 @@ def sample_laws(
     Deterministic given (m, n, seed). Degenerate margins (all 0 or 1)
     collapse to the unique point-mass law.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError(f"n must be a positive integer, got {n!r}")
-    m_cells, y_cells = _sample_blocks(
-        n,
-        (float(m.m0), float(m.m1)),
-        (float(m.y00), float(m.y01), float(m.y10), float(m.y11)),
-        seed,
-    )
+    _require_int("n", n, 1, "a positive integer")
+    _require_int("seed", seed, 0, "a nonnegative integer")
+    m_cells, y_cells = _sample_blocks(n, m, seed)
     return [
         PotentialOutcomeLaw(m_block=tuple(m_cells[k]), y_block=tuple(y_cells[k]))
         for k in range(n)
@@ -461,10 +344,8 @@ def simulate_trial(
     n_per_arm uniforms pick the mediator cells and the next n_per_arm
     the response cells, each by inverting the block's cumulative sum.
     """
-    if not isinstance(n_per_arm, int) or isinstance(n_per_arm, bool) or n_per_arm < 1:
-        raise InvalidInputError(
-            f"n_per_arm must be a positive integer, got {n_per_arm!r}"
-        )
+    _require_int("n_per_arm", n_per_arm, 1, "a positive integer")
+    _require_int("seed", seed, 0, "a nonnegative integer")
     cdfs = (np.cumsum(law.m_block), np.cumsum(law.y_block))
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
@@ -521,33 +402,20 @@ def soundness_report(
     then fail; such runs are diagnostic and their violations expected.
     A NaN or negative ``tol`` is invalid input.
     """
-    if not isinstance(n_laws, int) or isinstance(n_laws, bool) or n_laws < 1:
-        raise InvalidInputError(f"n_laws must be a positive integer, got {n_laws!r}")
+    _require_int("n_laws", n_laws, 1, "a positive integer")
+    _require_int("seed", seed, 0, "a nonnegative integer")
     _require_tol("tol", tol)
     iv = partial_bounds(m)
     simple_iv = simple_bounds(derive_simple_from_partial(m))
+    m0 = None
     if confounded:
-        conf_gen = _law_generator(seed, n_laws, IPF_MAX_RETRIES + 1)
-        m0_target = conf_gen.random(n_laws)
-    else:
-        m0_target = float(m.m0)
-    m_cells, y_cells = _sample_blocks(
-        n_laws,
-        (m0_target, float(m.m1)),
-        (float(m.y00), float(m.y01), float(m.y10), float(m.y11)),
-        seed,
-    )
+        m0 = _law_generator(seed, n_laws, IPF_MAX_RETRIES + 1).random(n_laws)
+    m_cells, y_cells = _sample_blocks(n_laws, m, seed, m0)
     pcs = _batch_true_pc(m_cells, y_cells)
-    lower, upper = float(iv.lower), float(iv.upper)
-    below = np.maximum(lower - pcs, 0.0)
-    above = np.maximum(pcs - upper, 0.0)
-    outside = np.maximum(below, above)
-    violations = int(np.count_nonzero(outside > tol))
-    s_below = np.maximum(float(simple_iv.lower) - pcs, 0.0)
-    s_above = np.maximum(pcs - float(simple_iv.upper), 0.0)
-    simple_violations = int(
-        np.count_nonzero(np.maximum(s_below, s_above) > tol)
-    )
+    # Entry 0 of each endpoint pair is the partial interval, entry 1 the simple.
+    lower, upper = np.array([[iv.lower, simple_iv.lower], [iv.upper, simple_iv.upper]])
+    outside = np.maximum(np.maximum(lower[:, None] - pcs, pcs - upper[:, None]), 0.0)
+    violations, simple_violations = np.count_nonzero(outside > tol, axis=1).tolist()
     return SoundnessReport(
         interval=iv,
         simple_interval=simple_iv,
@@ -555,10 +423,10 @@ def soundness_report(
         seed=seed,
         violations=violations,
         simple_violations=simple_violations,
-        worst_violation=float(outside.max()),
+        worst_violation=float(outside[0].max()),
         min_true_pc=float(pcs.min()),
         max_true_pc=float(pcs.max()),
-        lower_gap=float(pcs.min() - lower),
-        upper_gap=float(upper - pcs.max()),
+        lower_gap=float(pcs.min() - lower[0]),
+        upper_gap=float(upper[0] - pcs.max()),
         confounded=confounded,
     )

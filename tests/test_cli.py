@@ -232,6 +232,25 @@ class TestVerifyCommand:
         assert rep_a["oracle"]["min_true_pc"] != rep_b["oracle"]["min_true_pc"]
 
 
+class TestNegativeSeed:
+    """A negative seed is invalid input (exit 1), not a numpy traceback."""
+
+    def test_verify(self, capsys, partial_file):
+        assert run(["verify", "--margins", partial_file, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_simulate_writes_nothing(self, capsys, tmp_path, law_file):
+        out_csv = tmp_path / "sim.csv"
+        assert run(["simulate", "--law", law_file, "--n", "10", "--seed", "-1",
+                    "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a nonnegative integer, got -1\n"
+        )
+        assert not out_csv.exists()
+
+
 class TestSimulateCommand:
     def test_writes_records(self, capsys, tmp_path, law_file):
         out_csv = tmp_path / "sim.csv"

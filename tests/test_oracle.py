@@ -27,7 +27,6 @@ from pcbounds import (
     true_pc,
     write_records_csv,
 )
-from pcbounds.oracle import Coupling2
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -55,6 +54,74 @@ def reference_pc(law):
     return joint / y1_total
 
 
+def _y_value(cell, x, m):
+    """Y*(x, m) of a response-block cell: bit 3 - (2x + m) of its index."""
+    return (cell >> (3 - (2 * x + m))) & 1
+
+
+def _in_order_sum(values):
+    """Left-to-right float sum, as ``sum`` adds floats up to Python 3.11
+    (3.12's ``sum`` compensates the rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_margins(law):
+    """PotentialOutcomeLaw.margins() as the per-cell loops it was written
+    as before the mask tables."""
+    m0 = _in_order_sum(p for i, p in enumerate(law.m_block) if (i >> 1) & 1)
+    m1 = _in_order_sum(p for i, p in enumerate(law.m_block) if i & 1)
+    y = [
+        _in_order_sum(p for j, p in enumerate(law.y_block) if _y_value(j, x, mv))
+        for x in (0, 1)
+        for mv in (0, 1)
+    ]
+    return PartialMediationMargins(*y, m0, m1)
+
+
+def reference_independent(m):
+    """PotentialOutcomeLaw.independent() as the per-cell loops it was
+    written as before the mask tables, as (m_block, y_block)."""
+    mprobs = (float(m.m0), float(m.m1))
+    m_block = []
+    for i in range(4):
+        m0v, m1v = (i >> 1) & 1, i & 1
+        cell = (mprobs[0] if m0v else 1.0 - mprobs[0]) * (
+            mprobs[1] if m1v else 1.0 - mprobs[1]
+        )
+        m_block.append(cell)
+    yprobs = (float(m.y00), float(m.y01), float(m.y10), float(m.y11))
+    y_block = []
+    for j in range(16):
+        cell = 1.0
+        for k, p in enumerate(yprobs):
+            x, mv = divmod(k, 2)
+            cell *= p if _y_value(j, x, mv) else 1.0 - p
+        y_block.append(cell)
+    return tuple(m_block), tuple(y_block)
+
+
+# Cell weights with exact zeros; a block is normalised to sum to 1.
+weights = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+
+
+def normalised(size):
+    return st.lists(weights, min_size=size, max_size=size).filter(any).map(
+        lambda w: tuple(np.array(w) / sum(w))
+    )
+
+
+drawn_laws = st.builds(PotentialOutcomeLaw, normalised(4), normalised(16))
+margin_values = st.one_of(st.sampled_from([0.0, 1.0]), probs)
+MARGIN_NAMES = ("y00", "y01", "y10", "y11", "m0", "m1")
+
+
+def margin_values_of(m):
+    return tuple(float(getattr(m, name)) for name in MARGIN_NAMES)
+
+
 class TestFrechet:
     def test_disjoint_possible(self):
         iv = frechet(0.3, 0.4)
@@ -72,32 +139,6 @@ class TestFrechet:
         # A micro-crossing collapse can lift the upper endpoint above
         # min(a, b) by float noise, never by more than the clamp window.
         assert 0.0 <= float(iv.lower) <= float(iv.upper) <= min(a, b) + 1e-12
-
-
-class TestCoupling2:
-    def test_from_overlap(self):
-        c = Coupling2.from_overlap(0.5, 0.6, 0.3)
-        assert c.margin_a == pytest.approx(0.5)
-        assert c.margin_b == pytest.approx(0.6)
-        assert c.intersection == 0.3
-
-    def test_from_overlap_rejects_infeasible(self):
-        with pytest.raises(InvalidInputError):
-            Coupling2.from_overlap(0.5, 0.6, 0.55)
-
-    @given(probs, probs)
-    def test_comonotone_attains_frechet_upper(self, a, b):
-        c = Coupling2.comonotone(a, b)
-        assert c.intersection == pytest.approx(float(frechet(a, b).upper), abs=1e-12)
-        assert c.margin_a == pytest.approx(a, abs=1e-12)
-        assert c.margin_b == pytest.approx(b, abs=1e-12)
-
-    @given(probs, probs)
-    def test_antitone_attains_frechet_lower(self, a, b):
-        c = Coupling2.antitone(a, b)
-        assert c.intersection == pytest.approx(float(frechet(a, b).lower), abs=1e-12)
-        assert c.margin_a == pytest.approx(a, abs=1e-12)
-        assert c.margin_b == pytest.approx(b, abs=1e-12)
 
 
 class TestSweepAgainstClosedForms:
@@ -191,6 +232,43 @@ class TestPotentialOutcomeLaw:
         )
         assert law.m_block[2] == 0.0
 
+    def test_clamps_float_noise_above_one(self):
+        law = PotentialOutcomeLaw(
+            m_block=(1.0 + 1e-13, 0.0, 0.0, 0.0), y_block=(1.0,) + (0.0,) * 15
+        )
+        assert law.m_block[0] == 1.0
+
+    @pytest.mark.parametrize("cell", [-1e-11, 1.0 + 1e-11])
+    def test_rejects_cell_beyond_clamp_window(self, cell):
+        with pytest.raises(InvalidInputError, match=r"m_block\[0\] = .* is not a"):
+            PotentialOutcomeLaw(
+                m_block=(cell, 1.0 - cell, 0.0, 0.0), y_block=(1.0,) + (0.0,) * 15
+            )
+
+    @pytest.mark.parametrize("block", [("a", 0, 0, 1), None, 5, (0.5, [0.5], 0, 0)])
+    def test_rejects_non_numeric_block(self, block):
+        with pytest.raises(
+            InvalidInputError, match="m_block must be a sequence of 4 numbers"
+        ):
+            PotentialOutcomeLaw(m_block=block, y_block=(1.0,) + (0.0,) * 15)
+
+    @given(drawn_laws)
+    @settings(max_examples=300)
+    def test_margins_match_loop_reference_exactly(self, law):
+        assert margin_values_of(law.margins()) == margin_values_of(
+            reference_margins(law)
+        )
+
+    @given(st.tuples(*[margin_values] * 6))
+    @settings(max_examples=300)
+    def test_independent_matches_loop_reference_exactly(self, values):
+        m = PartialMediationMargins(*values)
+        law = PotentialOutcomeLaw.independent(m)
+        assert (law.m_block, law.y_block) == reference_independent(m)
+        assert margin_values_of(law.margins()) == margin_values_of(
+            reference_margins(law)
+        )
+
 
 class TestTruePc:
     def test_certain_causation(self):
@@ -203,7 +281,7 @@ class TestTruePc:
 
     def test_undefined_when_exposed_never_respond(self):
         law = PotentialOutcomeLaw.point_mass(m0=0, m1=0, y00=1, y01=1, y10=0, y11=0)
-        with pytest.raises(PcUndefinedError):
+        with pytest.raises(PcUndefinedError, match="law gives P\\(Y\\(1\\)=1\\) = 0"):
             true_pc(law)
 
     def test_independence_collapses_to_complement_rate(self, example1_margins):
@@ -221,12 +299,14 @@ class TestTruePc:
         assert float(true_pc(law)) == pytest.approx(reference_pc(law), abs=1e-12)
 
     def test_batch_matches_scalar(self, example1_margins):
+        """Each row of the batched enumeration matches the scalar reference."""
         laws = sample_laws(example1_margins, 16, seed=5)
         m_blocks = np.array([law.m_block for law in laws])
         y_blocks = np.array([law.y_block for law in laws])
         batch = oracle_mod._batch_true_pc(m_blocks, y_blocks)
         for k, law in enumerate(laws):
-            assert batch[k] == pytest.approx(float(true_pc(law)), abs=1e-12)
+            assert batch[k] == pytest.approx(reference_pc(law), abs=1e-12)
+            assert float(true_pc(law)) == batch[k]
 
 
 class TestSampleLaws:
@@ -413,6 +493,28 @@ class TestSoundnessReport:
     def test_n_validation(self, example1_margins):
         with pytest.raises(InvalidInputError):
             soundness_report(example1_margins, n_laws=0)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+    def test_rejects_negative_or_non_integer_seed(self, example1_margins, seed):
+        law = PotentialOutcomeLaw.independent(example1_margins)
+        calls = (
+            lambda: sample_laws(example1_margins, 2, seed=seed),
+            lambda: soundness_report(example1_margins, n_laws=2, seed=seed),
+            lambda: simulate_trial(law, 2, seed=seed),
+        )
+        for call in calls:
+            with pytest.raises(
+                InvalidInputError,
+                match=f"seed must be a nonnegative integer, got {seed!r}$",
+            ):
+                call()
+
+    def test_numpy_integer_seed_is_the_int_seed(self, example1_margins):
+        assert sample_laws(example1_margins, 3, seed=np.int64(7)) == sample_laws(
+            example1_margins, 3, seed=7
+        )
 
 
 class TestToleranceValidation:
