@@ -16,24 +16,15 @@ Typical run:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from pcbounds import PartialMediationMargins, soundness_report
+from pcbounds import PartialMediationMargins, read_margins_json, soundness_report
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-
-
-def load_partial(path: Path) -> PartialMediationMargins:
-    raw = json.loads(path.read_text())
-    return PartialMediationMargins(
-        y00=raw["y00"], y01=raw["y01"], y10=raw["y10"], y11=raw["y11"],
-        m0=raw["m0"], m1=raw["m1"],
-    )
 
 
 def random_margins(rng: np.random.Generator) -> PartialMediationMargins:
@@ -55,8 +46,8 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     named = [
-        ("example 1", load_partial(DATA_DIR / "example1_margins.json")),
-        ("example 2", load_partial(DATA_DIR / "example2_margins.json")),
+        ("example 1", read_margins_json(DATA_DIR / "example1_margins.json")),
+        ("example 2", read_margins_json(DATA_DIR / "example2_margins.json")),
     ]
     cases = named + [(f"random {k}", random_margins(rng)) for k in range(args.sets)]
 

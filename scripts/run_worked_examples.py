@@ -14,18 +14,17 @@ the library API, so it doubles as a smoke test after edits:
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from pcbounds import (
     AssumptionViolationError,
     CompleteMediationMargins,
-    CountTable,
-    PartialMediationMargins,
     compare,
     complete_bounds,
     decomposition,
     margins_from_count_table,
+    read_count_json,
+    read_margins_json,
     risk_ratio,
     simple_bounds,
 )
@@ -33,21 +32,12 @@ from pcbounds import (
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
-def load_partial(path: Path) -> PartialMediationMargins:
-    raw = json.loads(path.read_text())
-    return PartialMediationMargins(
-        y00=raw["y00"], y01=raw["y01"], y10=raw["y10"], y11=raw["y11"],
-        m0=raw["m0"], m1=raw["m1"],
-    )
-
-
 def show_interval(label: str, iv) -> None:
     print(f"  {label:<28s} [{float(iv.lower):.4f}, {float(iv.upper):.4f}]")
 
 
 def example_counts() -> None:
-    raw = json.loads((DATA_DIR / "reference_counts.json").read_text())
-    counts = CountTable(**raw)
+    counts = read_count_json(DATA_DIR / "reference_counts.json")
     m = margins_from_count_table(counts)
     print("1. exposure and outcome only")
     print(f"  exposed   {counts.exposed_event}/{counts.exposed_total}"
@@ -60,7 +50,7 @@ def example_counts() -> None:
 
 
 def example_partial() -> None:
-    m = load_partial(DATA_DIR / "example1_margins.json")
+    m = read_margins_json(DATA_DIR / "example1_margins.json")
     alpha, beta, gamma, delta = decomposition(m)
     print("2. partial mediation (example 1 margins)")
     print(f"  alpha={alpha:.4f} beta={beta:.4f} gamma={gamma:.4f} delta={delta:.4f}")
@@ -73,7 +63,7 @@ def example_partial() -> None:
 
 
 def example_looser() -> None:
-    m = load_partial(DATA_DIR / "example2_margins.json")
+    m = read_margins_json(DATA_DIR / "example2_margins.json")
     print("3. mediator data that does not help (example 2 margins)")
     cmp = compare(m)
     show_interval("exposure-only bounds", cmp.simple_interval)

@@ -138,24 +138,7 @@ def _round_tree(obj):
 
 def report_to_dict(r: BoundsReport) -> dict:
     """Serialize a report with floats at 12 significant digits."""
-    out = {
-        "method": r.method,
-        "interval": (
-            None
-            if r.interval is None
-            else {"lower": float(r.interval.lower), "upper": float(r.interval.upper)}
-        ),
-        "derived": (
-            None
-            if r.derived is None
-            else {"p1": float(r.derived.p1), "p0": float(r.derived.p0)}
-        ),
-        "diagnostics": list(r.diagnostics),
-        "assumptions": list(r.assumptions),
-        "inputs_echo": r.inputs_echo,
-        "oracle": r.oracle,
-    }
-    return _round_tree(out)
+    return _round_tree(asdict(r))
 
 
 def _print_report(r: BoundsReport, as_json: bool) -> None:
@@ -181,10 +164,6 @@ def _print_report(r: BoundsReport, as_json: bool) -> None:
             print(f"  - {line}")
 
 
-def _margins_values(m) -> dict:
-    return {f.name: float(getattr(m, f.name)) for f in fields(m)}
-
-
 def _read_margins(path: str, regime: _Regime, command: str, **extra):
     """Read margins of the regime's kind; return them and the input echo."""
     m = read_margins_json(path)
@@ -193,7 +172,7 @@ def _read_margins(path: str, regime: _Regime, command: str, **extra):
         raise InvalidInputError(
             f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
-    echo = {"kind": regime.kind, "source": path, "values": _margins_values(m)}
+    echo = {"kind": regime.kind, "source": path, "values": asdict(m)}
     return m, {**echo, **extra}
 
 
@@ -279,7 +258,7 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
             "kind": "records",
             "source": args.records,
             "n_records": len(dataset),
-            "estimated_margins": _margins_values(margins),
+            "estimated_margins": asdict(margins),
         }
     else:
         margins, echo = _read_margins(args.margins, regime, args.command)

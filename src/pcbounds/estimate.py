@@ -241,14 +241,8 @@ def estimate_partial(d: Dataset) -> PartialMediationMargins:
                     f"P(Y=1 | X<-{x}, M<-{m}) is inestimable"
                 )
             rates[(x, m)] = prob_from_counts(events, n)
-    med = {}
-    for x in (0, 1):
-        ones, n = d.mediator_counts(x)
-        if n == 0:
-            raise InsufficientDataError(
-                f"arm X={x} has no records; P(M=1 | X<-{x}) is inestimable"
-            )
-        med[x] = prob_from_counts(ones, n)
+    # Each arm holds records: the loop above raised for every empty stratum.
+    med = {x: prob_from_counts(*d.mediator_counts(x)) for x in (0, 1)}
     return PartialMediationMargins(
         y00=rates[(0, 0)],
         y01=rates[(0, 1)],

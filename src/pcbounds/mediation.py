@@ -268,25 +268,13 @@ def decomposition(
 
 
 def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probability:
-    """min{alpha+beta, gamma+delta}, cross-checked against the derived rates.
+    """min{alpha+beta, gamma+delta}, the simple numerator from the split.
 
-    Verifies alpha + beta = 1 - p0 and gamma + delta = p1 to 1e-12
-    before returning; a mismatch means the decomposition and the
-    derivation disagree, which is a logic bug, not a data problem.
+    alpha + beta = 1 - p0 and gamma + delta = p1 by algebra;
+    ``test_decomposition_partitions_arm_rates`` in
+    ``tests/test_mediation.py`` pins both identities at 1e-12.
     """
-    v = _fields(m)
-    alpha, beta, gamma, delta, numerator = _decomposition(v)
-    p1, p0 = map(Probability, _partial_rates(v))
-    left, right = alpha + beta, gamma + delta
-    if abs(left - (1.0 - p0)) > 1e-12:
-        raise InconsistentBoundsError(
-            f"alpha + beta = {left!r} does not reproduce 1 - p0 = {1.0 - p0!r}"
-        )
-    if abs(right - p1) > 1e-12:
-        raise InconsistentBoundsError(
-            f"gamma + delta = {right!r} does not reproduce p1 = {p1!r}"
-        )
-    return numerator
+    return _decomposition(_fields(m))[4]
 
 
 def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:

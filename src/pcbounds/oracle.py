@@ -35,6 +35,7 @@ cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,11 @@ def complete_coupling_sweep(m: CompleteMediationMargins, steps: int = 201) -> fl
 
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
     try:
-        cells = [float(v) for v in values]
+        # array("d") converts each cell as float() does but reads no strings;
+        # it would read bytes or a bytearray as raw doubles, so those go first.
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError
+        cells = array("d", values).tolist()
     except OverflowError:
         raise InvalidInputError(
             f"{name} holds a number too large for a float"

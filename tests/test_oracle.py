@@ -245,12 +245,27 @@ class TestPotentialOutcomeLaw:
                 m_block=(cell, 1.0 - cell, 0.0, 0.0), y_block=(1.0,) + (0.0,) * 15
             )
 
-    @pytest.mark.parametrize("block", [("a", 0, 0, 1), None, 5, (0.5, [0.5], 0, 0)])
-    def test_rejects_non_numeric_block(self, block):
+    @pytest.mark.parametrize(
+        "name, block",
+        [
+            pytest.param("m_block", ("a", 0, 0, 1), id="block0"),
+            pytest.param("m_block", None, id="None"),
+            pytest.param("m_block", 5, id="5"),
+            pytest.param("m_block", (0.5, [0.5], 0, 0), id="block3"),
+            pytest.param("m_block", "1000", id="str-block"),
+            pytest.param("m_block", b"1000", id="bytes-block"),
+            pytest.param("m_block", ("0.5", "0.5", 0, 0), id="str-cells"),
+            pytest.param("m_block", (b"1", 0, 0, 0), id="bytes-cell"),
+            pytest.param("y_block", "1" + "0" * 15, id="y_block-str-block"),
+        ],
+    )
+    def test_rejects_non_numeric_block(self, name, block):
+        blocks = {"m_block": (1.0, 0.0, 0.0, 0.0), "y_block": (1.0,) + (0.0,) * 15}
+        size = len(blocks[name])
         with pytest.raises(
-            InvalidInputError, match="m_block must be a sequence of 4 numbers"
+            InvalidInputError, match=f"{name} must be a sequence of {size} numbers"
         ):
-            PotentialOutcomeLaw(m_block=block, y_block=(1.0,) + (0.0,) * 15)
+            PotentialOutcomeLaw(**{**blocks, name: block})
 
     @given(drawn_laws)
     @settings(max_examples=300)
