@@ -18,6 +18,7 @@ a window of ``CLAMP_TOL``; anything larger is a real error and raises.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 STRUCT_TOL = 1e-9
@@ -39,7 +40,6 @@ __all__ = [
     "Probability",
     "BoundInterval",
     "CountTable",
-    "interval",
     "prob_from_counts",
 ]
 
@@ -162,23 +162,17 @@ class BoundInterval:
         return f"[{float(self.lower):.6g}, {float(self.upper):.6g}]"
 
 
-def interval(lower: float, upper: float) -> BoundInterval:
-    """Build a :class:`BoundInterval`, clamping micro-inversions."""
-    return BoundInterval(Probability(lower), Probability(upper))
-
-
 def _require_tol(name: str, value: float) -> None:
     """Reject a NaN or negative tolerance as invalid input."""
     if not value >= 0.0:
         raise InvalidInputError(f"{name} must be a nonnegative number, got {value!r}")
 
 
-def _require_count(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise InvalidInputError(f"{name} must be nonnegative, got {value}")
-    return value
+def _require_int(name: str, value, least: int, what: str) -> None:
+    """Reject a bool, a non-integer or an integer below ``least``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < least:
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +186,7 @@ class CountTable:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_count(f.name, getattr(self, f.name))
+            _require_int(f.name, getattr(self, f.name), 0, "a nonnegative integer")
         if self.exposed_total == 0 or self.unexposed_total == 0:
             raise InvalidInputError("arm totals must be positive")
         if self.exposed_event > self.exposed_total:
@@ -209,8 +203,8 @@ class CountTable:
 
 def prob_from_counts(events: int, total: int) -> Probability:
     """Empirical frequency events/total as a validated probability."""
-    _require_count("events", events)
-    _require_count("total", total)
+    _require_int("events", events, 0, "a nonnegative integer")
+    _require_int("total", total, 0, "a nonnegative integer")
     if total == 0:
         raise InvalidInputError("total must be positive")
     if events > total:

@@ -8,13 +8,13 @@ mediator itself is not randomized); that assumption is recorded in
 report metadata by the CLI rather than adjudicated here.
 
 Records are held as one uint8 cell code each, ``x << 2 | m << 1 | y``
-(m = 0 without a mediator): a :class:`Dataset` keeps the code column,
-read-only int8 columns ``x``, ``m`` (``None`` without a mediator) and
-``y`` decoded from it, and its eight (x, m, y) cell counts, taken once.
-:meth:`Dataset.from_records` builds one from row objects such as
-:class:`TrialRecord`; :func:`~pcbounds.oracle.simulate_trial` and
-:func:`read_records_csv` return one built from codes, and
-:func:`write_records_csv` writes one from its codes.
+(m = 0 without a mediator): a :class:`Dataset` stores only the code
+column and its eight (x, m, y) cell counts, taken once; its ``x``, ``m``
+and ``y`` columns are decoded from the codes on access. It is built from
+columns, ``Dataset(x=..., m=..., y=...)``;
+:func:`~pcbounds.oracle.simulate_trial` and :func:`read_records_csv`
+return one built from codes, and :func:`write_records_csv` writes one
+from its codes.
 
 File formats owned by this module:
 
@@ -54,7 +54,6 @@ from .simple import SimpleMargins
 
 __all__ = [
     "Dataset",
-    "TrialRecord",
     "DirectEffectWarning",
     "estimate_simple",
     "estimate_partial",
@@ -70,23 +69,6 @@ __all__ = [
 class DirectEffectWarning(UserWarning):
     """Outcome rates differ across arms within a mediator stratum more
     than sampling noise explains, which contradicts complete mediation."""
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One trial participant as a row object, for :meth:`Dataset.from_records`."""
-
-    x: int
-    m: int | None
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x not in (0, 1):
-            raise InvalidInputError(f"x must be 0 or 1, got {self.x!r}")
-        if self.m is not None and self.m not in (0, 1):
-            raise InvalidInputError(f"m must be 0, 1, or None, got {self.m!r}")
-        if self.y not in (0, 1):
-            raise InvalidInputError(f"y must be 0 or 1, got {self.y!r}")
 
 
 def _column(name: str, values) -> np.ndarray:
@@ -111,37 +93,34 @@ def _pack(columns) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Dataset:
-    """An immutable batch of trial records, stored as columns.
+    """An immutable batch of trial records, stored as one code column.
 
     ``codes`` holds one read-only uint8 cell code per record,
     ``x << 2 | m << 1 | y`` with m = 0 for mediator-free records, in
-    record order. ``x``, ``m`` and ``y`` are read-only int8 columns
-    decoded from it, each value 0 or 1; ``m`` is ``None`` for
-    mediator-free records. The constructor checks and copies the columns
-    it is given. The eight (x, m, y) cell counts are taken once here, so
-    the count methods are lookups.
+    record order; it is the only stored form of the records. ``x``,
+    ``m`` and ``y`` are properties: each access decodes a fresh
+    read-only int8 column of 0s and 1s from ``codes``, and ``m`` is
+    ``None`` for mediator-free records. The constructor checks the
+    columns it is given and packs them into codes. The eight (x, m, y)
+    cell counts are taken once here, so the count methods are lookups.
     """
 
-    x: np.ndarray = field(repr=False)
-    m: np.ndarray | None = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    source: str = ""
-    # filled in __post_init__; kept out of the constructor signature
-    has_mediator: bool = field(init=False, default=False)
-    codes: np.ndarray = field(init=False, repr=False, default=None)
-    _cells: list = field(init=False, repr=False, default=None)
+    source: str
+    has_mediator: bool
+    codes: np.ndarray = field(repr=False)
+    _cells: list = field(repr=False)
 
-    def __post_init__(self) -> None:
-        columns = [_column("x", self.x), _column("y", self.y)]
-        if self.m is not None:
-            columns.insert(1, _column("m", self.m))
+    def __init__(self, x, m, y, source: str = "") -> None:
+        columns = [_column("x", x), _column("y", y)]
+        if m is not None:
+            columns.insert(1, _column("m", m))
         if any(col.size != columns[0].size for col in columns):
             raise InvalidInputError("columns x, m and y must have one length")
         if columns[0].size == 0:
             raise InsufficientDataError("dataset has no records")
-        self._fill(_pack(columns), self.m is not None, self.source)
+        self._fill(_pack(columns), m is not None, source)
 
     @classmethod
     def _from_codes(cls, codes: np.ndarray, has_mediator: bool, source: str = ""):
@@ -149,44 +128,26 @@ class Dataset:
         return object.__new__(cls)._fill(codes, has_mediator, source)
 
     def _fill(self, codes: np.ndarray, has_mediator: bool, source: str) -> "Dataset":
-        x, m, y = ((codes >> s & 1).view(np.int8) for s in _SHIFTS[True])
-        for col in (codes, x, m, y):
-            col.flags.writeable = False
+        codes.flags.writeable = False
         # bincount widens its input to intp, so count in pieces of 2^16 codes
         counts = sum(np.bincount(codes[i : i + (1 << 16)], minlength=8)
                      for i in range(0, codes.size, 1 << 16)).reshape(2, 2, 2).tolist()
-        for name, value in (("codes", codes), ("x", x), ("y", y),
-                            ("m", m if has_mediator else None), ("source", source),
-                            ("has_mediator", has_mediator), ("_cells", counts)):
+        for name, value in (("source", source), ("has_mediator", has_mediator),
+                            ("codes", codes), ("_cells", counts)):
             object.__setattr__(self, name, value)
         return self
 
-    @classmethod
-    def from_records(cls, records, source: str = "") -> "Dataset":
-        """Columns from row objects with ``x``, ``m`` and ``y`` attributes.
+    def _bit(self, shift: int) -> np.ndarray:
+        col = (self.codes >> shift & 1).view(np.int8)
+        col.flags.writeable = False
+        return col
 
-        Raises :class:`InsufficientDataError` for no rows and
-        :class:`InvalidInputError` when some rows carry ``m`` and some
-        do not.
-        """
-        rows = list(records)
-        if not rows:
-            raise InsufficientDataError("dataset has no records")
-        with_m = sum(1 for r in rows if r.m is not None)
-        if 0 < with_m < len(rows):
-            raise InvalidInputError(
-                f"records mix mediator and mediator-free rows "
-                f"({with_m} of {len(rows)} carry m)"
-            )
-        return cls(
-            x=np.array([r.x for r in rows]),
-            m=np.array([r.m for r in rows]) if with_m else None,
-            y=np.array([r.y for r in rows]),
-            source=source,
-        )
+    x = property(lambda self: self._bit(2))
+    m = property(lambda self: self._bit(1) if self.has_mediator else None)
+    y = property(lambda self: self._bit(0))
 
     def __len__(self) -> int:
-        return self.x.size
+        return self.codes.size
 
     def _mediator_cells(self, x: int) -> list:
         if not self.has_mediator:
@@ -425,22 +386,20 @@ def read_records_csv(path: str | Path) -> Dataset:
     return Dataset._from_codes(_pack(cols), len(cols) == 3, source=str(path))
 
 
-def write_records_csv(records, path: str | Path) -> int:
-    """Write records in the CSV format :func:`read_records_csv` accepts.
+def write_records_csv(records: Dataset, path: str | Path) -> int:
+    """Write a :class:`Dataset` in the CSV format :func:`read_records_csv` accepts.
 
-    ``records`` is a :class:`Dataset` or an iterable of row objects for
-    :meth:`Dataset.from_records`. The file is the header, then one
-    ``0``/``1`` row per record, every line ending in CRLF. The mediator
-    column is present exactly when the records carry mediator values.
-    Each row is looked up from the record's cell code in a table of eight
-    lines and written from the array's buffer. Returns the number of rows
-    written.
+    The file is the header, then one ``0``/``1`` row per record, every
+    line ending in CRLF. The mediator column is present exactly when the
+    records carry mediator values. Each row is looked up from the
+    record's cell code in a table of eight lines and written from the
+    array's buffer. Returns the number of rows written. Anything but a
+    :class:`Dataset` is an :class:`InvalidInputError`.
     """
     if not isinstance(records, Dataset):
-        try:
-            records = Dataset.from_records(records)
-        except InsufficientDataError:
-            raise InvalidInputError("no records to write") from None
+        raise InvalidInputError(
+            f"records must be a Dataset, got {type(records).__name__}"
+        )
     with Path(path).open("wb") as fh:
         fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
         fh.write(_ROWS[records.has_mediator][records.codes])
@@ -456,7 +415,7 @@ def _read_json(path: Path):
             raise RecordParseError(
                 f"{path}:{e.lineno}: invalid JSON: {e.msg}"
             ) from None
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise RecordParseError(f"{path}: invalid JSON: {e}") from None
 
 

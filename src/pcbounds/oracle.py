@@ -48,6 +48,7 @@ from .core import (
     LawGenerationError,
     PcUndefinedError,
     Probability,
+    _require_int,
     _require_tol,
 )
 from .estimate import Dataset, _pack
@@ -83,13 +84,6 @@ _Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
 # row 2x + M(x) of _Y_MASKS.
 _Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
 _JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
-
-
-def _require_int(name: str, value, least: int, what: str) -> None:
-    """Reject a bool, a non-integer or an integer below ``least``."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not is_int or value < least:
-        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
 
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:

@@ -375,6 +375,7 @@ class TestMalformedJsonExits:
     BIG_INT = "1" * 5000
     HUGE_INT = "1" + "0" * 400
     LAW_TAIL = ', 0, 0, 0], "y_block": [1' + ", 0" * 15 + "]}"
+    DEEP = "[" * 100_000 + "]" * 100_000
 
     @pytest.mark.parametrize(
         "command, text",
@@ -389,9 +390,13 @@ class TestMalformedJsonExits:
              '"m1": ' + HUGE_INT + "}"),
             (["simulate", "--n", "5", "--out", "o.csv", "--law"],
              '{"m_block": [' + HUGE_INT + LAW_TAIL),
+            (["partial", "--margins"], DEEP),
+            (["simple", "--counts"], DEEP),
+            (["simulate", "--n", "5", "--out", "o.csv", "--law"], DEEP),
         ],
         ids=["margins-digits", "counts-digits", "law-digits", "simple-overflow",
-             "partial-overflow", "law-overflow"],
+             "partial-overflow", "law-overflow", "margins-deep", "counts-deep",
+             "law-deep"],
     )
     def test_exits_1_with_one_error_line(
         self, capsys, tmp_path, monkeypatch, command, text
@@ -413,4 +418,9 @@ class TestMalformedJsonExits:
         run(["simulate", "--law", "law.json", "--n", "5", "--out", "o.csv"])
         assert capsys.readouterr().err == (
             "error: law.json: m_block holds a number too large for a float\n"
+        )
+        Path("deep.json").write_text(self.DEEP)
+        run(["partial", "--margins", "deep.json"])
+        assert capsys.readouterr().err.startswith(
+            "error: deep.json: invalid JSON: maximum recursion depth exceeded"
         )

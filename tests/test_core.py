@@ -12,7 +12,6 @@ from pcbounds import (
     InconsistentBoundsError,
     InvalidInputError,
     Probability,
-    interval,
     prob_from_counts,
 )
 
@@ -145,12 +144,12 @@ class TestBoundInterval:
             BoundInterval(0.7, 0.3)
 
     def test_str_six_digits(self):
-        assert str(interval(1 / 3, 2 / 3)) == "[0.333333, 0.666667]"
+        assert str(BoundInterval(1 / 3, 2 / 3)) == "[0.333333, 0.666667]"
 
     @given(probs, probs)
     def test_any_ordered_pair_is_valid(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        iv = interval(lo, hi)
+        iv = BoundInterval(lo, hi)
         assert iv.lower <= iv.upper
 
 
@@ -158,6 +157,7 @@ class TestCountTable:
     def test_valid(self):
         t = CountTable(30, 100, 12, 100)
         assert t.exposed_event == 30
+        assert CountTable(np.int64(30), np.int32(100), np.uint8(12), 100) == t
 
     @pytest.mark.parametrize(
         "args",
@@ -177,12 +177,25 @@ class TestCountTable:
             CountTable(30.5, 100, 12, 100)
         with pytest.raises(InvalidInputError):
             CountTable(True, 100, 12, 100)
+        with pytest.raises(InvalidInputError):
+            CountTable(np.float64(30), 100, 12, 100)
+        with pytest.raises(InvalidInputError):
+            CountTable(np.bool_(True), 100, 12, 100)
+
+    def test_message_names_the_field(self):
+        with pytest.raises(InvalidInputError) as exc:
+            CountTable(30, 100, np.int64(-1), 100)
+        assert str(exc.value) == (
+            "unexposed_event must be a nonnegative integer, got np.int64(-1)"
+        )
 
 
 def test_prob_from_counts():
     assert float(prob_from_counts(30, 100)) == 0.3
     assert float(prob_from_counts(0, 10)) == 0.0
     assert float(prob_from_counts(10, 10)) == 1.0
+    assert float(prob_from_counts(np.int64(3), 10)) == 0.3
+    assert float(prob_from_counts(np.int32(3), np.uint16(10))) == 0.3
 
 
 def test_prob_from_counts_rejects_bad_input():
@@ -192,6 +205,10 @@ def test_prob_from_counts_rejects_bad_input():
         prob_from_counts(-1, 10)
     with pytest.raises(InvalidInputError):
         prob_from_counts(1, 0)
+    with pytest.raises(InvalidInputError):
+        prob_from_counts(np.int64(11), 10)
+    with pytest.raises(InvalidInputError, match="events must be a nonnegative integer"):
+        prob_from_counts(np.float64(3), 10)
 
 
 def test_probability_rejects_integer_beyond_float_range():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -16,7 +17,6 @@ from pcbounds import (
     PotentialOutcomeLaw,
     RecordParseError,
     SimpleMargins,
-    TrialRecord,
     estimate_complete,
     estimate_partial,
     estimate_simple,
@@ -29,37 +29,35 @@ from pcbounds import (
 )
 
 
+def columns_from_counts(counts):
+    """{(x, m, y): n} as x, m and y lists, n records of each cell in order."""
+    rows = [cell for cell, n in counts.items() for _ in range(n)]
+    return dict(zip("xmy", map(list, zip(*rows))))
+
+
 def records_from_counts(counts):
-    """Expand {(x, m, y): n} into TrialRecord objects."""
-    out = []
-    for (x, m, y), n in counts.items():
-        out.extend(TrialRecord(x=x, m=m, y=y) for _ in range(n))
-    return out
+    """The Dataset whose columns are ``columns_from_counts(counts)``."""
+    return Dataset(**columns_from_counts(counts))
+
+
+# Stratum sizes chosen so every frequency is a clean fraction and
+# no two margins coincide by accident.
+BALANCED = {
+    (0, 0, 0): 16, (0, 0, 1): 4,
+    (0, 1, 0): 5, (0, 1, 1): 5,
+    (1, 0, 0): 5, (1, 0, 1): 15,
+    (1, 1, 0): 2, (1, 1, 1): 18,
+}
 
 
 @pytest.fixture
 def balanced_records():
-    # Stratum sizes chosen so every frequency is a clean fraction and
-    # no two margins coincide by accident.
-    return records_from_counts({
-        (0, 0, 0): 16, (0, 0, 1): 4,
-        (0, 1, 0): 5, (0, 1, 1): 5,
-        (1, 0, 0): 5, (1, 0, 1): 15,
-        (1, 1, 0): 2, (1, 1, 1): 18,
-    })
+    return records_from_counts(BALANCED)
 
 
 class TestDataset:
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            Dataset.from_records(())
-
-    def test_mixed_mediator_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Dataset.from_records((TrialRecord(0, 0, 1), TrialRecord(1, None, 1)))
-
     def test_counts(self, balanced_records):
-        d = Dataset.from_records(balanced_records)
+        d = balanced_records
         assert len(d) == 70
         assert d.arm_counts(1) == (33, 40)
         assert d.stratum_counts(0, 1) == (5, 10)
@@ -67,7 +65,7 @@ class TestDataset:
         assert d.has_mediator
 
     def test_mediator_free(self):
-        d = Dataset.from_records((TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
+        d = Dataset(x=[0, 1], m=None, y=[1, 0])
         assert not d.has_mediator
         assert d.m is None
         assert d.arm_counts(0) == (1, 1)
@@ -77,15 +75,26 @@ class TestDataset:
             d.mediator_counts(0)
 
     def test_columns_keep_record_order(self, balanced_records):
-        d = Dataset.from_records(balanced_records)
-        for name in ("x", "m", "y"):
-            col = getattr(d, name)
+        for name, values in columns_from_counts(BALANCED).items():
+            col = getattr(balanced_records, name)
             assert col.dtype == np.int8
             assert not col.flags.writeable
-            assert col.tolist() == [getattr(r, name) for r in balanced_records]
+            assert col.tolist() == values
+
+    def test_stores_only_the_codes(self, balanced_records):
+        d = balanced_records
+        names = [f.name for f in dataclasses.fields(Dataset)]
+        assert names == ["source", "has_mediator", "codes", "_cells"]
+        assert not hasattr(d, "__dict__")
+        assert repr(d) == "Dataset(source='', has_mediator=True)"
+        assert d.x is not d.x
+        for name, shift in (("x", 2), ("m", 1), ("y", 0)):
+            assert getattr(d, name).tolist() == (d.codes >> shift & 1).tolist()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.codes = d.codes
 
     def test_column_constructor_copies(self, balanced_records):
-        ref = Dataset.from_records(balanced_records)
+        ref = balanced_records
         x, m, y = ref.x.astype(np.int64), ref.m.tolist(), ref.y.astype(bool)
         d = Dataset(x=x, m=m, y=y, source="s")
         x[:] = 0
@@ -114,30 +123,21 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             Dataset(**columns)
 
-    def test_from_records_rejects_bad_values(self):
-        class Row:
-            x, m, y = 1, None, 2
-
-        with pytest.raises(InvalidInputError):
-            Dataset.from_records([Row()])
-
 
 class TestEstimators:
     def test_simple(self, balanced_records):
-        d = Dataset.from_records(balanced_records)
-        m = estimate_simple(d)
+        m = estimate_simple(balanced_records)
         assert float(m.p1) == 33 / 40
         assert float(m.p0) == 9 / 30
 
     def test_simple_requires_both_arms(self):
-        d = Dataset.from_records((TrialRecord(1, None, 1),))
+        d = Dataset(x=[1], m=None, y=[1])
         with pytest.raises(InsufficientDataError) as exc:
             estimate_simple(d)
         assert "X=0" in str(exc.value)
 
     def test_partial(self, balanced_records):
-        d = Dataset.from_records(balanced_records)
-        m = estimate_partial(d)
+        m = estimate_partial(balanced_records)
         assert float(m.y00) == 0.2
         assert float(m.y01) == 0.5
         assert float(m.y10) == 0.75
@@ -146,25 +146,23 @@ class TestEstimators:
         assert float(m.m1) == 0.5
 
     def test_partial_requires_mediator(self):
-        d = Dataset.from_records((TrialRecord(0, None, 1), TrialRecord(1, None, 0)))
+        d = Dataset(x=[0, 1], m=None, y=[1, 0])
         with pytest.raises(InvalidInputError):
             estimate_partial(d)
 
-    def test_partial_names_empty_stratum(self, balanced_records):
-        thinned = [r for r in balanced_records if not (r.x == 1 and r.m == 0)]
-        d = Dataset.from_records(thinned)
+    def test_partial_names_empty_stratum(self):
+        d = records_from_counts({k: n for k, n in BALANCED.items() if k[:2] != (1, 0)})
         with pytest.raises(InsufficientDataError) as exc:
             estimate_partial(d)
         assert "(x=1, m=0)" in str(exc.value)
 
     def test_complete_pools_outcome_rates(self):
-        records = records_from_counts({
+        d = records_from_counts({
             (0, 0, 0): 30, (0, 0, 1): 10,
             (0, 1, 0): 5, (0, 1, 1): 5,
             (1, 0, 0): 15, (1, 0, 1): 5,
             (1, 1, 0): 15, (1, 1, 1): 15,
         })
-        d = Dataset.from_records(records)
         m = estimate_complete(d)
         # a = P(M=0 | X=0) = 40/50, b = P(M=1 | X=1) = 30/50.
         assert float(m.a) == 0.8
@@ -174,18 +172,16 @@ class TestEstimators:
         assert float(m.d) == 0.5
 
     def test_complete_warns_on_direct_effect(self, balanced_records):
-        d = Dataset.from_records(balanced_records)
         with pytest.warns(DirectEffectWarning, match="M=0"):
-            estimate_complete(d)
+            estimate_complete(balanced_records)
 
     def test_complete_quiet_when_rates_agree(self):
-        records = records_from_counts({
+        d = records_from_counts({
             (0, 0, 0): 30, (0, 0, 1): 10,
             (0, 1, 0): 5, (0, 1, 1): 5,
             (1, 0, 0): 15, (1, 0, 1): 5,
             (1, 1, 0): 15, (1, 1, 1): 15,
         })
-        d = Dataset.from_records(records)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", DirectEffectWarning)
@@ -206,15 +202,14 @@ class TestRecordsCsv:
         d = read_records_csv(path)
         assert len(d) == 70
         assert d.source == str(path)
-        ref = Dataset.from_records(balanced_records)
+        ref = balanced_records
         for name in ("x", "m", "y"):
             assert np.array_equal(getattr(d, name), getattr(ref, name))
         assert estimate_partial(d) == estimate_partial(ref)
 
     def test_mediator_free_round_trip(self, tmp_path):
         path = tmp_path / "records.csv"
-        records = [TrialRecord(0, None, 1), TrialRecord(1, None, 0)]
-        write_records_csv(records, path)
+        write_records_csv(Dataset(x=[0, 1], m=None, y=[1, 0]), path)
         assert path.read_text().splitlines()[0] == "x,y"
         d = read_records_csv(path)
         assert not d.has_mediator
@@ -268,15 +263,16 @@ class TestRecordsCsv:
             read_records_csv(path)
 
     def test_write_rejects_mixed(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            write_records_csv(
-                [TrialRecord(0, 0, 1), TrialRecord(1, None, 1)],
-                tmp_path / "x.csv",
-            )
+        with pytest.raises(InvalidInputError) as exc:
+            write_records_csv(((0, 0, 1), (1, None, 1)), tmp_path / "x.csv")
+        assert str(exc.value) == "records must be a Dataset, got tuple"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_write_rejects_empty(self, tmp_path):
-        with pytest.raises(InvalidInputError, match="no records to write"):
+        with pytest.raises(InvalidInputError) as exc:
             write_records_csv([], tmp_path / "x.csv")
+        assert str(exc.value) == "records must be a Dataset, got list"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_written_bytes(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -377,7 +373,7 @@ class TestCountJson:
         with pytest.raises(InvalidInputError) as exc:
             read_count_json(path)
         assert str(exc.value) == (
-            f"{path}: unexposed_event must be nonnegative, got -1"
+            f"{path}: unexposed_event must be a nonnegative integer, got -1"
         )
 
     def test_invalid_json_names_line(self, tmp_path):

@@ -22,7 +22,6 @@ from pcbounds import (
     decomposition,
     derive_simple_from_complete,
     derive_simple_from_partial,
-    interval,
     partial_bounds,
     partial_upper_numerator,
     partial_upper_terms,
@@ -377,10 +376,10 @@ class TestCompare:
         rep = compare(example1_margins)
         with pytest.raises(InconsistentBoundsError):
             type(rep)(
-                simple_interval=interval(0.0, 1.0),
-                partial_interval=interval(0.0, 1.0),
+                simple_interval=BoundInterval(0.0, 1.0),
+                partial_interval=BoundInterval(0.0, 1.0),
                 complete_interval=None,
-                combined_interval=interval(0.0, 1.0),
+                combined_interval=BoundInterval(0.0, 1.0),
                 alpha=Probability(0.1),
                 beta=Probability(0.1),
                 gamma=Probability(0.1),

@@ -15,7 +15,6 @@ from pcbounds import (
     PcUndefinedError,
     PotentialOutcomeLaw,
     SimpleMargins,
-    TrialRecord,
     complete_coupling_sweep,
     complete_numerator,
     coupling_sweep_simple,
@@ -469,21 +468,6 @@ class TestSimulateTrialStream:
         assert hashlib.sha256(data).hexdigest() == (
             "38c9837c98be8fb4b624bd2fb669bd6c7e773a12f459f883a680723e6a29299f"
         )
-
-
-class TestTrialRecord:
-    def test_mediator_free_record(self):
-        r = TrialRecord(x=1, m=None, y=0)
-        assert r.m is None
-
-    @pytest.mark.parametrize("kwargs", [
-        {"x": 2, "m": 0, "y": 0},
-        {"x": 0, "m": 3, "y": 0},
-        {"x": 0, "m": 0, "y": -1},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            TrialRecord(**kwargs)
 
 
 class TestSoundnessReport:

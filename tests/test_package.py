@@ -1,5 +1,8 @@
 """The package's public surface: the names ``pcbounds`` exports."""
 
+import re
+from pathlib import Path
+
 import pcbounds
 from pcbounds import core, estimate, mediation, oracle, simple
 
@@ -26,7 +29,6 @@ EXPORTED = [
     "STRUCT_TOL",
     "SimpleMargins",
     "SoundnessReport",
-    "TrialRecord",
     "collapse_to_complete",
     "compare",
     "complete_bounds",
@@ -40,7 +42,6 @@ EXPORTED = [
     "estimate_partial",
     "estimate_simple",
     "frechet",
-    "interval",
     "margins_from_count_table",
     "partial_bounds",
     "partial_upper_numerator",
@@ -62,7 +63,7 @@ MODULES = (core, estimate, mediation, oracle, simple)
 
 
 def test_all_is_the_frozen_sorted_list():
-    assert len(EXPORTED) == 53
+    assert len(EXPORTED) == 51
     assert pcbounds.__all__ == EXPORTED
 
 
@@ -84,3 +85,9 @@ def test_star_import_binds_exactly_the_exported_names():
     assert sorted(namespace) == EXPORTED
     for name, value in namespace.items():
         assert value is getattr(pcbounds, name)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    found = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert found == [pcbounds.__version__]
