@@ -184,10 +184,8 @@ class TestCountTable:
 
     def test_message_names_the_field(self):
         with pytest.raises(InvalidInputError) as exc:
-            CountTable(30, 100, np.int64(-1), 100)
-        assert str(exc.value) == (
-            "unexposed_event must be a nonnegative integer, got np.int64(-1)"
-        )
+            CountTable(30, 100, -1, 100)
+        assert str(exc.value) == "unexposed_event must be a nonnegative integer, got -1"
 
 
 def test_prob_from_counts():
