@@ -51,15 +51,17 @@ def main() -> int:
     ]
     cases = named + [(f"random {k}", random_margins(rng)) for k in range(args.sets)]
 
-    header = f"{'margins':<12s} {'laws':>5s} {'viol':>5s} {'lower gap':>10s} {'upper gap':>10s}"
+    header = (f"{'margins':<12s} {'laws':>5s} {'viol':>5s} "
+              f"{'lower gap':>10s} {'upper gap':>10s}")
     print(header)
     print("-" * len(header))
     start = time.perf_counter()
     total_viol = 0
     for k, (name, m) in enumerate(cases):
         rep = soundness_report(m, n_laws=args.laws, seed=args.seed + k)
-        total_viol += rep.violations + rep.simple_violations
-        print(f"{name:<12s} {rep.n_laws:>5d} {rep.violations + rep.simple_violations:>5d}"
+        viol = rep.violations + rep.simple_violations
+        total_viol += viol
+        print(f"{name:<12s} {rep.n_laws:>5d} {viol:>5d}"
               f" {rep.lower_gap:>10.3g} {rep.upper_gap:>10.3g}")
     elapsed = time.perf_counter() - start
 

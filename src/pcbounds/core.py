@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 STRUCT_TOL = 1e-9
 REPORT_TOL = 0.005
@@ -125,7 +125,24 @@ def _unit(v: float) -> Probability:
     return Probability(v)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def _frozen(**options):
+    """``dataclass(frozen=True, slots=True, **options)`` that refuses every write.
+
+    Setting or deleting any attribute raises FrozenInstanceError; the
+    dataclass's own methods raise TypeError for a name that is not a field.
+    """
+    def make(cls):
+        cls = dataclass(frozen=True, slots=True, **options)(cls)
+
+        def refuse(self, name, *value):
+            raise FrozenInstanceError(f"cannot set or delete {name!r}: "
+                                      f"{type(self).__name__} is frozen")
+        cls.__setattr__ = cls.__delattr__ = refuse
+        return cls
+    return make
+
+
+@_frozen(init=False)
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
@@ -139,7 +156,7 @@ class BoundInterval:
 
     The hand-written ``__init__`` takes the generated one's parameters,
     checks each endpoint and stores it once; ``fields``, ``replace``,
-    eq, hash, repr, pickling and frozenness are the dataclass's own.
+    eq, hash, repr and pickling are the dataclass's own.
     """
 
     lower: Probability
@@ -175,7 +192,7 @@ def _require_int(name: str, value, least: int, what: str) -> None:
         raise InvalidInputError(f"{name} must be {what}, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen()
 class CountTable:
     """Exposure-by-outcome counts from a two-arm randomized trial."""
 

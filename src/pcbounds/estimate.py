@@ -34,7 +34,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .core import (
     InvalidInputError,
     Probability,
     RecordParseError,
+    _frozen,
     _require_tol,
     prob_from_counts,
 )
@@ -93,7 +94,7 @@ def _pack(columns) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@_frozen(init=False, eq=False)
 class Dataset:
     """An immutable batch of trial records, stored as one code column.
 

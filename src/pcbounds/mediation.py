@@ -32,7 +32,6 @@ second Python-level call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .core import (
     STRUCT_TOL,
@@ -41,6 +40,7 @@ from .core import (
     InconsistentBoundsError,
     PcUndefinedError,
     Probability,
+    _frozen,
     _require_tol,
     _unit,
 )
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_frozen(init=False)
 class CompleteMediationMargins:
     """Margins when exposure acts on the outcome only through the mediator."""
 
@@ -81,14 +81,13 @@ class CompleteMediationMargins:
         object.__setattr__(self, "d", Probability(d))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_frozen(init=False)
 class PartialMediationMargins:
     """Response-surface and mediator margins when X may also act directly.
 
     Stored in the P(=1) convention. Worked examples often quote the
-    complements (no-outcome and mediator-absent rates); use
-    :meth:`from_zero_rates` for those so the conversion stays visible at
-    the call site instead of hiding in arithmetic.
+    complements (no-outcome and mediator-absent rates); pass ``1 - rate``
+    for those.
     """
 
     y00: Probability
@@ -106,27 +105,6 @@ class PartialMediationMargins:
         object.__setattr__(self, "y11", Probability(y11))
         object.__setattr__(self, "m0", Probability(m0))
         object.__setattr__(self, "m1", Probability(m1))
-
-    @classmethod
-    def from_zero_rates(
-        cls,
-        *,
-        y00_zero: float,
-        y01_zero: float,
-        y10_zero: float,
-        y11_zero: float,
-        m0_zero: float,
-        m1_zero: float,
-    ) -> "PartialMediationMargins":
-        """Build from rates quoted as P(Y*(x,m)=0) and P(M(x)=0)."""
-        return cls(
-            y00=Probability(y00_zero).complement(),
-            y01=Probability(y01_zero).complement(),
-            y10=Probability(y10_zero).complement(),
-            y11=Probability(y11_zero).complement(),
-            m0=Probability(m0_zero).complement(),
-            m1=Probability(m1_zero).complement(),
-        )
 
 
 def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
@@ -226,10 +204,12 @@ def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
     return SimpleMargins(*_partial_rates(_fields(m)))
 
 
-def _partial_pass(v: tuple[float, ...], undefined: str | None = None):
+def _partial_pass(v: tuple[float, ...]):
     """(simple interval, partial interval, four-term numerator) of margins v."""
     p1, p0 = map(_unit, _partial_rates(v))
-    lower, upper = _simple_interval(p1, p0, undefined)
+    lower, upper = _simple_interval(p1, p0, "derived P(Y=1 | X<-1) = 0: the "
+                                    "probability of causation is undefined for "
+                                    "these margins")
     lower, numerator = _unit(lower), _partial_parts(v)[4]
     simple_iv = BoundInterval(lower, _unit(upper))
     return simple_iv, BoundInterval(lower, _unit(min(1.0, numerator / p1))), numerator
@@ -242,8 +222,7 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     rates; the upper endpoint is the four-term numerator over p1,
     clamped at 1.
     """
-    return _partial_pass(_fields(m), "derived P(Y=1 | X<-1) = 0: the probability "
-                         "of causation is undefined for these margins")[1]
+    return _partial_pass(_fields(m))[1]
 
 
 def _decomposition(v: tuple[float, ...]) -> tuple[Probability, ...]:
@@ -291,7 +270,7 @@ def collapse_to_complete(m: PartialMediationMargins) -> CompleteMediationMargins
     return CompleteMediationMargins(*_collapsed(_fields(m)))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen()
 class ComparisonReport:
     """Side-by-side intervals plus the quantities the comparison rests on.
 

@@ -20,9 +20,11 @@ the identification assumptions the bounds rely on.
 The layout is written down once, as two boolean mask tables: row x of
 ``_M_MASKS`` marks the mediator cells with M(x) = 1, row 2x + m of
 ``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
-independent law, the point masses, IPF and the 4 x 16 indicator tables
-of the PC enumeration are all read off them. :func:`true_pc` is the
-one-law case of the batched enumeration :func:`soundness_report` runs.
+independent law, IPF and the 4 x 16 indicator tables of the PC
+enumeration are all read off them. :func:`true_pc` is the one-law case
+of the batched enumeration :func:`soundness_report` runs. The two
+coupling references need no law: they evaluate their objectives exactly
+at the ends and corners of the Frechet ranges of the free cells.
 
 Random laws are drawn with a counter-based generator (Philox keyed via
 ``SeedSequence(seed, spawn_key=(law_index, attempt))``), so the same
@@ -36,7 +38,6 @@ cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .core import (
     LawGenerationError,
     PcUndefinedError,
     Probability,
+    _frozen,
     _require_int,
-    _require_tol,
 )
 from .estimate import Dataset, _pack
 from .mediation import (
@@ -90,50 +91,42 @@ def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
     pa = float(Probability(p_a))
     pb = float(Probability(p_b))
-    return BoundInterval(
-        Probability(max(pa + pb - 1.0, 0.0)), Probability(min(pa, pb))
-    )
+    return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
 
 
-def coupling_sweep_simple(m: SimpleMargins, steps: int = 1000) -> BoundInterval:
+def coupling_sweep_simple(m: SimpleMargins) -> BoundInterval:
     """Extremes of PC over all couplings of (Y(0), Y(1)) with the given margins.
 
-    Sweeps the intersection cell q = P(Y(0)=0, Y(1)=1) over its Frechet
-    interval (endpoints included, so the result matches the closed form
-    exactly up to float noise) and returns [min, max] of q / p1.
+    The intersection cell q = P(Y(0)=0, Y(1)=1) ranges over its Frechet
+    interval and PC = q / p1 is increasing in q, so the extremes are the
+    two ends of that interval divided by p1.
     """
-    _require_int("steps", steps, 2, "an integer >= 2")
     p1 = float(m.p1)
     if p1 == 0.0:
         raise PcUndefinedError(
             "P(Y=1 | X<-1) = 0: the probability of causation is undefined"
         )
     cap = frechet(1.0 - float(m.p0), p1)
-    qs = np.linspace(float(cap.lower), float(cap.upper), steps)
     # q = p1 up to rounding makes the ratio overshoot 1 by an ulp when
     # p1 is tiny; the ratio is a probability, so clip, don't reject.
-    pcs = np.clip(qs / p1, 0.0, 1.0)
-    return BoundInterval(Probability(float(pcs.min())), Probability(float(pcs.max())))
+    return BoundInterval(*(Probability(min(q / p1, 1.0))
+                           for q in (cap.lower, cap.upper)))
 
 
-def complete_coupling_sweep(m: CompleteMediationMargins, steps: int = 201) -> float:
+def complete_coupling_sweep(m: CompleteMediationMargins) -> float:
     """Max of P(Y(0)=0, Y(1)=1) over independent mediator/response couplings.
 
     Under complete mediation the joint event needs a discordant mediator
     pair and a matching discordant response pair, so the probability is
     q01 r01 + q10 r10 with q from the (M(0), M(1)) coupling and r from
-    the (Y*(0), Y*(1)) coupling. Each coupling has one free cell, swept
-    over its Frechet range here (nested sweeps, endpoints included).
+    the (Y*(0), Y*(1)) coupling. Each coupling has one free cell with a
+    Frechet range, and the sum is bilinear in the two, so its maximum
+    sits at one of the four corners of the box of ranges.
     """
-    _require_int("steps", steps, 2, "an integer >= 2")
     a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
-    t = np.linspace(max(a + b - 1.0, 0.0), min(a, b), steps)  # q01
-    s = np.linspace(max(c + d - 1.0, 0.0), min(c, d), steps)  # r01
-    q01 = t[:, None]
-    q10 = 1.0 - a - b + q01
-    r01 = s[None, :]
-    r10 = 1.0 - c - d + r01
-    return float((q01 * r01 + q10 * r10).max())
+    return max(q01 * r01 + (1.0 - a - b + q01) * (1.0 - c - d + r01)
+               for q01 in (max(a + b - 1.0, 0.0), min(a, b))
+               for r01 in (max(c + d - 1.0, 0.0), min(c, d)))
 
 
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
@@ -166,7 +159,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
     return tuple(cells)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen()
 class PotentialOutcomeLaw:
     """Full joint law of the potential-outcome table, as two blocks.
 
@@ -202,18 +195,6 @@ class PotentialOutcomeLaw:
             for masks, p in ((_M_MASKS, np.array([m.m0, m.m1])),
                              (_Y_MASKS, np.array([m.y00, m.y01, m.y10, m.y11])))
         ))
-
-    @classmethod
-    def point_mass(
-        cls, m0: int, m1: int, y00: int, y01: int, y10: int, y11: int
-    ) -> "PotentialOutcomeLaw":
-        """The deterministic law putting all mass on one 64-cell."""
-        for name, v in (("m0", m0), ("m1", m1), ("y00", y00), ("y01", y01),
-                        ("y10", y10), ("y11", y11)):
-            if v not in (0, 1):
-                raise InvalidInputError(f"{name} must be 0 or 1, got {v!r}")
-        return cls(np.all(_M_MASKS.T == (m0, m1), axis=1) * 1.0,
-                   np.all(_Y_MASKS.T == (y00, y01, y10, y11), axis=1) * 1.0)
 
 
 def _batch_true_pc(
@@ -360,7 +341,7 @@ def simulate_trial(
     return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen()
 class SoundnessReport:
     """Outcome of checking sampled laws against the closed-form interval.
 
@@ -391,7 +372,6 @@ def soundness_report(
     n_laws: int = 1000,
     seed: int = 0,
     confounded: bool = False,
-    tol: float = STRUCT_TOL,
 ) -> SoundnessReport:
     """Sample laws at the given margins and test them against the bounds.
 
@@ -399,11 +379,10 @@ def soundness_report(
     dependent M(0) margin (a deliberate break of the no-confounding
     assumption behind the bounds) to demonstrate that the interval can
     then fail; such runs are diagnostic and their violations expected.
-    A NaN or negative ``tol`` is invalid input.
+    A violation is a true PC outside an interval by more than ``STRUCT_TOL``.
     """
     _require_int("n_laws", n_laws, 1, "a positive integer")
     _require_int("seed", seed, 0, "a nonnegative integer")
-    _require_tol("tol", tol)
     iv = partial_bounds(m)
     simple_iv = simple_bounds(derive_simple_from_partial(m))
     m0 = None
@@ -414,7 +393,7 @@ def soundness_report(
     # Entry 0 of each endpoint pair is the partial interval, entry 1 the simple.
     lower, upper = np.array([[iv.lower, simple_iv.lower], [iv.upper, simple_iv.upper]])
     outside = np.maximum(np.maximum(lower[:, None] - pcs, pcs - upper[:, None]), 0.0)
-    violations, simple_violations = np.count_nonzero(outside > tol, axis=1).tolist()
+    violations, simple_violations = (outside > STRUCT_TOL).sum(axis=1).tolist()
     return SoundnessReport(
         interval=iv,
         simple_interval=simple_iv,

@@ -14,14 +14,13 @@ endpoint is the Frechet cap on P(Y(0)=0, Y(1)=1) divided by p1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import BoundInterval, PcUndefinedError, Probability
+from .core import BoundInterval, PcUndefinedError, Probability, _frozen
 
 __all__ = ["SimpleMargins", "risk_ratio", "simple_bounds"]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_frozen(init=False)
 class SimpleMargins:
     """Arm response rates p1 = P(Y=1 | X<-1) and p0 = P(Y=1 | X<-0)."""
 

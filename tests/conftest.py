@@ -46,25 +46,25 @@ def reference_counts():
 
 @pytest.fixture
 def example1_margins():
-    # Rates quoted as zero-probabilities in the source tables, so the
-    # margins are built through the complement constructor.
-    return PartialMediationMargins.from_zero_rates(
-        y00_zero=0.98,
-        y01_zero=0.165,
-        y10_zero=0.315,
-        y11_zero=0.143,
-        m0_zero=0.73,
-        m1_zero=0.981,
+    # Rates quoted as zero-probabilities in the source tables, so each
+    # margin is written as the complement of the quoted rate.
+    return PartialMediationMargins(
+        y00=1 - 0.98,
+        y01=1 - 0.165,
+        y10=1 - 0.315,
+        y11=1 - 0.143,
+        m0=1 - 0.73,
+        m1=1 - 0.981,
     )
 
 
 @pytest.fixture
 def example2_margins():
-    return PartialMediationMargins.from_zero_rates(
-        y00_zero=0.98,
-        y01_zero=0.67,
-        y10_zero=0.09,
-        y11_zero=0.27,
-        m0_zero=0.04,
-        m1_zero=0.26,
+    return PartialMediationMargins(
+        y00=1 - 0.98,
+        y01=1 - 0.67,
+        y10=1 - 0.09,
+        y11=1 - 0.27,
+        m0=1 - 0.04,
+        m1=1 - 0.26,
     )

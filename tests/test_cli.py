@@ -216,8 +216,8 @@ class TestVerifyCommand:
     def test_genuine_failure_exits_3(self, capsys, partial_file, monkeypatch):
         real = oracle_mod.soundness_report
 
-        def broken(m, n_laws=1000, seed=0, confounded=False, tol=1e-9):
-            rep = real(m, n_laws=n_laws, seed=seed, confounded=True, tol=tol)
+        def broken(m, n_laws=1000, seed=0, confounded=False):
+            rep = real(m, n_laws=n_laws, seed=seed, confounded=True)
             object.__setattr__(rep, "confounded", False)
             return rep
 

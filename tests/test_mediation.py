@@ -14,6 +14,7 @@ from pcbounds import (
     InvalidInputError,
     PartialMediationMargins,
     PcBoundsError,
+    PcUndefinedError,
     Probability,
     collapse_to_complete,
     compare,
@@ -52,7 +53,8 @@ def x_invariant_sets(draw):
 
 def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     """``compare`` as the composition of public calls it was before it
-    became a single pass, kept verbatim as the differential reference."""
+    became a single pass, kept as the differential reference. The partial
+    bounds go first, so p1 = 0 raises their message, as ``compare`` does."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -64,9 +66,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
                     f"complete-mediation claim fails at M={mval}: "
                     f"|{names[0]} - {names[1]}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
+    partial_iv = partial_bounds(m)
     derived = derive_simple_from_partial(m)
     simple_iv = simple_bounds(derived)
-    partial_iv = partial_bounds(m)
     complete_iv = complete_bounds(collapse_to_complete(m)) if complete_claim else None
 
     lowers = [simple_iv.lower, partial_iv.lower]
@@ -303,7 +305,8 @@ class TestCollapse:
             y00=1.0 - c, y01=d, y10=1.0 - c, y11=d, m0=1.0 - a, m1=b
         )
         _, t2, t3, _ = partial_upper_terms(m)
-        assert float(complete_numerator(collapse_to_complete(m))) == float(t2) + float(t3)
+        numerator = complete_numerator(collapse_to_complete(m))
+        assert float(numerator) == float(t2) + float(t3)
 
 
 class TestCompare:
@@ -394,11 +397,13 @@ class TestSinglePassCompare:
 
     @given(partial_margin_sets(), st.booleans())
     def test_uniform_sets(self, m, claim):
-        assert report_bits(compare, m, claim) == report_bits(reference_compare, m, claim)
+        got = report_bits(compare, m, claim)
+        assert got == report_bits(reference_compare, m, claim)
 
     @given(partial_margin_sets(grid), st.booleans())
     def test_grid_sets(self, m, claim):
-        assert report_bits(compare, m, claim) == report_bits(reference_compare, m, claim)
+        got = report_bits(compare, m, claim)
+        assert got == report_bits(reference_compare, m, claim)
 
     @given(x_invariant_sets())
     def test_x_invariant_claimed_sets(self, m):
@@ -453,7 +458,21 @@ def test_margin_validation():
         CompleteMediationMargins(a=-0.2, b=0.5, c=0.5, d=0.5)
 
 
-def test_from_zero_rates_complements(example1_margins):
+def test_example1_fixture_complements(example1_margins):
     assert float(example1_margins.y00) == pytest.approx(0.02, rel=1e-12)
     assert float(example1_margins.y11) == pytest.approx(0.857, rel=1e-12)
     assert float(example1_margins.m1) == pytest.approx(0.019, rel=1e-12)
+
+
+@pytest.mark.parametrize("claim", [False, True])
+def test_compare_words_an_undefined_pc_as_partial_bounds_does(claim):
+    # y10 = y11 = 0 makes the derived p1 zero; the surface is x-invariant.
+    m = PartialMediationMargins(0.0, 0.0, 0.0, 0.0, 0.3, 0.4)
+    with pytest.raises(PcUndefinedError) as partial:
+        partial_bounds(m)
+    with pytest.raises(PcUndefinedError) as compared:
+        compare(m, complete_claim=claim)
+    assert str(compared.value) == str(partial.value) == (
+        "derived P(Y=1 | X<-1) = 0: the probability of causation is undefined "
+        "for these margins"
+    )

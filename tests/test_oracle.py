@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pcbounds.oracle as oracle_mod
 from pcbounds import (
+    BoundInterval,
     CompleteMediationMargins,
     InvalidInputError,
     LawGenerationError,
     PartialMediationMargins,
     PcUndefinedError,
     PotentialOutcomeLaw,
+    Probability,
     SimpleMargins,
     complete_coupling_sweep,
     complete_numerator,
@@ -102,6 +104,52 @@ def reference_independent(m):
     return tuple(m_block), tuple(y_block)
 
 
+def point_mass(m0, m1, y00, y01, y10, y11):
+    """The law with all mass on one of the 64 cells, written from the
+    documented cell order: mediator cell 2*M(0) + M(1), Y*(0,0) highest."""
+    m_block, y_block = [0.0] * 4, [0.0] * 16
+    m_block[2 * m0 + m1] = 1.0
+    y_block[8 * y00 + 4 * y01 + 2 * y10 + y11] = 1.0
+    return PotentialOutcomeLaw(tuple(m_block), tuple(y_block))
+
+
+def grid_sweep_simple(m, steps):
+    """``coupling_sweep_simple`` as the grid over q it was before it
+    became exact, kept verbatim as the reference."""
+    p1 = float(m.p1)
+    if p1 == 0.0:
+        raise PcUndefinedError(
+            "P(Y=1 | X<-1) = 0: the probability of causation is undefined"
+        )
+    cap = frechet(1.0 - float(m.p0), p1)
+    qs = np.linspace(float(cap.lower), float(cap.upper), steps)
+    # q = p1 up to rounding makes the ratio overshoot 1 by an ulp when
+    # p1 is tiny; the ratio is a probability, so clip, don't reject.
+    pcs = np.clip(qs / p1, 0.0, 1.0)
+    return BoundInterval(Probability(float(pcs.min())), Probability(float(pcs.max())))
+
+
+def grid_sweep_complete(m, steps):
+    """``complete_coupling_sweep`` as the steps x steps grid over (q01, r01)
+    it was before it became exact, kept verbatim as the reference."""
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+    t = np.linspace(max(a + b - 1.0, 0.0), min(a, b), steps)  # q01
+    s = np.linspace(max(c + d - 1.0, 0.0), min(c, d), steps)  # r01
+    q01 = t[:, None]
+    q10 = 1.0 - a - b + q01
+    r01 = s[None, :]
+    r10 = 1.0 - c - d + r01
+    return float((q01 * r01 + q10 * r10).max())
+
+
+# Margins for the sweeps: edge values, the 0.05 grid (ties) and uniform draws.
+sweep_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]),
+    st.integers(0, 20).map(lambda k: k / 20),
+    probs,
+)
+
+
 # Cell weights with exact zeros; a block is normalised to sum to 1.
 weights = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
 
@@ -152,16 +200,10 @@ class TestSweepAgainstClosedForms:
     @settings(max_examples=200)
     def test_matches_simple_bounds(self, p1, p0):
         m = SimpleMargins(p1, p0)
-        swept = coupling_sweep_simple(m, steps=100)
+        swept = coupling_sweep_simple(m)
         closed = simple_bounds(m)
         assert float(swept.lower) == pytest.approx(float(closed.lower), abs=1e-9)
         assert float(swept.upper) == pytest.approx(float(closed.upper), abs=1e-9)
-
-    def test_step_validation(self):
-        m = SimpleMargins(0.5, 0.2)
-        for bad in (1, 0, -3, True, 2.0):
-            with pytest.raises(InvalidInputError):
-                coupling_sweep_simple(m, steps=bad)
 
     def test_undefined_when_no_exposed_events(self):
         with pytest.raises(PcUndefinedError):
@@ -175,8 +217,27 @@ class TestSweepAgainstClosedForms:
     @settings(max_examples=150)
     def test_complete_sweep_matches_numerator(self, a, b, c, d):
         m = CompleteMediationMargins(a, b, c, d)
-        swept = complete_coupling_sweep(m, steps=51)
+        swept = complete_coupling_sweep(m)
         assert swept == pytest.approx(float(complete_numerator(m)), abs=1e-12)
+
+
+class TestExactSweepsMatchTheGrids:
+    @given(p1=sweep_values, p0=sweep_values)
+    @settings(max_examples=300)
+    def test_simple_sweep(self, p1, p0):
+        assume(p1 > 0.0)
+        m = SimpleMargins(p1, p0)
+        exact = coupling_sweep_simple(m)
+        for steps in (1000, 100):
+            assert exact == grid_sweep_simple(m, steps)
+
+    @given(a=sweep_values, b=sweep_values, c=sweep_values, d=sweep_values)
+    @settings(max_examples=300)
+    def test_complete_sweep(self, a, b, c, d):
+        m = CompleteMediationMargins(a, b, c, d)
+        exact = complete_coupling_sweep(m)
+        for steps in (201, 51):
+            assert exact == pytest.approx(grid_sweep_complete(m, steps), abs=1e-15)
 
 
 class TestPotentialOutcomeLaw:
@@ -201,7 +262,7 @@ class TestPotentialOutcomeLaw:
             )
 
     def test_point_mass_round_trips(self):
-        law = PotentialOutcomeLaw.point_mass(m0=1, m1=0, y00=0, y01=1, y10=1, y11=0)
+        law = point_mass(m0=1, m1=0, y00=0, y01=1, y10=1, y11=0)
         m = law.margins()
         assert (float(m.m0), float(m.m1)) == (1.0, 0.0)
         assert (float(m.y00), float(m.y01), float(m.y10), float(m.y11)) == (
@@ -286,15 +347,15 @@ class TestPotentialOutcomeLaw:
 
 class TestTruePc:
     def test_certain_causation(self):
-        law = PotentialOutcomeLaw.point_mass(m0=0, m1=1, y00=0, y01=0, y10=0, y11=1)
+        law = point_mass(m0=0, m1=1, y00=0, y01=0, y10=0, y11=1)
         assert float(true_pc(law)) == 1.0
 
     def test_certain_non_causation(self):
-        law = PotentialOutcomeLaw.point_mass(m0=0, m1=0, y00=1, y01=1, y10=1, y11=1)
+        law = point_mass(m0=0, m1=0, y00=1, y01=1, y10=1, y11=1)
         assert float(true_pc(law)) == 0.0
 
     def test_undefined_when_exposed_never_respond(self):
-        law = PotentialOutcomeLaw.point_mass(m0=0, m1=0, y00=1, y01=1, y10=0, y11=0)
+        law = point_mass(m0=0, m1=0, y00=1, y01=1, y10=0, y11=0)
         with pytest.raises(PcUndefinedError, match="law gives P\\(Y\\(1\\)=1\\) = 0"):
             true_pc(law)
 
@@ -442,7 +503,7 @@ class TestSimulateTrialStream:
         )
         return [
             PotentialOutcomeLaw.independent(example1_margins),
-            PotentialOutcomeLaw.point_mass(0, 1, 1, 0, 0, 1),
+            point_mass(0, 1, 1, 0, 0, 1),
             zero_cells,
         ]
 
@@ -517,19 +578,6 @@ class TestSeedValidation:
 
 
 class TestToleranceValidation:
-    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0])
-    def test_soundness_report_rejects_nan_or_negative_tol(self, example1_margins, tol):
-        with pytest.raises(InvalidInputError, match="tol must be a nonnegative"):
-            soundness_report(
-                example1_margins, n_laws=200, seed=0, confounded=True, tol=tol
-            )
-
-    def test_zero_tol_still_counts_violations(self, example1_margins):
-        rep = soundness_report(
-            example1_margins, n_laws=200, seed=0, confounded=True, tol=0.0
-        )
-        assert rep.violations > 0
-
     def test_law_cell_beyond_float_range(self):
         with pytest.raises(InvalidInputError, match="m_block holds a number too large"):
             PotentialOutcomeLaw(
