@@ -2,7 +2,7 @@
 """Stress the mediator-informed bounds against brute-force enumeration.
 
 For each margin set (the two bundled examples plus randomly drawn ones)
-the sweep fits joint laws matching the margins, computes the true PC of
+the sweep draws joint laws matching the margins, computes the true PC of
 every law by enumeration, and counts laws that escape the claimed
 interval. Any violation is a bug in the bounds. The gap columns report
 how close the sampled laws came to each endpoint; small gaps are
@@ -37,7 +37,7 @@ def main() -> int:
     parser.add_argument("--sets", type=int, default=20,
                         help="number of random margin sets (default 20)")
     parser.add_argument("--laws", type=int, default=500,
-                        help="laws fitted per margin set (default 500)")
+                        help="laws drawn per margin set (default 500)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--confounded", action="store_true",
                         help="also run one deliberately broken sweep to "

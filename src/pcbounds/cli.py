@@ -38,7 +38,6 @@ from .core import (
     BoundInterval,
     InsufficientDataError,
     InvalidInputError,
-    LawGenerationError,
     PcBoundsError,
     PcUndefinedError,
     _require_tol,
@@ -483,9 +482,6 @@ def run(argv: list[str] | None = None) -> int:
     except (PcUndefinedError, InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except LawGenerationError as e:
-        print(f"error: verification could not complete: {e}", file=sys.stderr)
-        return 3
     except (PcBoundsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

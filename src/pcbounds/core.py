@@ -35,7 +35,6 @@ __all__ = [
     "PcUndefinedError",
     "InsufficientDataError",
     "AssumptionViolationError",
-    "LawGenerationError",
     "RecordParseError",
     "Probability",
     "BoundInterval",
@@ -71,10 +70,6 @@ class InsufficientDataError(PcBoundsError):
 
 class AssumptionViolationError(PcBoundsError):
     """Supplied margins contradict an assumption the method needs."""
-
-
-class LawGenerationError(PcBoundsError):
-    """Random law sampling failed to match the requested margins."""
 
 
 class RecordParseError(InvalidInputError):

@@ -138,6 +138,10 @@ class Dataset:
             object.__setattr__(self, name, value)
         return self
 
+    def __reduce__(self):
+        # Rebuild through _fill, so a copy's column is read-only too.
+        return Dataset._from_codes, (self.codes, self.has_mediator, self.source)
+
     def _bit(self, shift: int) -> np.ndarray:
         col = (self.codes >> shift & 1).view(np.int8)
         col.flags.writeable = False

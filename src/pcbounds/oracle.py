@@ -20,18 +20,24 @@ the identification assumptions the bounds rely on.
 The layout is written down once, as two boolean mask tables: row x of
 ``_M_MASKS`` marks the mediator cells with M(x) = 1, row 2x + m of
 ``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
-independent law, IPF and the 4 x 16 indicator tables of the PC
-enumeration are all read off them. :func:`true_pc` is the one-law case
-of the batched enumeration :func:`soundness_report` runs. The two
-coupling references need no law: they evaluate their objectives exactly
-at the ends and corners of the Frechet ranges of the free cells.
+independent law and the 4 x 16 indicator tables of the PC enumeration
+are all read off them. :func:`true_pc` is the one-law case of the
+batched enumeration :func:`soundness_report` runs. The two coupling
+references need no law: they evaluate their objectives exactly at the
+ends and corners of the Frechet ranges of the free cells.
 
-Random laws are drawn with a counter-based generator (Philox keyed via
-``SeedSequence(seed, spawn_key=(law_index, attempt))``), so the same
-seed reproduces the same laws across runs, platforms, and parallel
-fan-out. :func:`simulate_trial` draws trial records from a law the same
-way: arm x uses Philox keyed by ``(seed, x)``, its first n uniforms pick
-the mediator cells and the next n the response cells. It fills one uint8
+Random laws are built one binary coordinate at a time, in the cell
+order above, with each margin holding by construction (see
+``_fit_block``): no iteration, no retry, and every law with the given
+margins can be drawn. The draws come from Philox keyed via
+``SeedSequence(seed, spawn_key=(0,))``, a confounded run's per-law M(0)
+targets from key ``(1,)``, so the same (margins, n, seed) gives the
+same laws on every run and platform and the first k laws do not depend
+on n. Version 0.4.0 replaced iterative proportional fitting with this
+construction, so a seed now draws other laws than before.
+:func:`simulate_trial` draws trial records from a law the same way: arm
+x uses Philox keyed by ``(seed, x)``, its first n uniforms pick the
+mediator cells and the next n the response cells. It fills one uint8
 cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
 """
 
@@ -46,7 +52,6 @@ from .core import (
     STRUCT_TOL,
     BoundInterval,
     InvalidInputError,
-    LawGenerationError,
     PcUndefinedError,
     Probability,
     _frozen,
@@ -72,10 +77,6 @@ __all__ = [
     "simulate_trial",
     "soundness_report",
 ]
-
-IPF_TOL = 1e-12
-IPF_MAX_ROUNDS = 10000
-IPF_MAX_RETRIES = 100
 
 # The cell layout: M(x) is bit 1 - x of a mediator cell index and Y*(x, m)
 # is bit 3 - (2x + m) of a response cell index.
@@ -223,33 +224,31 @@ def true_pc(law: PotentialOutcomeLaw) -> Probability:
     return Probability(pc)
 
 
-def _ipf(cells: np.ndarray, masks: np.ndarray, targets) -> np.ndarray:
-    """Iterative proportional fitting of rows of ``cells`` to 1-dim margins.
+def _fit_block(u: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Rows of block cells with the given margins, built one coordinate at a time.
 
-    ``targets`` holds one row of per-row margins per mask. Rows are
-    rescaled in place; returns a boolean array marking rows whose margins
-    all converged to within ``IPF_TOL``.
+    ``targets`` has one row of per-row margins per coordinate, the first
+    for the highest bit of the cell index. Coordinate t splits cell c of
+    the cells built so far by chance ``u[:, 2^t - 1 + c]`` of a 1, after
+    one affine rescale of those chances, toward 0 or toward 1, makes
+    their weighted mean the target.
     """
-    err = np.full(cells.shape[0], np.inf)
-    for _ in range(IPF_MAX_ROUNDS):
-        for mask, t in zip(masks, targets):
-            s1 = cells[:, mask].sum(axis=1)
-            s0 = cells[:, ~mask].sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f1 = np.where(s1 > 0.0, t / s1, 0.0)
-                f0 = np.where(s0 > 0.0, (1.0 - t) / s0, 0.0)
-            cells[:, mask] *= f1[:, None]
-            cells[:, ~mask] *= f0[:, None]
-        err = np.zeros(cells.shape[0])
-        for mask, t in zip(masks, targets):
-            err = np.maximum(err, np.abs(cells[:, mask].sum(axis=1) - t))
-        if np.all(err < IPF_TOL):
-            break
-    return err < IPF_TOL
+    cells = np.ones((u.shape[0], 1))
+    for t in targets:
+        q = u[:, cells.shape[1] - 1 : 2 * cells.shape[1] - 1]
+        w = (cells * q).sum(axis=1)
+        down = w > t
+        # The denominator is 0 only when w = t = 1, which needs no rescale.
+        den = np.where(down, w, 1.0 - w)
+        r = np.divide(np.where(down, t, 1.0 - t), den, out=np.ones_like(w),
+                      where=den > 0)
+        q = np.where(down[:, None], q * r[:, None], 1.0 - (1.0 - q) * r[:, None])
+        cells = np.stack([cells * (1.0 - q), cells * q], axis=2).reshape(len(u), -1)
+    return cells
 
 
-def _law_generator(seed: int, index: int, attempt: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, attempt))
+def _stream(seed: int, key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(key,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -259,37 +258,16 @@ def _sample_blocks(
     """Draw n (m_block, y_block) pairs matching the margins ``m``.
 
     ``m0``, if given, replaces the M(0) margin with one target per row.
-    Starts each block from a symmetric random simplex draw and fits it
-    to the margins with IPF; rows that fail to converge are resampled
-    with a fresh stream, up to IPF_MAX_RETRIES times.
+    Row k of an (n, 18) Beta(0.1, 0.1) draw from stream 0 gives law k's
+    chances: 3 for the mediator block, then 15 for the response block.
     """
     targets = np.tile([[m.m0], [m.m1], [m.y00], [m.y01], [m.y10], [m.y11]], n)
     if m0 is not None:
         targets[0] = m0
-    m_cells = np.empty((n, 4))
-    y_cells = np.empty((n, 16))
-    pending = np.arange(n)
-    for attempt in range(IPF_MAX_RETRIES + 1):
-        if pending.size == 0:
-            break
-        for row in pending:
-            gen = _law_generator(seed, int(row), attempt)
-            draw = gen.standard_exponential(20)
-            m_cells[row] = draw[:4] / draw[:4].sum()
-            y_cells[row] = draw[4:] / draw[4:].sum()
-        sub_m = m_cells[pending]
-        sub_y = y_cells[pending]
-        ok_m = _ipf(sub_m, _M_MASKS, targets[:2, pending])
-        ok_y = _ipf(sub_y, _Y_MASKS, targets[2:, pending])
-        m_cells[pending] = sub_m
-        y_cells[pending] = sub_y
-        pending = pending[~(ok_m & ok_y)]
-    if pending.size:
-        raise LawGenerationError(
-            f"{pending.size} of {n} laws failed to reach the requested margins "
-            f"after {IPF_MAX_RETRIES} resampling attempts"
-        )
-    return m_cells, y_cells
+    # Beta(0.1, 0.1) puts many laws near the vertices of the feasible set,
+    # where the bounds are tight, and every interior law keeps a density.
+    u = _stream(seed, 0).beta(0.1, 0.1, size=(n, 18))
+    return _fit_block(u[:, :3], targets[:2]), _fit_block(u[:, 3:], targets[2:])
 
 
 def sample_laws(
@@ -297,10 +275,11 @@ def sample_laws(
 ) -> list[PotentialOutcomeLaw]:
     """Draw n random laws whose one-dimensional margins match ``m``.
 
-    Dependence within each block is whatever the simplex draw plus IPF
-    produced, which is the point: the bounds must hold for all of them.
-    Deterministic given (m, n, seed). Degenerate margins (all 0 or 1)
-    collapse to the unique point-mass law.
+    Each block is built coordinate by coordinate from random conditional
+    chances rescaled to the margins, so every law with these margins can
+    be drawn; the bounds must hold for all of them. Deterministic given
+    (m, n, seed), and the first k laws are those of a call with n = k.
+    Degenerate margins (all 0 or 1) give the unique point-mass law.
     """
     _require_int("n", n, 1, "a positive integer")
     _require_int("seed", seed, 0, "a nonnegative integer")
@@ -329,9 +308,7 @@ def simulate_trial(
     cdfs = (np.cumsum(law.m_block), np.cumsum(law.y_block))
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(x,)))
-        )
+        gen = _stream(seed, x)
         mcells, ycells = (np.minimum(
             np.searchsorted(cdf, gen.random(n_per_arm), side="right"), cdf.size - 1
         ).astype(np.uint8) for cdf in cdfs)
@@ -387,7 +364,7 @@ def soundness_report(
     simple_iv = simple_bounds(derive_simple_from_partial(m))
     m0 = None
     if confounded:
-        m0 = _law_generator(seed, n_laws, IPF_MAX_RETRIES + 1).random(n_laws)
+        m0 = _stream(seed, 1).random(n_laws)
     m_cells, y_cells = _sample_blocks(n_laws, m, seed, m0)
     pcs = _batch_true_pc(m_cells, y_cells)
     # Entry 0 of each endpoint pair is the partial interval, entry 1 the simple.

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -92,6 +94,15 @@ class TestDataset:
             assert getattr(d, name).tolist() == (d.codes >> shift & 1).tolist()
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.codes = d.codes
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_keep_a_read_only_column(self, balanced_records, protocol):
+        for d in (balanced_records, Dataset(x=[0, 1], m=None, y=[1, 0], source="s")):
+            for back in (pickle.loads(pickle.dumps(d, protocol)), copy.deepcopy(d)):
+                assert not back.codes.flags.writeable
+                assert back.codes.tolist() == d.codes.tolist()
+                assert back._cells == d._cells
+                assert (back.source, back.has_mediator) == (d.source, d.has_mediator)
 
     def test_column_constructor_copies(self, balanced_records):
         ref = balanced_records

@@ -11,7 +11,6 @@ from pcbounds import (
     BoundInterval,
     CompleteMediationMargins,
     InvalidInputError,
-    LawGenerationError,
     PartialMediationMargins,
     PcUndefinedError,
     PotentialOutcomeLaw,
@@ -416,11 +415,58 @@ class TestSampleLaws:
             with pytest.raises(InvalidInputError):
                 sample_laws(example1_margins, bad)
 
-    def test_generation_failure_is_reported(self, example1_margins, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "IPF_MAX_ROUNDS", 0)
-        monkeypatch.setattr(oracle_mod, "IPF_MAX_RETRIES", 2)
-        with pytest.raises(LawGenerationError):
-            sample_laws(example1_margins, 3, seed=0)
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[sweep_values] * 6), st.lists(sweep_values, min_size=3,
+                                                    max_size=3), st.integers(0, 99))
+    def test_margins_are_hit_to_the_last_bits(self, values, m0, seed):
+        m = PartialMediationMargins(*values)
+        for law in sample_laws(m, 3, seed):
+            got = margin_values_of(law.margins())
+            np.testing.assert_allclose(got, values, rtol=0, atol=1e-15)
+        # A confounded run's per-row M(0) targets are hit the same way.
+        m_cells, y_cells = oracle_mod._sample_blocks(3, m, seed, np.array(m0))
+        for cells, masks, targets in (
+            (m_cells, oracle_mod._M_MASKS, [(v, values[5]) for v in m0]),
+            (y_cells, oracle_mod._Y_MASKS, [values[:4]] * 3),
+        ):
+            assert np.all(np.isfinite(cells)) and np.all(cells >= 0.0)
+            got = np.where(masks[None], cells[:, None, :], 0.0).sum(axis=2)
+            np.testing.assert_allclose(got, targets, rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(normalised(4), normalised(16)))
+    def test_every_law_is_reachable(self, law):
+        # The law's conditional chance of a 1 for each coordinate given
+        # the cells built so far (0.5 where those have no mass), fed back
+        # as the draws, rebuild the law.
+        law = np.array(law)
+        bits = law.size.bit_length() - 1
+        u, targets = [], []
+        for t in range(bits):
+            split = law.reshape(2**t, 2, -1).sum(axis=2)
+            prefix = split.sum(axis=1)
+            u.append(np.divide(split[:, 1], prefix, out=np.full(2**t, 0.5),
+                               where=prefix > 0))
+            targets.append([split[:, 1].sum()])
+        got = oracle_mod._fit_block(np.concatenate(u)[None], np.array(targets))
+        np.testing.assert_allclose(got[0], law, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name, lower, upper", [
+        ("example1_margins", 0.7175, 0.7878),
+        ("example2_margins", 0.5915, 0.8536),
+    ])
+    def test_reach_floor(self, request, name, lower, upper):
+        # The true-PC spans that iterative proportional fitting reached
+        # here at seed 0, before version 0.4.0: the sampler must reach
+        # at least as far towards both endpoints.
+        rep = soundness_report(request.getfixturevalue(name), n_laws=1000, seed=0)
+        assert rep.min_true_pc <= lower and rep.max_true_pc >= upper
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_first_laws_do_not_depend_on_n(self, example1_margins, seed):
+        assert sample_laws(example1_margins, 5, seed) == sample_laws(
+            example1_margins, 10, seed
+        )[:5]
 
 
 class TestSimulateTrial:

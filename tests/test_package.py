@@ -18,7 +18,6 @@ EXPORTED = [
     "InconsistentBoundsError",
     "InsufficientDataError",
     "InvalidInputError",
-    "LawGenerationError",
     "PartialMediationMargins",
     "PcBoundsError",
     "PcUndefinedError",
@@ -63,7 +62,7 @@ MODULES = (core, estimate, mediation, oracle, simple)
 
 
 def test_all_is_the_frozen_sorted_list():
-    assert len(EXPORTED) == 51
+    assert len(EXPORTED) == 50
     assert pcbounds.__all__ == EXPORTED
 
 
