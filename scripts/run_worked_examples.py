@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Run the three bundled worked analyses end to end and print the results.
+"""Run the four bundled worked analyses end to end and print the results.
 
 Covers the same ground as the CLI quick start in the README, but through
 the library API, so it doubles as a smoke test after edits:
 
   1. exposure-only counts (30/100 exposed vs 12/100 unexposed),
   2. a mediator that tightens the upper bound (example 1 margins),
-  3. a mediator that does not (example 2 margins), where the claim gate
-     also rejects the complete-mediation reading,
+  3. a closed-form partial bound that does not help (example 2 margins),
+     where the claim gate also rejects the complete-mediation reading,
   4. a standalone complete-mediation analysis.
 """
 
@@ -64,12 +64,12 @@ def example_partial() -> None:
 
 def example_looser() -> None:
     m = read_margins_json(DATA_DIR / "example2_margins.json")
-    print("3. mediator data that does not help (example 2 margins)")
+    print("3. a closed-form partial bound that does not help (example 2 margins)")
     cmp = compare(m)
     show_interval("exposure-only bounds", cmp.simple_interval)
     show_interval("partial-mediation bounds", cmp.partial_interval)
     show_interval("intersection", cmp.combined_interval)
-    print("  the mediator terms come out looser here, so the intersection")
+    print("  the closed-form mediator terms come out looser here, so the intersection")
     print("  keeps the exposure-only upper bound")
     try:
         compare(m, complete_claim=True)

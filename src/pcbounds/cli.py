@@ -17,8 +17,8 @@ and the assumption tags. The margins reader, the parser and the reports
 all read it, and ``complete`` and ``partial`` share one handler that
 differs only in the estimator, derivation and bound it calls.
 
-Exit codes: 0 success, 1 invalid input, 2 inestimable (undefined PC or
-missing strata), 3 verification failure.
+Exit codes: 0 success, 1 invalid input or a closed stdout, 2 inestimable
+(undefined PC or missing strata), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 from .core import (
     REPORT_TOL,
@@ -43,7 +43,6 @@ from .core import (
     _require_tol,
 )
 from .estimate import (
-    _read_json,
     estimate_complete,
     estimate_partial,
     margins_from_count_table,
@@ -61,7 +60,7 @@ from .mediation import (
     derive_simple_from_partial,
     partial_bounds,
 )
-from .oracle import PotentialOutcomeLaw, simulate_trial, soundness_report
+from .oracle import read_law_json, simulate_trial, soundness_report
 from .simple import SimpleMargins, risk_ratio, simple_bounds
 
 __all__ = ["BoundsReport", "run", "main"]
@@ -173,28 +172,6 @@ def _read_margins(path: str, regime: _Regime, command: str, **extra):
         )
     echo = {"kind": regime.kind, "source": path, "values": asdict(m)}
     return m, {**echo, **extra}
-
-
-def _read_law_json(path: str | Path) -> PotentialOutcomeLaw:
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict) or set(data) != {"m_block", "y_block"}:
-        raise InvalidInputError(
-            f"{path}: law file must be an object with exactly the fields "
-            f"'m_block' (4 cells) and 'y_block' (16 cells)"
-        )
-    for name, size in (("m_block", 4), ("y_block", 16)):
-        block = data[name]
-        if not isinstance(block, list) or len(block) != size or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in block
-        ):
-            raise InvalidInputError(
-                f"{path}: field {name!r} must be a list of {size} numbers"
-            )
-    try:
-        return PotentialOutcomeLaw(m_block=data["m_block"], y_block=data["y_block"])
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def _counts_check(derived: SimpleMargins, counts_path: str, tol: float) -> str:
@@ -343,6 +320,7 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
     else:
         diagnostics.append("all sampled laws fall inside both intervals")
     code = 3 if (not rep.passed and not rep.confounded) else 0
+    names = [f.name for f in fields(rep)]
     return BoundsReport(
         method="verify",
         interval=rep.interval,
@@ -350,22 +328,15 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
         diagnostics=diagnostics,
         assumptions=list(_REGIMES["partial"].tags),
         inputs_echo=echo,
-        oracle={
-            "samples": rep.n_laws,
-            "violations": rep.violations,
-            "simple_violations": rep.simple_violations,
-            "worst_violation": rep.worst_violation,
-            "min_true_pc": rep.min_true_pc,
-            "max_true_pc": rep.max_true_pc,
-            "lower_gap": rep.lower_gap,
-            "upper_gap": rep.upper_gap,
-            "confounded": rep.confounded,
-        },
+        # The report's fields after ``seed``, so a new field shows up here too.
+        oracle={"samples": rep.n_laws, **{
+            name: getattr(rep, name) for name in names[names.index("seed") + 1 :]
+        }},
     ), code
 
 
 def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
-    law = _read_law_json(args.law)
+    law = read_law_json(args.law)
     dataset = simulate_trial(law, n_per_arm=args.n, seed=args.seed)
     written = write_records_csv(dataset, args.out)
     diagnostics = [f"wrote {written} records to {args.out}"]
@@ -490,7 +461,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed stdout (``| head``): the exit-time flush goes to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ __all__ = [
     "Probability",
     "BoundInterval",
     "CountTable",
-    "prob_from_counts",
 ]
 
 
@@ -85,8 +84,7 @@ class Probability(float):
     a fast path that only converts it; NaN and out-of-range values go on
     to the clamp-or-raise checks, and an integer too large for a float
     raises :class:`InvalidInputError` too. Instances behave as plain floats in
-    arithmetic, and ``min``/``max`` work on them directly. Helpers that
-    are guaranteed to land back in [0, 1] return ``Probability`` again.
+    arithmetic, and ``min``/``max`` work on them directly.
     """
 
     __slots__ = ()
@@ -107,10 +105,6 @@ class Probability(float):
         if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"probability {value!r} outside [0, 1]")
         return super().__new__(cls, v)
-
-    def complement(self) -> "Probability":
-        """Return 1 - p as a validated probability."""
-        return Probability(1.0 - float(self))
 
 
 def _unit(v: float) -> Probability:
@@ -211,14 +205,3 @@ class CountTable:
                 f"unexposed_event {self.unexposed_event} exceeds unexposed_total "
                 f"{self.unexposed_total}"
             )
-
-
-def prob_from_counts(events: int, total: int) -> Probability:
-    """Empirical frequency events/total as a validated probability."""
-    _require_int("events", events, 0, "a nonnegative integer")
-    _require_int("total", total, 0, "a nonnegative integer")
-    if total == 0:
-        raise InvalidInputError("total must be positive")
-    if events > total:
-        raise InvalidInputError(f"events {events} exceed total {total}")
-    return Probability(events / total)

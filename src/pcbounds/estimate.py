@@ -48,7 +48,6 @@ from .core import (
     RecordParseError,
     _frozen,
     _require_tol,
-    prob_from_counts,
 )
 from .mediation import CompleteMediationMargins, PartialMediationMargins
 from .simple import SimpleMargins
@@ -175,29 +174,27 @@ class Dataset:
         return n10 + n11, n00 + n01 + n10 + n11
 
 
-def _require_arm(d: Dataset, x: int) -> int:
-    _, n = d.arm_counts(x)
+def _require_arm(d: Dataset, x: int) -> tuple[int, int]:
+    """(events, total) within arm x, which must hold records."""
+    events, n = d.arm_counts(x)
     if n == 0:
         raise InsufficientDataError(
             f"arm X={x} has no records; P(Y=1 | X<-{x}) is inestimable"
         )
-    return n
+    return events, n
 
 
 def estimate_simple(d: Dataset) -> SimpleMargins:
     """Arm response frequencies (p1, p0)."""
-    for x in (0, 1):
-        _require_arm(d, x)
-    e1, n1 = d.arm_counts(1)
-    e0, n0 = d.arm_counts(0)
-    return SimpleMargins(p1=prob_from_counts(e1, n1), p0=prob_from_counts(e0, n0))
+    (e0, n0), (e1, n1) = _require_arm(d, 0), _require_arm(d, 1)
+    return SimpleMargins(p1=e1 / n1, p0=e0 / n0)
 
 
 def estimate_partial(d: Dataset) -> PartialMediationMargins:
     """Stratum frequencies for the six partial-mediation margins."""
     if not d.has_mediator:
         raise InvalidInputError("records carry no mediator column")
-    rates = {}
+    rates = []  # in field order: y00, y01, y10, y11
     for x in (0, 1):
         for m in (0, 1):
             events, n = d.stratum_counts(x, m)
@@ -206,17 +203,10 @@ def estimate_partial(d: Dataset) -> PartialMediationMargins:
                     f"stratum (x={x}, m={m}) has no records; "
                     f"P(Y=1 | X<-{x}, M<-{m}) is inestimable"
                 )
-            rates[(x, m)] = prob_from_counts(events, n)
+            rates.append(events / n)
     # Each arm holds records: the loop above raised for every empty stratum.
-    med = {x: prob_from_counts(*d.mediator_counts(x)) for x in (0, 1)}
-    return PartialMediationMargins(
-        y00=rates[(0, 0)],
-        y01=rates[(0, 1)],
-        y10=rates[(1, 0)],
-        y11=rates[(1, 1)],
-        m0=med[0],
-        m1=med[1],
-    )
+    m0, m1 = (ones / n for ones, n in map(d.mediator_counts, (0, 1)))
+    return PartialMediationMargins(*rates, m0=m0, m1=m1)
 
 
 def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationMargins:
@@ -237,8 +227,8 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
         _require_arm(d, x)
     m1_in_0, n0 = d.mediator_counts(0)
     m1_in_1, n1 = d.mediator_counts(1)
-    a = prob_from_counts(n0 - m1_in_0, n0)
-    b = prob_from_counts(m1_in_1, n1)
+    a = (n0 - m1_in_0) / n0
+    b = m1_in_1 / n1
 
     pooled = {}
     for m in (0, 1):
@@ -249,7 +239,7 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
                 f"mediator stratum M={m} has no records; "
                 f"P(Y=1 | M<-{m}) is inestimable"
             )
-        pooled[m] = prob_from_counts(e1 + e0, c1 + c0)
+        pooled[m] = (e1 + e0) / (c1 + c0)
         if c1 > 0 and c0 > 0:
             p1m = e1 / c1
             p0m = e0 / c0
@@ -262,15 +252,14 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
                     DirectEffectWarning,
                     stacklevel=2,
                 )
-    c = pooled[0].complement()
-    return CompleteMediationMargins(a=a, b=b, c=c, d=pooled[1])
+    return CompleteMediationMargins(a=a, b=b, c=1.0 - pooled[0], d=pooled[1])
 
 
 def margins_from_count_table(t: CountTable) -> SimpleMargins:
     """Arm rates from a 2x2 count table."""
     return SimpleMargins(
-        p1=prob_from_counts(t.exposed_event, t.exposed_total),
-        p0=prob_from_counts(t.unexposed_event, t.unexposed_total),
+        p1=t.exposed_event / t.exposed_total,
+        p0=t.unexposed_event / t.unexposed_total,
     )
 
 
@@ -442,14 +431,8 @@ def read_count_json(path: str | Path) -> CountTable:
     missing = sorted(set(names) - set(data))
     if missing:
         raise InvalidInputError(f"{path}: missing fields {missing}")
-    values = {}
-    for name in names:
-        v = data[name]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvalidInputError(f"{path}: field {name!r} must be an integer")
-        values[name] = v
     try:
-        return CountTable(**values)
+        return CountTable(**data)
     except InvalidInputError as e:
         raise InvalidInputError(f"{path}: {e}") from None
 

@@ -12,9 +12,9 @@ with Y*(m) the shared response surface)
 
     a = P(M(0)=0),  b = P(M(1)=1),  c = P(Y*(0)=0),  d = P(Y*(1)=1).
 
-Both settings keep the excess-fraction lower bound of the two derived
-arm rates; what the mediator buys is a smaller feasible maximum for the
-joint event {Y(0)=0, Y(1)=1}, hence a tighter upper bound. The upper
+Both closed forms keep the excess-fraction lower bound of the derived
+arm rates; what the mediator buys them is a smaller feasible maximum for
+the joint event {Y(0)=0, Y(1)=1}, hence a tighter upper bound. The upper
 numerators are sums of Frechet caps: one product per mediator
 trajectory (m0, m1), each capping how much of that trajectory's mass
 can land on response pairs with Y*(0, m0)=0 and Y*(1, m1)=1.
@@ -155,7 +155,7 @@ def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     """PC bounds under complete mediation.
 
     The lower endpoint is the simple lower bound of the derived arm
-    rates (a mediator never improves the lower bound); the upper
+    rates (this closed form never improves the lower bound); the upper
     endpoint divides :func:`complete_numerator` by the derived p1.
     """
     return _complete_interval(m.a, m.b, m.c, m.d)

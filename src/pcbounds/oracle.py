@@ -43,7 +43,9 @@ cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
 
 from __future__ import annotations
 
+import reprlib
 from array import array
+from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .core import (
     _frozen,
     _require_int,
 )
-from .estimate import Dataset, _pack
+from .estimate import Dataset, _pack, _read_json
 from .mediation import (
     CompleteMediationMargins,
     PartialMediationMargins,
@@ -68,6 +70,7 @@ from .simple import SimpleMargins, simple_bounds
 
 __all__ = [
     "PotentialOutcomeLaw",
+    "read_law_json",
     "SoundnessReport",
     "frechet",
     "coupling_sweep_simple",
@@ -143,7 +146,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
         ) from None
     except (TypeError, ValueError):
         raise InvalidInputError(
-            f"{name} must be a sequence of {size} numbers, got {values!r}"
+            f"{name} must be a sequence of {size} numbers, got {reprlib.repr(values)}"
         ) from None
     if len(cells) != size:
         raise InvalidInputError(
@@ -196,6 +199,29 @@ class PotentialOutcomeLaw:
             for masks, p in ((_M_MASKS, np.array([m.m0, m.m1])),
                              (_Y_MASKS, np.array([m.y00, m.y01, m.y10, m.y11])))
         ))
+
+
+def read_law_json(path: str | Path) -> PotentialOutcomeLaw:
+    """Parse a law JSON file, ``{"m_block": [4 cells], "y_block": [16 cells]}``.
+
+    The file must hold an object with exactly those two fields, and no
+    cell may be a JSON ``true`` or ``false``; :class:`PotentialOutcomeLaw`
+    checks everything else. Every error names the file.
+    """
+    path = Path(path)
+    data = _read_json(path)
+    if not isinstance(data, dict) or set(data) != {"m_block", "y_block"}:
+        raise InvalidInputError(
+            f"{path}: law file must be an object with exactly the fields "
+            f"'m_block' (4 cells) and 'y_block' (16 cells)"
+        )
+    for name, block in sorted(data.items()):
+        if isinstance(block, list) and any(isinstance(v, bool) for v in block):
+            raise InvalidInputError(f"{path}: {name} holds a boolean, not a number")
+    try:
+        return PotentialOutcomeLaw(**data)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def _batch_true_pc(
@@ -284,10 +310,8 @@ def sample_laws(
     _require_int("n", n, 1, "a positive integer")
     _require_int("seed", seed, 0, "a nonnegative integer")
     m_cells, y_cells = _sample_blocks(n, m, seed)
-    return [
-        PotentialOutcomeLaw(m_block=tuple(m_cells[k]), y_block=tuple(y_cells[k]))
-        for k in range(n)
-    ]
+    return [PotentialOutcomeLaw(m_block=mb, y_block=yb)
+            for mb, yb in zip(m_cells.tolist(), y_cells.tolist())]
 
 
 def simulate_trial(

@@ -72,6 +72,8 @@ def input_files() -> dict[str, str]:
                                    "unexposed_event": 1, "unexposed_total": 10}),
         "counts_float.json": _dump({"exposed_event": 3.0, "exposed_total": 10,
                                     "unexposed_event": 1, "unexposed_total": 10}),
+        "counts_bool.json": _dump({"exposed_event": True, "exposed_total": 10,
+                                   "unexposed_event": 1, "unexposed_total": 10}),
         "bad.json": '{"p1": 0.3,\n  "p0": }\n',
         "list.json": "[0.3, 0.12]\n",
         "keys.json": _dump({"p1": 0.3}),
@@ -84,6 +86,11 @@ def input_files() -> dict[str, str]:
                                  "y_block": [1.0] + [0.0] * 15}),
         "law_sum.json": _dump({"m_block": [0.5, 0.0, 0.0, 0.0],
                                "y_block": [1.0] + [0.0] * 15}),
+        "law_bool.json": _dump({"m_block": [True, 0.0, 0.0, 0.0],
+                                "y_block": [1.0] + [0.0] * 15}),
+        "law_string.json": _dump({"m_block": "1000",
+                                  "y_block": [1.0] + [0.0] * 15}),
+        "law_list.json": _dump([[1.0, 0.0, 0.0, 0.0], [1.0] + [0.0] * 15]),
         "rec.csv": _records_csv(),
         "rec_xy.csv": "x,y\n0,0\n0,1\n1,1\n1,0\n",
         "rec_nostratum.csv": "x,m,y\n0,0,0\n0,0,1\n1,0,1\n1,0,0\n",
@@ -208,8 +215,17 @@ def matrix() -> list[tuple[list[str], bool]]:
         ["simple", "--counts", "counts.json", "--margins", "simple.json"],
         ["partial", "--margins", "ex1.json", "--tol", "abc"],
     ]
+    # A test id carries its entry's index, so a new case goes here, after
+    # every earlier entry, and leaves the ids before it as they were.
+    appended = [
+        ["simple", "--counts", "counts_bool.json"],
+        ["simulate", "--law", "law_bool.json", "--n", "10", "--out", "x.csv"],
+        ["simulate", "--law", "law_string.json", "--n", "10", "--out", "x.csv"],
+        ["simulate", "--law", "law_list.json", "--n", "10", "--out", "x.csv"],
+    ]
     plain = _with_json(simple + complete + partial + compare + verify + simulate)
-    return [(a, False) for a in plain] + [(a, True) for a in argparse_formatted]
+    return ([(a, False) for a in plain] + [(a, True) for a in argparse_formatted]
+            + [(a, False) for a in _with_json(appended)])
 
 
 def invoke(argv: list[str]) -> tuple[str, str, int]:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,6 +370,36 @@ class TestHarness:
         assert cli._sig12(1 / 3) == 0.333333333333
         assert cli._sig12(0.0) == 0.0
         assert cli._sig12(2.0) == 2.0
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``pcbounds ... | head -1``) gets exit 1 and
+    no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partial", "--margins", "example1_margins.json"],
+            ["compare", "--margins", "example1_margins.json", "--json"],
+            ["simple", "--counts", "reference_counts.json"],
+        ],
+        ids=["partial", "compare-json", "simple"],
+    )
+    def test_exits_1_without_a_traceback(self, argv):
+        root = Path(__file__).resolve().parent.parent
+        src = Path(cli.__file__).resolve().parents[1]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pcbounds.cli", *argv], cwd=root / "data",
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == 1
 
 
 class TestMalformedJsonExits:

@@ -12,7 +12,6 @@ from pcbounds import (
     InconsistentBoundsError,
     InvalidInputError,
     Probability,
-    prob_from_counts,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -42,15 +41,6 @@ class TestProbability:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             Probability(math.nan)
-
-    def test_complement(self):
-        assert float(Probability(0.3).complement()) == 0.7
-        assert isinstance(Probability(0.3).complement(), Probability)
-
-    @given(probs)
-    def test_complement_involution(self, x):
-        p = Probability(x)
-        assert abs(float(p.complement().complement()) - x) <= 1e-15
 
 
 def _reference_probability(value):
@@ -186,27 +176,6 @@ class TestCountTable:
         with pytest.raises(InvalidInputError) as exc:
             CountTable(30, 100, -1, 100)
         assert str(exc.value) == "unexposed_event must be a nonnegative integer, got -1"
-
-
-def test_prob_from_counts():
-    assert float(prob_from_counts(30, 100)) == 0.3
-    assert float(prob_from_counts(0, 10)) == 0.0
-    assert float(prob_from_counts(10, 10)) == 1.0
-    assert float(prob_from_counts(np.int64(3), 10)) == 0.3
-    assert float(prob_from_counts(np.int32(3), np.uint16(10))) == 0.3
-
-
-def test_prob_from_counts_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        prob_from_counts(11, 10)
-    with pytest.raises(InvalidInputError):
-        prob_from_counts(-1, 10)
-    with pytest.raises(InvalidInputError):
-        prob_from_counts(1, 0)
-    with pytest.raises(InvalidInputError):
-        prob_from_counts(np.int64(11), 10)
-    with pytest.raises(InvalidInputError, match="events must be a nonnegative integer"):
-        prob_from_counts(np.float64(3), 10)
 
 
 def test_probability_rejects_integer_beyond_float_range():

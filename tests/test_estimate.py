@@ -203,6 +203,8 @@ def test_margins_from_count_table(reference_counts):
     m = margins_from_count_table(reference_counts)
     assert float(m.p1) == 0.3
     assert float(m.p0) == 0.12
+    numpy_counts = CountTable(np.int64(30), np.int32(100), np.uint8(12), np.uint16(100))
+    assert margins_from_count_table(numpy_counts) == m
 
 
 class TestRecordsCsv:
@@ -363,8 +365,11 @@ class TestCountJson:
             "exposed_event": 30.5, "exposed_total": 100,
             "unexposed_event": 12, "unexposed_total": 100,
         }))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             read_count_json(path)
+        assert str(exc.value) == (
+            f"{path}: exposed_event must be a nonnegative integer, got 30.5"
+        )
 
     def test_bool_rejected(self, tmp_path):
         path = tmp_path / "counts.json"

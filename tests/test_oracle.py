@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from pcbounds import (
     complete_numerator,
     coupling_sweep_simple,
     frechet,
+    read_law_json,
     sample_laws,
     simple_bounds,
     simulate_trial,
@@ -326,6 +329,12 @@ class TestPotentialOutcomeLaw:
         ):
             PotentialOutcomeLaw(**{**blocks, name: block})
 
+    def test_message_abbreviates_a_long_block(self):
+        with pytest.raises(InvalidInputError) as exc:
+            PotentialOutcomeLaw(m_block="1" * 100_000, y_block=(1.0,) + (0.0,) * 15)
+        assert str(exc.value) == ("m_block must be a sequence of 4 numbers, "
+                                  "got '111111111111...1111111111111'")
+
     @given(drawn_laws)
     @settings(max_examples=300)
     def test_margins_match_loop_reference_exactly(self, law):
@@ -342,6 +351,41 @@ class TestPotentialOutcomeLaw:
         assert margin_values_of(law.margins()) == margin_values_of(
             reference_margins(law)
         )
+
+
+class TestReadLawJson:
+    Y = [1.0] + [0.0] * 15
+
+    def test_reads_the_bundled_law(self):
+        path = Path(__file__).resolve().parent.parent / "data" / "example1_law.json"
+        data = json.loads(path.read_text())
+        assert read_law_json(str(path)) == PotentialOutcomeLaw(**data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param([[1, 0, 0, 0], Y], "law file must be an object with "
+                         "exactly the fields 'm_block' (4 cells) and 'y_block' "
+                         "(16 cells)", id="top-level-list"),
+            pytest.param({"m_block": [True, 0, 0, 0], "y_block": Y},
+                         "m_block holds a boolean, not a number", id="true-cell"),
+            pytest.param({"m_block": [1, 0, 0, 0], "y_block": [False] * 16},
+                         "y_block holds a boolean, not a number", id="false-cell"),
+            pytest.param({"m_block": [1, 0, 0], "y_block": Y},
+                         "m_block must have 4 cells, got 3", id="short-block"),
+            pytest.param({"m_block": "1000", "y_block": Y},
+                         "m_block must be a sequence of 4 numbers, got '1000'",
+                         id="string-block"),
+            pytest.param({"m_block": [1, 0, 0, 0], "y_block": [0.5] * 16},
+                         "y_block sums to 8.0, not 1", id="sum"),
+        ],
+    )
+    def test_each_error_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError) as exc:
+            read_law_json(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 class TestTruePc:
@@ -391,6 +435,12 @@ class TestSampleLaws:
                 assert float(getattr(got, name)) == pytest.approx(
                     float(getattr(example1_margins, name)), abs=1e-9
                 )
+
+    def test_laws_are_the_sampled_rows(self, example1_margins):
+        m_cells, y_cells = oracle_mod._sample_blocks(20, example1_margins, 5)
+        assert sample_laws(example1_margins, 20, seed=5) == [
+            PotentialOutcomeLaw(tuple(m_cells[k]), tuple(y_cells[k])) for k in range(20)
+        ]
 
     def test_deterministic(self, example2_margins):
         a = sample_laws(example2_margins, 5, seed=3)

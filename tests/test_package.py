@@ -45,8 +45,8 @@ EXPORTED = [
     "partial_bounds",
     "partial_upper_numerator",
     "partial_upper_terms",
-    "prob_from_counts",
     "read_count_json",
+    "read_law_json",
     "read_margins_json",
     "read_records_csv",
     "risk_ratio",
