@@ -20,11 +20,14 @@ File formats owned by this module:
 
 * record CSV: header ``x,m,y`` or ``x,y``, every value 0 or 1
   (the accepted variants are listed in :func:`read_records_csv`),
-* count JSON: object with integer fields ``exposed_event``,
-  ``exposed_total``, ``unexposed_event``, ``unexposed_total``,
-* margins JSON: an object whose key set picks the type, either
-  ``{p1, p0}``, ``{a, b, c, d}``, or ``{y00, y01, y10, y11, m0, m1}``,
-  all probabilities of the value 1; unknown fields are rejected.
+* count JSON: integer fields ``exposed_event``, ``exposed_total``,
+  ``unexposed_event``, ``unexposed_total``,
+* margins JSON: either ``{p1, p0}``, ``{a, b, c, d}`` or
+  ``{y00, y01, y10, y11, m0, m1}``, all probabilities of the value 1.
+
+Each JSON file, the law file of :func:`~pcbounds.oracle.read_law_json`
+too, is one object whose keys are the field names of the type it builds;
+a JSON boolean is never a number, and every error names the file.
 """
 
 from __future__ import annotations
@@ -192,8 +195,6 @@ def estimate_simple(d: Dataset) -> SimpleMargins:
 
 def estimate_partial(d: Dataset) -> PartialMediationMargins:
     """Stratum frequencies for the six partial-mediation margins."""
-    if not d.has_mediator:
-        raise InvalidInputError("records carry no mediator column")
     rates = []  # in field order: y00, y01, y10, y11
     for x in (0, 1):
         for m in (0, 1):
@@ -413,28 +414,38 @@ def _read_json(path: Path):
             raise RecordParseError(f"{path}: invalid JSON: {e}") from None
 
 
-def _load_json_object(path: Path) -> dict:
+def _read_object(path: Path, *types) -> tuple[type, dict]:
+    """The first of ``types`` whose field names are the file's keys, and the object;
+    a JSON boolean as a value or list cell is an InvalidInputError, any other
+    shape a RecordParseError that lists each type's keys. Both name the file."""
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise RecordParseError(f"{path}: expected a JSON object")
-    return data
+    names = [[f.name for f in fields(cls)] for cls in types]
+    for cls, keys in zip(types, names):
+        if isinstance(data, dict) and data.keys() == set(keys):
+            for key in keys:
+                cells = data[key] if isinstance(data[key], list) else [data[key]]
+                if any(isinstance(c, bool) for c in cells):
+                    raise InvalidInputError(f"{path}: {key} holds a boolean, "
+                                            "not a number")
+            return cls, data
+    expected = " | ".join("{" + ", ".join(keys) + "}" for keys in names)
+    got = f", got {sorted(data)}" if isinstance(data, dict) else ""
+    raise RecordParseError(f"{path}: expected a JSON object with exactly the keys "
+                           f"{expected}{got}")
+
+
+def _build(path: Path, cls, data: dict):
+    """``cls(**data)``, with the file named in any InvalidInputError."""
+    try:
+        return cls(**data)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def read_count_json(path: str | Path) -> CountTable:
     """Parse a count JSON file into a :class:`CountTable`."""
     path = Path(path)
-    data = _load_json_object(path)
-    names = [f.name for f in fields(CountTable)]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise InvalidInputError(f"{path}: unknown fields {unknown}")
-    missing = sorted(set(names) - set(data))
-    if missing:
-        raise InvalidInputError(f"{path}: missing fields {missing}")
-    try:
-        return CountTable(**data)
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}") from None
+    return _build(path, *_read_object(path, CountTable))
 
 
 def read_margins_json(
@@ -442,30 +453,15 @@ def read_margins_json(
 ) -> SimpleMargins | CompleteMediationMargins | PartialMediationMargins:
     """Parse a margins JSON file; the key set selects the margins type."""
     path = Path(path)
-    data = _load_json_object(path)
-    schemas = {
-        cls: frozenset(f.name for f in fields(cls))
-        for cls in (SimpleMargins, CompleteMediationMargins, PartialMediationMargins)
-    }
-    keys = frozenset(data)
-    for cls, schema in schemas.items():
-        if keys == schema:
-            values = {}
-            for name in sorted(schema):
-                v = data[name]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise InvalidInputError(
-                        f"{path}: field {name!r} must be a number, got {v!r}"
-                    )
-                try:
-                    values[name] = Probability(v)
-                except InvalidInputError as e:
-                    raise InvalidInputError(f"{path}: field {name!r}: {e}") from None
-            return cls(**values)
-    known = " | ".join(
-        "{" + ", ".join(sorted(schema)) + "}" for schema in schemas.values()
-    )
-    raise InvalidInputError(
-        f"{path}: key set {sorted(keys)} matches no margins schema; expected "
-        f"exactly one of {known}"
-    )
+    kinds = SimpleMargins, CompleteMediationMargins, PartialMediationMargins
+    cls, data = _read_object(path, *kinds)
+    values = {}
+    for name, v in sorted(data.items()):
+        if not isinstance(v, (int, float)):
+            raise InvalidInputError(f"{path}: field {name!r} must be a number, "
+                                    f"got {v!r}")
+        try:
+            values[name] = Probability(v)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}: field {name!r}: {e}") from None
+    return cls(**values)

@@ -59,14 +59,9 @@ from .core import (
     _frozen,
     _require_int,
 )
-from .estimate import Dataset, _pack, _read_json
-from .mediation import (
-    CompleteMediationMargins,
-    PartialMediationMargins,
-    derive_simple_from_partial,
-    partial_bounds,
-)
-from .simple import SimpleMargins, simple_bounds
+from .estimate import Dataset, _build, _pack, _read_object
+from .mediation import CompleteMediationMargins, PartialMediationMargins, compare
+from .simple import SimpleMargins
 
 __all__ = [
     "PotentialOutcomeLaw",
@@ -204,24 +199,12 @@ class PotentialOutcomeLaw:
 def read_law_json(path: str | Path) -> PotentialOutcomeLaw:
     """Parse a law JSON file, ``{"m_block": [4 cells], "y_block": [16 cells]}``.
 
-    The file must hold an object with exactly those two fields, and no
-    cell may be a JSON ``true`` or ``false``; :class:`PotentialOutcomeLaw`
+    As for every JSON input, the keys must be exactly those two fields and
+    no cell may be a JSON ``true`` or ``false``; :class:`PotentialOutcomeLaw`
     checks everything else. Every error names the file.
     """
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict) or set(data) != {"m_block", "y_block"}:
-        raise InvalidInputError(
-            f"{path}: law file must be an object with exactly the fields "
-            f"'m_block' (4 cells) and 'y_block' (16 cells)"
-        )
-    for name, block in sorted(data.items()):
-        if isinstance(block, list) and any(isinstance(v, bool) for v in block):
-            raise InvalidInputError(f"{path}: {name} holds a boolean, not a number")
-    try:
-        return PotentialOutcomeLaw(**data)
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}") from None
+    return _build(path, *_read_object(path, PotentialOutcomeLaw))
 
 
 def _batch_true_pc(
@@ -384,8 +367,8 @@ def soundness_report(
     """
     _require_int("n_laws", n_laws, 1, "a positive integer")
     _require_int("seed", seed, 0, "a nonnegative integer")
-    iv = partial_bounds(m)
-    simple_iv = simple_bounds(derive_simple_from_partial(m))
+    rep = compare(m)
+    iv, simple_iv = rep.partial_interval, rep.simple_interval
     m0 = None
     if confounded:
         m0 = _stream(seed, 1).random(n_laws)

@@ -91,6 +91,12 @@ def input_files() -> dict[str, str]:
         "law_string.json": _dump({"m_block": "1000",
                                   "y_block": [1.0] + [0.0] * 15}),
         "law_list.json": _dump([[1.0, 0.0, 0.0, 0.0], [1.0] + [0.0] * 15]),
+        "counts_missing.json": _dump({"exposed_event": 3, "exposed_total": 10,
+                                      "unexposed_event": 1}),
+        "law_extra.json": _dump({"m_block": [1.0, 0.0, 0.0, 0.0],
+                                 "y_block": [1.0] + [0.0] * 15, "extra": 1}),
+        "null.json": _dump({"p1": None, "p0": 0.12}),
+        "law_true.json": _dump({"m_block": True, "y_block": [1.0] + [0.0] * 15}),
         "rec.csv": _records_csv(),
         "rec_xy.csv": "x,y\n0,0\n0,1\n1,1\n1,0\n",
         "rec_nostratum.csv": "x,m,y\n0,0,0\n0,0,1\n1,0,1\n1,0,0\n",
@@ -222,6 +228,10 @@ def matrix() -> list[tuple[list[str], bool]]:
         ["simulate", "--law", "law_bool.json", "--n", "10", "--out", "x.csv"],
         ["simulate", "--law", "law_string.json", "--n", "10", "--out", "x.csv"],
         ["simulate", "--law", "law_list.json", "--n", "10", "--out", "x.csv"],
+        ["simple", "--counts", "counts_missing.json"],
+        ["simulate", "--law", "law_extra.json", "--n", "10", "--out", "x.csv"],
+        ["simple", "--margins", "null.json"],
+        ["simulate", "--law", "law_true.json", "--n", "10", "--out", "x.csv"],
     ]
     plain = _with_json(simple + complete + partial + compare + verify + simulate)
     return ([(a, False) for a in plain] + [(a, True) for a in argparse_formatted]

@@ -24,6 +24,7 @@ from pcbounds import (
     estimate_simple,
     margins_from_count_table,
     read_count_json,
+    read_law_json,
     read_margins_json,
     read_records_csv,
     simulate_trial,
@@ -347,8 +348,13 @@ class TestCountJson:
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"exposed_event": 30, "exposed_total": 100,
                                     "unexposed_event": 12}))
-        with pytest.raises(InvalidInputError, match="missing"):
+        with pytest.raises(RecordParseError) as exc:
             read_count_json(path)
+        assert str(exc.value) == (
+            f"{path}: expected a JSON object with exactly the keys {{exposed_event, "
+            "exposed_total, unexposed_event, unexposed_total}, got ['exposed_event', "
+            "'exposed_total', 'unexposed_event']"
+        )
 
     def test_unknown_field(self, tmp_path):
         path = tmp_path / "counts.json"
@@ -356,8 +362,13 @@ class TestCountJson:
             "exposed_event": 30, "exposed_total": 100,
             "unexposed_event": 12, "unexposed_total": 100, "extra": 1,
         }))
-        with pytest.raises(InvalidInputError, match="unknown"):
+        with pytest.raises(RecordParseError) as exc:
             read_count_json(path)
+        assert str(exc.value) == (
+            f"{path}: expected a JSON object with exactly the keys {{exposed_event, "
+            "exposed_total, unexposed_event, unexposed_total}, got ['exposed_event', "
+            "'exposed_total', 'extra', 'unexposed_event', 'unexposed_total']"
+        )
 
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "counts.json"
@@ -377,8 +388,9 @@ class TestCountJson:
             "exposed_event": True, "exposed_total": 100,
             "unexposed_event": 12, "unexposed_total": 100,
         }))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             read_count_json(path)
+        assert str(exc.value) == f"{path}: exposed_event holds a boolean, not a number"
 
     def test_bad_value_names_the_file(self, tmp_path):
         path = tmp_path / "counts.json"
@@ -427,10 +439,12 @@ class TestMarginsJson:
     def test_unknown_key_set_lists_schemas(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"p1": 0.3}))
-        with pytest.raises(InvalidInputError) as exc:
+        with pytest.raises(RecordParseError) as exc:
             read_margins_json(path)
-        message = str(exc.value)
-        assert "p0" in message and "y00" in message and "a" in message
+        assert str(exc.value) == (
+            f"{path}: expected a JSON object with exactly the keys {{p1, p0}} | "
+            "{a, b, c, d} | {y00, y01, y10, y11, m0, m1}, got ['p1']"
+        )
 
     def test_out_of_range_value(self, tmp_path):
         path = tmp_path / "m.json"
@@ -469,6 +483,58 @@ class TestMarginsJson:
         path.write_text(json.dumps([0.3, 0.12]))
         with pytest.raises(RecordParseError):
             read_margins_json(path)
+
+
+_COUNTS = {"exposed_event": 3, "exposed_total": 10,
+           "unexposed_event": 1, "unexposed_total": 10}
+_COUNT_KEYS = "{exposed_event, exposed_total, unexposed_event, unexposed_total}"
+_MARGIN_KEYS = "{p1, p0} | {a, b, c, d} | {y00, y01, y10, y11, m0, m1}"
+_Y_BLOCK = [1.0] + [0.0] * 15
+_SHAPE = "expected a JSON object with exactly the keys "
+
+
+@pytest.mark.parametrize(
+    "reader, data, error, message",
+    [
+        (read_count_json, list(_COUNTS.values()), RecordParseError,
+         _SHAPE + _COUNT_KEYS),
+        (read_count_json, {**_COUNTS, "extra": 1}, RecordParseError,
+         _SHAPE + _COUNT_KEYS + ", got ['exposed_event', 'exposed_total', 'extra', "
+         "'unexposed_event', 'unexposed_total']"),
+        (read_count_json, {"exposed_event": 3, "exposed_total": 10,
+                           "unexposed_event": 1}, RecordParseError,
+         _SHAPE + _COUNT_KEYS + ", got ['exposed_event', 'exposed_total', "
+         "'unexposed_event']"),
+        (read_count_json, {**_COUNTS, "unexposed_total": True}, InvalidInputError,
+         "unexposed_total holds a boolean, not a number"),
+        (read_margins_json, [0.3, 0.12], RecordParseError, _SHAPE + _MARGIN_KEYS),
+        (read_margins_json, {"p1": 0.3, "p0": 0.12, "extra": 1}, RecordParseError,
+         _SHAPE + _MARGIN_KEYS + ", got ['extra', 'p0', 'p1']"),
+        (read_margins_json, {"a": 0.7, "b": 0.6, "c": 0.4}, RecordParseError,
+         _SHAPE + _MARGIN_KEYS + ", got ['a', 'b', 'c']"),
+        (read_margins_json, {"p1": 0.3, "p0": False}, InvalidInputError,
+         "p0 holds a boolean, not a number"),
+        (read_law_json, [[1.0, 0.0, 0.0, 0.0], _Y_BLOCK], RecordParseError,
+         _SHAPE + "{m_block, y_block}"),
+        (read_law_json, {"m_block": [1.0, 0.0, 0.0, 0.0], "y_block": _Y_BLOCK,
+                         "extra": 1}, RecordParseError,
+         _SHAPE + "{m_block, y_block}, got ['extra', 'm_block', 'y_block']"),
+        (read_law_json, {"y_block": _Y_BLOCK}, RecordParseError,
+         _SHAPE + "{m_block, y_block}, got ['y_block']"),
+        (read_law_json, {"m_block": [1.0, 0.0, 0.0, 0.0], "y_block": [True] * 16},
+         InvalidInputError, "y_block holds a boolean, not a number"),
+    ],
+    ids=[f"{kind}-{case}" for kind in ("counts", "margins", "law")
+         for case in ("list", "extra-key", "missing-key", "boolean")],
+)
+def test_one_json_rule_for_every_reader(tmp_path, reader, data, error, message):
+    """Each JSON reader refuses the same shapes with the same words."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidInputError) as exc:
+        reader(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}: {message}"
 
 
 class TestToleranceValidation:

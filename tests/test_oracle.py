@@ -364,9 +364,8 @@ class TestReadLawJson:
     @pytest.mark.parametrize(
         "data, message",
         [
-            pytest.param([[1, 0, 0, 0], Y], "law file must be an object with "
-                         "exactly the fields 'm_block' (4 cells) and 'y_block' "
-                         "(16 cells)", id="top-level-list"),
+            pytest.param([[1, 0, 0, 0], Y], "expected a JSON object with exactly "
+                         "the keys {m_block, y_block}", id="top-level-list"),
             pytest.param({"m_block": [True, 0, 0, 0], "y_block": Y},
                          "m_block holds a boolean, not a number", id="true-cell"),
             pytest.param({"m_block": [1, 0, 0, 0], "y_block": [False] * 16},
