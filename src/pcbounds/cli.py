@@ -10,12 +10,12 @@ or a negative value is invalid input), the reporting tolerance of the
 consistency checks of ``complete``, ``partial`` and ``compare``; the
 other subcommands accept it and ignore it.
 
-``_REGIMES`` holds one record per evidence regime: its margins class,
-whose dataclass fields are the keys the help text lists and the input
-echo reports, the name a wrong-kind error gives it, the echo ``kind``
-and the assumption tags. The margins reader, the parser and the reports
-all read it, and ``complete`` and ``partial`` share one handler that
-differs only in the estimator, derivation and bound it calls.
+``_REGIMES`` holds one record per evidence regime: its name, its margins
+class, whose dataclass fields are the keys the help text, the input echo
+and a wrong-kind error list, its assumption tags, and the bound,
+derivation and estimator it runs. The margins reader, the parser and
+the reports all read it, and ``complete`` and ``partial`` share one
+handler that takes everything it calls from the record.
 
 Exit codes: 0 success, 1 invalid input or a closed stdout, 2 inestimable
 (undefined PC or missing strata), 3 verification failure.
@@ -24,12 +24,12 @@ Exit codes: 0 success, 1 invalid input or a closed stdout, 2 inestimable
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 from .core import (
@@ -70,34 +70,35 @@ __all__ = ["BoundsReport", "run", "main"]
 class _Regime:
     """What defines one evidence regime for the CLI."""
 
+    name: str
     margins: type
-    noun: str
-    kind: str
     tags: tuple[str, ...]
+    bounds: Callable
+    derive: Callable | None = None
+    estimate: Callable | None = None  # (dataset, tol) -> margins
 
     @property
     def keys(self) -> str:
         return "{" + ", ".join(f.name for f in fields(self.margins)) + "}"
 
+    @property
+    def noun(self) -> str:
+        mediation = "" if self.name == "simple" else "-mediation"
+        return f"{self.name}{mediation} margins {self.keys}"
+
 
 _BASE_TAGS = ("randomization", "exchangeability")
-_REGIMES = {
-    "simple": _Regime(
-        SimpleMargins, "simple margins {p0, p1}", "simple-margins", _BASE_TAGS
-    ),
-    "complete": _Regime(
-        CompleteMediationMargins,
-        "complete-mediation margins {a, b, c, d}",
-        "complete-margins",
-        ("A1", "A2", "A3", "complete-mediation", *_BASE_TAGS),
-    ),
-    "partial": _Regime(
-        PartialMediationMargins,
-        "partial-mediation margins {y00, y01, y10, y11, m0, m1}",
-        "partial-margins",
-        ("A1", "A2", "A3", *_BASE_TAGS),
-    ),
-}
+# Each lambda looks its function up when called, so a wrapper bound over it runs.
+_REGIMES = {r.name: r for r in (
+    _Regime("simple", SimpleMargins, _BASE_TAGS, lambda m: simple_bounds(m)),
+    _Regime("complete", CompleteMediationMargins,
+            ("A1", "A2", "A3", "complete-mediation", *_BASE_TAGS),
+            lambda m: complete_bounds(m), lambda m: derive_simple_from_complete(m),
+            lambda dataset, tol: estimate_complete(dataset, tol)),
+    _Regime("partial", PartialMediationMargins, ("A1", "A2", "A3", *_BASE_TAGS),
+            lambda m: partial_bounds(m), lambda m: derive_simple_from_partial(m),
+            lambda dataset, tol: estimate_partial(dataset)),
+)}
 _MEDIATOR_NOTE = (
     "mediator response rates are read from exposure-randomized strata; the "
     "mediator itself is not randomized (response-surface identification assumed)"
@@ -170,7 +171,7 @@ def _read_margins(path: str, regime: _Regime, command: str, **extra):
         raise InvalidInputError(
             f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
-    echo = {"kind": regime.kind, "source": path, "values": asdict(m)}
+    echo = {"kind": f"{regime.name}-margins", "source": path, "values": asdict(m)}
     return m, {**echo, **extra}
 
 
@@ -206,7 +207,7 @@ def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
     rr_text = "undefined (no events in either arm)" if math.isnan(rr) else f"{rr:.6g}"
     return BoundsReport(
         method="simple",
-        interval=simple_bounds(margins),
+        interval=_REGIMES["simple"].bounds(margins),
         derived=derived,
         diagnostics=[f"risk ratio p1/p0 = {rr_text}"],
         assumptions=list(_REGIMES["simple"].tags),
@@ -217,18 +218,12 @@ def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
 def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
     """``complete`` and ``partial``: margins or records in, one interval out."""
     regime = _REGIMES[args.command]
-    if args.command == "complete":
-        derive, bounds = derive_simple_from_complete, complete_bounds
-        estimate = functools.partial(estimate_complete, tol=tol)
-    else:
-        derive, bounds = derive_simple_from_partial, partial_bounds
-        estimate = estimate_partial
     notes: list[str] = []
     if args.records:
         dataset = read_records_csv(args.records)
         with warnings.catch_warnings(record=True) as ws:
             warnings.simplefilter("always")
-            margins = estimate(dataset)
+            margins = regime.estimate(dataset, tol)
         notes = [f"estimation warning: {w.message}" for w in ws] + [_MEDIATOR_NOTE]
         echo = {
             "kind": "records",
@@ -238,13 +233,13 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
         }
     else:
         margins, echo = _read_margins(args.margins, regime, args.command)
-    derived = derive(margins)
+    derived = regime.derive(margins)
     diagnostics = [_rates_text(derived), *notes]
     if args.counts:
         diagnostics.append(_counts_check(derived, args.counts, tol))
     return BoundsReport(
-        method=args.command,
-        interval=bounds(margins),
+        method=regime.name,
+        interval=regime.bounds(margins),
         derived=derived,
         diagnostics=diagnostics,
         assumptions=list(regime.tags),

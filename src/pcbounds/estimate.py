@@ -401,11 +401,22 @@ def write_records_csv(records: Dataset, path: str | Path) -> int:
     return len(records)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; a key it repeats is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: Path):
-    """Decode a JSON file; any decoding failure is a RecordParseError."""
+    """Decode a JSON file; any decoding failure, a repeated key included, is a
+    RecordParseError."""
     with path.open() as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise RecordParseError(
                 f"{path}:{e.lineno}: invalid JSON: {e.msg}"

@@ -19,11 +19,20 @@ numerators are sums of Frechet caps: one product per mediator
 trajectory (m0, m1), each capping how much of that trajectory's mass
 can land on response pairs with Y*(0, m0)=0 and Y*(1, m1)=1.
 
-Each formula has one source, a private helper on plain floats that the
-public functions wrap (``_partial_rates``, ``_partial_parts``,
-``_decomposition``, ``_complete_parts``, ``simple._simple_interval``).
-:func:`compare` is one pass over them: it reads the six margins once,
-derives p1 and p0 once and builds only the objects its report returns.
+Each formula has one source. One kernel per regime, on plain numbers,
+returns the derived rates (p1, p0) and the upper numerator N
+(``simple._simple_parts``, ``_complete_parts``, and ``_partial_parts``,
+which also returns the split (alpha, beta, gamma, delta) and the four
+trajectory caps); one rule, ``simple._interval``, makes any of them
+[max(0, 1 - p0/p1), min(1, N/p1)]. The public functions wrap them, and
+:func:`compare` calls the partial kernel once.
+
+The partial N replaces each trajectory weight w_ab = P(M(0)=a, M(1)=b)
+with its own Frechet cap, min(P(M(0)=a), P(M(1)=b)). The four caps can
+sum to more than 1, which no joint law of (M(0), M(1)) allows: that is
+the slack of the partial upper endpoint when the mediator block is
+independent of the response block (example 1: 0.8195, sharp 0.7960).
+
 Objects are built once: each margins class validates and stores every
 field in one hand-written ``__init__``, and a derived value already in
 [0, 1] becomes a :class:`Probability` through ``core._unit`` without a
@@ -32,19 +41,17 @@ second Python-level call.
 
 from __future__ import annotations
 
-
 from .core import (
     STRUCT_TOL,
     AssumptionViolationError,
     BoundInterval,
     InconsistentBoundsError,
-    PcUndefinedError,
     Probability,
     _frozen,
     _require_tol,
     _unit,
 )
-from .simple import SimpleMargins, _simple_interval
+from .simple import SimpleMargins, _bounds, _interval, _simple_parts
 
 __all__ = [
     "CompleteMediationMargins",
@@ -111,27 +118,22 @@ def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
     return (m.y00, m.y01, m.y10, m.y11, m.m0, m.m1)
 
 
-def _complete_parts(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+_COMPLETE_UNDEFINED = ("derived P(Y=1 | X<-1) = 0 under complete mediation: the "
+                       "probability of causation is undefined")
+_PARTIAL_UNDEFINED = ("derived P(Y=1 | X<-1) = 0: the probability of causation is "
+                      "undefined for these margins")
+
+
+def _complete_parts(a, b, c, d) -> tuple:
     """Raw derived (p1, p0) and upper numerator of complete margins."""
-    if a <= b and c <= d:
-        value = a * c + (1.0 - d) * (1.0 - b)
-    elif a > b and c <= d:
-        value = b * c + (1.0 - d) * (1.0 - a)
-    elif a <= b:  # c > d
-        value = a * d + (1.0 - c) * (1.0 - b)
-    else:  # a > b and c > d
-        value = b * d + (1.0 - a) * (1.0 - c)
-    return b * d + (1.0 - b) * (1.0 - c), (1.0 - a) * d + a * (1.0 - c), value
+    na, nb, nc, nd = 1 - a, 1 - b, 1 - c, 1 - d
+    return (b * d + nb * nc, na * d + a * nc,
+            min(a, b) * min(c, d) + min(na, nb) * min(nc, nd))
 
 
 def complete_numerator(m: CompleteMediationMargins) -> Probability:
-    """Largest feasible P(Y(0)=0, Y(1)=1 | X<-1) under complete mediation.
-
-    Case split on the orderings of (a, b) and (c, d); ties land in the
-    "<=" branch, and the adjacent formulas agree at ties, so the split
-    is unambiguous. Every branch equals
-    min{a,b} min{c,d} + min{1-a,1-b} min{1-c,1-d}.
-    """
+    """Largest feasible P(Y(0)=0, Y(1)=1 | X<-1) under complete mediation:
+    min{a,b} min{c,d} + min{1-a,1-b} min{1-c,1-d}."""
     return Probability(_complete_parts(m.a, m.b, m.c, m.d)[2])
 
 
@@ -144,13 +146,6 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
     return SimpleMargins(*_complete_parts(m.a, m.b, m.c, m.d)[:2])
 
 
-def _complete_interval(a: float, b: float, c: float, d: float) -> BoundInterval:
-    p1, p0, numerator = map(_unit, _complete_parts(a, b, c, d))
-    lower, _ = _simple_interval(p1, p0, "derived P(Y=1 | X<-1) = 0 under complete "
-                                "mediation: the probability of causation is undefined")
-    return BoundInterval(_unit(lower), _unit(numerator / p1))
-
-
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     """PC bounds under complete mediation.
 
@@ -158,30 +153,28 @@ def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     rates (this closed form never improves the lower bound); the upper
     endpoint divides :func:`complete_numerator` by the derived p1.
     """
-    return _complete_interval(m.a, m.b, m.c, m.d)
+    return _bounds(*_complete_parts(m.a, m.b, m.c, m.d), _COMPLETE_UNDEFINED)
 
 
-def _partial_parts(v: tuple[float, ...]) -> tuple[float, ...]:
-    """The four trajectory caps and their sum, the partial upper numerator."""
-    y00, y01, y10, y11, m0, m1 = v
-    q00 = 1.0 - y00
-    q01 = 1.0 - y01
-    t1 = min(q00, y10) * min(1.0 - m0, 1.0 - m1)
-    t2 = min(q00, y11) * min(1.0 - m0, m1)
-    t3 = min(q01, y10) * min(m0, 1.0 - m1)
+def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
+    """Raw derived (p1, p0), upper numerator, split and four trajectory caps."""
+    q00, q01, n0, n1 = 1 - y00, 1 - y01, 1 - m0, 1 - m1
+    gamma, delta = y10 * n1, y11 * m1
+    t1 = min(q00, y10) * min(n0, n1)
+    t2 = min(q00, y11) * min(n0, m1)
+    t3 = min(q01, y10) * min(m0, n1)
     t4 = min(q01, y11) * min(m0, m1)
-    return t1, t2, t3, t4, t1 + t2 + t3 + t4
+    return (gamma + delta, y00 * n0 + y01 * m0, t1 + t2 + t3 + t4,
+            (q00 * n0, q01 * m0, gamma, delta), (t1, t2, t3, t4))
 
 
-def partial_upper_terms(
-    m: PartialMediationMargins,
-) -> tuple[float, float, float, float]:
+def partial_upper_terms(m: PartialMediationMargins) -> tuple[float, ...]:
     """The four Frechet-cap products, one per mediator trajectory.
 
     Term order is (m0, m1) = (0,0), (0,1), (1,0), (1,1), writing
     q_xm = 1 - y_xm for the no-outcome rates.
     """
-    return _partial_parts(_fields(m))[:4]
+    return _partial_parts(*_fields(m))[4]
 
 
 def partial_upper_numerator(m: PartialMediationMargins) -> float:
@@ -191,28 +184,12 @@ def partial_upper_numerator(m: PartialMediationMargins) -> float:
     certain), so it is a plain float, not a probability; the bound
     clamps only after dividing by p1.
     """
-    return _partial_parts(_fields(m))[4]
-
-
-def _partial_rates(v: tuple[float, ...]) -> tuple[float, float]:
-    y00, y01, y10, y11, m0, m1 = v
-    return y10 * (1.0 - m1) + y11 * m1, y00 * (1.0 - m0) + y01 * m0
+    return _partial_parts(*_fields(m))[2]
 
 
 def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
     """Arm response rates implied by the six partial-mediation margins."""
-    return SimpleMargins(*_partial_rates(_fields(m)))
-
-
-def _partial_pass(v: tuple[float, ...]):
-    """(simple interval, partial interval, four-term numerator) of margins v."""
-    p1, p0 = map(_unit, _partial_rates(v))
-    lower, upper = _simple_interval(p1, p0, "derived P(Y=1 | X<-1) = 0: the "
-                                    "probability of causation is undefined for "
-                                    "these margins")
-    lower, numerator = _unit(lower), _partial_parts(v)[4]
-    simple_iv = BoundInterval(lower, _unit(upper))
-    return simple_iv, BoundInterval(lower, _unit(min(1.0, numerator / p1))), numerator
+    return SimpleMargins(*_partial_parts(*_fields(m))[:2])
 
 
 def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
@@ -222,28 +199,16 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     rates; the upper endpoint is the four-term numerator over p1,
     clamped at 1.
     """
-    return _partial_pass(_fields(m))[1]
+    return _bounds(*_partial_parts(*_fields(m))[:3], _PARTIAL_UNDEFINED)
 
 
-def _decomposition(v: tuple[float, ...]) -> tuple[Probability, ...]:
-    """(alpha, beta, gamma, delta) and the simple numerator from them."""
-    y00, y01, y10, y11, m0, m1 = v
-    alpha = _unit((1.0 - y00) * (1.0 - m0))
-    beta = _unit((1.0 - y01) * m0)
-    gamma = _unit(y10 * (1.0 - m1))
-    delta = _unit(y11 * m1)
-    return alpha, beta, gamma, delta, _unit(min(alpha + beta, gamma + delta))
-
-
-def decomposition(
-    m: PartialMediationMargins,
-) -> tuple[Probability, Probability, Probability, Probability]:
+def decomposition(m: PartialMediationMargins) -> tuple[Probability, ...]:
     """Mediator-resolved split (alpha, beta, gamma, delta) of the arm events.
 
     alpha + beta = P(Y(0)=0) and gamma + delta = P(Y(1)=1), with each
     piece attributing the arm event to one mediator value.
     """
-    return _decomposition(_fields(m))[:4]
+    return tuple(map(_unit, _partial_parts(*_fields(m))[3]))
 
 
 def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probability:
@@ -253,7 +218,8 @@ def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probabilit
     ``test_decomposition_partitions_arm_rates`` in
     ``tests/test_mediation.py`` pins both identities at 1e-12.
     """
-    return _decomposition(_fields(m))[4]
+    alpha, beta, gamma, delta = _partial_parts(*_fields(m))[3]
+    return _unit(min(alpha + beta, gamma + delta))
 
 
 def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
@@ -321,12 +287,17 @@ def compare(
                     f"complete-mediation claim fails at M={mval}: "
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
-    simple_iv, partial_iv, numerator = _partial_pass(v)
-    combined = BoundInterval(max(simple_iv.lower, partial_iv.lower),
-                             min(simple_iv.upper, partial_iv.upper))
+    p1, p0, numerator, split, _ = _partial_parts(*v)
+    p1, p0 = _unit(p1), _unit(p0)
+    lower, upper = _interval(p1, p0, numerator, _PARTIAL_UNDEFINED)
+    lower = _unit(lower)
+    simple_upper = _interval(*_simple_parts(p1, p0), _PARTIAL_UNDEFINED)[1]
+    simple_iv = BoundInterval(lower, _unit(simple_upper))
+    partial_iv = BoundInterval(lower, _unit(upper))
+    combined = BoundInterval(lower, min(simple_iv.upper, partial_iv.upper))
     complete_iv = None
     if complete_claim:
-        complete_iv = _complete_interval(*_collapsed(v))
+        complete_iv = _bounds(*_complete_parts(*_collapsed(v)), _COMPLETE_UNDEFINED)
         try:
             combined = BoundInterval(max(combined.lower, complete_iv.lower),
                                      min(combined.upper, complete_iv.upper))
@@ -337,16 +308,6 @@ def compare(
                 f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
             ) from None
 
-    alpha, beta, gamma, delta, numerator_simple = _decomposition(v)
-    return ComparisonReport(
-        simple_interval=simple_iv,
-        partial_interval=partial_iv,
-        complete_interval=complete_iv,
-        combined_interval=combined,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        delta=delta,
-        numerator_simple=numerator_simple,
-        numerator_partial=numerator,
-    )
+    alpha, beta, gamma, delta = split = tuple(map(_unit, split))
+    return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, *split,
+                            _unit(min(alpha + beta, gamma + delta)), numerator)

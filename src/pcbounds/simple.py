@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BoundInterval, PcUndefinedError, Probability, _frozen
+from .core import BoundInterval, PcUndefinedError, Probability, _frozen, _unit
 
 __all__ = ["SimpleMargins", "risk_ratio", "simple_bounds"]
 
@@ -43,17 +43,24 @@ def risk_ratio(m: SimpleMargins) -> float:
     return float(m.p1) / float(m.p0)
 
 
-def _simple_interval(
-    p1: float, p0: float, undefined: str | None = None
-) -> tuple[float, float]:
-    """Raw (lower, upper); p1 = 0 raises with ``undefined`` or the default."""
-    if p1 == 0.0:
-        raise PcUndefinedError(
-            undefined
-            or "P(Y=1 | X<-1) = 0: there are no exposed cases, so the "
-            "probability of causation is undefined"
-        )
-    return max(0.0, 1.0 - p0 / p1), min(1.0 - p0, p1) / p1
+def _interval(p1, p0, numerator, undefined: str) -> tuple:
+    """The interval rule of every regime, (max(0, 1 - p0/p1), min(1, numerator/p1));
+    p1 = 0 raises :class:`PcUndefinedError` with the message ``undefined``. Integer
+    literals keep it exact on fractions; on floats they act as 0.0 and 1.0."""
+    if p1 == 0:
+        raise PcUndefinedError(undefined)
+    return max(0, 1 - p0 / p1), min(1, numerator / p1)
+
+
+def _bounds(p1, p0, numerator, undefined: str) -> BoundInterval:
+    """:func:`_interval` on derived rates made probabilities, as an interval."""
+    lower, upper = _interval(_unit(p1), _unit(p0), numerator, undefined)
+    return BoundInterval(_unit(lower), _unit(upper))
+
+
+def _simple_parts(p1, p0) -> tuple:
+    """The arm rates and their upper numerator, the Frechet cap on P(Y(0)=0, Y(1)=1)."""
+    return p1, p0, min(1 - p0, p1)
 
 
 def simple_bounds(m: SimpleMargins) -> BoundInterval:
@@ -62,5 +69,5 @@ def simple_bounds(m: SimpleMargins) -> BoundInterval:
     Raises :class:`PcUndefinedError` when p1 = 0: with no exposed cases
     the conditioning event is empty and PC has no value.
     """
-    lower, upper = _simple_interval(float(m.p1), float(m.p0))
-    return BoundInterval(Probability(lower), Probability(upper))
+    return _bounds(*_simple_parts(m.p1, m.p0), "P(Y=1 | X<-1) = 0: there are no "
+                   "exposed cases, so the probability of causation is undefined")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -68,3 +69,18 @@ def example2_margins():
         m0=1 - 0.04,
         m1=1 - 0.26,
     )
+
+
+@pytest.fixture
+def criterion_4_sets(example1_margins, example2_margins):
+    """The 52 margin sets of acceptance criterion 4: both worked examples and
+    50 uniform draws."""
+    rng = np.random.default_rng(20260817)
+    margin_sets = [example1_margins, example2_margins]
+    while len(margin_sets) < 52:
+        y00, y01, y10, y11, m0, m1 = rng.random(6)
+        margin_sets.append(
+            PartialMediationMargins(y00=y00, y01=y01, y10=y10, y11=y11,
+                                    m0=m0, m1=m1)
+        )
+    return margin_sets

@@ -97,6 +97,13 @@ def input_files() -> dict[str, str]:
                                  "y_block": [1.0] + [0.0] * 15, "extra": 1}),
         "null.json": _dump({"p1": None, "p0": 0.12}),
         "law_true.json": _dump({"m_block": True, "y_block": [1.0] + [0.0] * 15}),
+        # json.dumps cannot repeat a key, so these three are written out.
+        "dup.json": '{"p1": 0.9, "p1": 0.3, "p0": 0.12}\n',
+        "counts_dup.json": '{"exposed_event": 90, "exposed_total": 100, '
+                           '"unexposed_event": 1, "unexposed_total": 100, '
+                           '"exposed_event": 3}\n',
+        "law_dup.json": '{"m_block": [1, 0, 0, 0], "y_block": [1' + ', 0' * 15
+                        + '], "m_block": [0, 0, 0, 1]}\n',
         "rec.csv": _records_csv(),
         "rec_xy.csv": "x,y\n0,0\n0,1\n1,1\n1,0\n",
         "rec_nostratum.csv": "x,m,y\n0,0,0\n0,0,1\n1,0,1\n1,0,0\n",
@@ -232,6 +239,9 @@ def matrix() -> list[tuple[list[str], bool]]:
         ["simulate", "--law", "law_extra.json", "--n", "10", "--out", "x.csv"],
         ["simple", "--margins", "null.json"],
         ["simulate", "--law", "law_true.json", "--n", "10", "--out", "x.csv"],
+        ["simple", "--margins", "dup.json"],
+        ["simple", "--counts", "counts_dup.json"],
+        ["simulate", "--law", "law_dup.json", "--n", "10", "--out", "x.csv"],
     ]
     plain = _with_json(simple + complete + partial + compare + verify + simulate)
     return ([(a, False) for a in plain] + [(a, True) for a in argparse_formatted]

@@ -16,6 +16,7 @@ y01_zero in [0.150, 0.154] instead of 0.165 or m1_zero in
 [0.985, 0.992] instead of 0.981.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -230,17 +231,8 @@ def test_criterion_3_worked_example_2(acceptance_log, example2_margins):
     assert ok, problems
 
 
-def test_criterion_4_oracle_soundness(
-    acceptance_log, example1_margins, example2_margins
-):
-    rng = np.random.default_rng(20260817)
-    margin_sets = [example1_margins, example2_margins]
-    while len(margin_sets) < 52:
-        y00, y01, y10, y11, m0, m1 = rng.random(6)
-        margin_sets.append(
-            PartialMediationMargins(y00=y00, y01=y01, y10=y10, y11=y11,
-                                    m0=m0, m1=m1)
-        )
+def test_criterion_4_oracle_soundness(acceptance_log, criterion_4_sets):
+    margin_sets = criterion_4_sets
     t0 = time.perf_counter()
     partial_violations = 0
     simple_violations = 0
@@ -452,11 +444,15 @@ def test_criterion_8_error_paths(acceptance_log, tmp_path, monkeypatch, capsys):
     def inconsistent(m):
         raise InconsistentBoundsError("lower bound 0.7 exceeds upper bound 0.3")
 
-    monkeypatch.setattr(cli, "partial_bounds", inconsistent)
+    regime = dataclasses.replace(cli._REGIMES["partial"], bounds=inconsistent)
+    monkeypatch.setitem(cli._REGIMES, "partial", regime)
+    capsys.readouterr()
     code = run(["partial", "--margins", str(margins_file)])
     if code != 1:
         problems.append(f"inconsistent bounds exited {code}, wanted 1")
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if err != "error: lower bound 0.7 exceeds upper bound 0.3\n":
+        problems.append(f"inconsistent bounds printed {err!r}")
 
     ok = not problems
     acceptance_log(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -334,8 +335,12 @@ class TestHarness:
         def angry(m):
             raise InconsistentBoundsError("lower bound 0.7 exceeds upper bound 0.3")
 
-        monkeypatch.setattr(cli, "partial_bounds", angry)
+        regime = dataclasses.replace(cli._REGIMES["partial"], bounds=angry)
+        monkeypatch.setitem(cli._REGIMES, "partial", regime)
         assert run(["partial", "--margins", partial_file]) == 1
+        assert capsys.readouterr().err == (
+            "error: lower bound 0.7 exceeds upper bound 0.3\n"
+        )
 
     def test_report_roundtrip_recomputes_identically(self, capsys, partial_file):
         code, rep = run_json(capsys, ["partial", "--margins", partial_file,

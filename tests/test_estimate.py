@@ -537,6 +537,27 @@ def test_one_json_rule_for_every_reader(tmp_path, reader, data, error, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "reader, text, key",
+    [
+        (read_count_json, '{"exposed_event": 90, "exposed_total": 100, '
+         '"unexposed_event": 1, "unexposed_total": 100, "exposed_event": 3}',
+         "exposed_event"),
+        (read_margins_json, '{"p1": 0.9, "p1": 0.3, "p0": 0.12}', "p1"),
+        (read_law_json, '{"m_block": [1, 0, 0, 0], "y_block": [1' + ", 0" * 15
+         + '], "m_block": [0, 0, 0, 1]}', "m_block"),
+    ],
+    ids=["counts", "margins", "law"],
+)
+def test_every_reader_refuses_a_repeated_key(tmp_path, reader, text, key):
+    """A key given twice is refused, not read as its last value."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(RecordParseError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: invalid JSON: repeated key {key!r}"
+
+
 class TestToleranceValidation:
     @pytest.fixture
     def example1_records(self):
