@@ -232,11 +232,10 @@ def test_criterion_3_worked_example_2(acceptance_log, example2_margins):
 
 
 def test_criterion_4_oracle_soundness(acceptance_log, criterion_4_sets):
-    margin_sets = criterion_4_sets
     t0 = time.perf_counter()
     partial_violations = 0
     simple_violations = 0
-    for k, margins in enumerate(margin_sets):
+    for k, margins in enumerate(criterion_4_sets):
         rep = soundness_report(margins, n_laws=1000, seed=k)
         partial_violations += rep.violations
         simple_violations += rep.simple_violations
