@@ -18,7 +18,7 @@ from .mediation import *  # noqa: F403
 from .oracle import *  # noqa: F403
 from .simple import *  # noqa: F403
 
-__version__ = "0.5.2"
+__version__ = "0.5.3"
 
 __all__ = sorted(
     name

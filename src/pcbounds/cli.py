@@ -135,14 +135,9 @@ def _round_tree(obj):
     return obj
 
 
-def report_to_dict(r: BoundsReport) -> dict:
-    """Serialize a report with floats at 12 significant digits."""
-    return _round_tree(asdict(r))
-
-
 def _print_report(r: BoundsReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report_to_dict(r), indent=2))
+        print(json.dumps(_round_tree(asdict(r)), indent=2))
         return
     print(f"method: {r.method}")
     if r.interval is not None:
@@ -448,7 +443,7 @@ def run(argv: list[str] | None = None) -> int:
     except (PcUndefinedError, InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (PcBoundsError, OSError) as e:
+    except (PcBoundsError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _print_report(report, args.json)

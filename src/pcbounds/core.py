@@ -174,11 +174,12 @@ def _require_tol(name: str, value: float) -> None:
         raise InvalidInputError(f"{name} must be a nonnegative number, got {value!r}")
 
 
-def _require_int(name: str, value, least: int, what: str) -> None:
-    """Reject a bool, a non-integer or an integer below ``least``."""
+def _require_int(name: str, value, least: int) -> None:
+    """Reject a bool, a non-integer or an integer below ``least``, 0 or 1."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integral or value < least:
-        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+        what = "a positive" if least else "a nonnegative"
+        raise InvalidInputError(f"{name} must be {what} integer, got {value!r}")
 
 
 @_frozen()
@@ -192,16 +193,11 @@ class CountTable:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_int(f.name, getattr(self, f.name), 0, "a nonnegative integer")
+            _require_int(f.name, getattr(self, f.name), 0)
         if self.exposed_total == 0 or self.unexposed_total == 0:
             raise InvalidInputError("arm totals must be positive")
-        if self.exposed_event > self.exposed_total:
-            raise InvalidInputError(
-                f"exposed_event {self.exposed_event} exceeds exposed_total "
-                f"{self.exposed_total}"
-            )
-        if self.unexposed_event > self.unexposed_total:
-            raise InvalidInputError(
-                f"unexposed_event {self.unexposed_event} exceeds unexposed_total "
-                f"{self.unexposed_total}"
-            )
+        for arm in ("exposed", "unexposed"):
+            event, total = getattr(self, f"{arm}_event"), getattr(self, f"{arm}_total")
+            if event > total:
+                raise InvalidInputError(
+                    f"{arm}_event {event} exceeds {arm}_total {total}")

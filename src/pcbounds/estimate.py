@@ -222,12 +222,10 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
     error). A NaN or negative ``tol`` is invalid input.
     """
     _require_tol("tol", tol)
-    if not d.has_mediator:
-        raise InvalidInputError("records carry no mediator column")
+    # The mediator counts go first: Dataset refuses records without a mediator.
+    (m1_in_0, n0), (m1_in_1, n1) = d.mediator_counts(0), d.mediator_counts(1)
     for x in (0, 1):
         _require_arm(d, x)
-    m1_in_0, n0 = d.mediator_counts(0)
-    m1_in_1, n1 = d.mediator_counts(1)
     a = (n0 - m1_in_0) / n0
     b = m1_in_1 / n1
 

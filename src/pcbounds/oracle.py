@@ -50,7 +50,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CLAMP_TOL,
     STRUCT_TOL,
     BoundInterval,
     InvalidInputError,
@@ -149,9 +148,11 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
         )
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
-            if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
-                raise InvalidInputError(f"{name}[{k}] = {v!r} is not a probability")
-            cells[k] = 0.0 if v < 0.0 else 1.0
+            try:
+                cells[k] = float(Probability(v))
+            except InvalidInputError:
+                raise InvalidInputError(
+                    f"{name}[{k}] = {v!r} is not a probability") from None
     total = sum(cells)
     if abs(total - 1.0) > STRUCT_TOL:
         raise InvalidInputError(f"{name} sums to {total!r}, not 1")
@@ -207,16 +208,13 @@ def read_law_json(path: str | Path) -> PotentialOutcomeLaw:
     return _build(path, *_read_object(path, PotentialOutcomeLaw))
 
 
-def _batch_true_pc(
-    m_blocks: np.ndarray,
-    y_blocks: np.ndarray,
-    undefined: str = "a sampled law gives P(Y(1)=1) = 0",
-) -> np.ndarray:
+def _batch_true_pc(m_blocks: np.ndarray, y_blocks: np.ndarray) -> np.ndarray:
     """PC of each stacked law, P(Y(0)=0, Y(1)=1) / P(Y(1)=1), over 64 cells."""
     joint = ((m_blocks @ _JOINT_IND) * y_blocks).sum(axis=1)
     p_y1 = ((m_blocks @ _Y1_IND) * y_blocks).sum(axis=1)
     if np.any(p_y1 <= 0.0):
-        raise PcUndefinedError(undefined)
+        raise PcUndefinedError("law gives P(Y(1)=1) = 0: the probability of "
+                               "causation is undefined")
     return joint / p_y1
 
 
@@ -226,10 +224,7 @@ def true_pc(law: PotentialOutcomeLaw) -> Probability:
     An individual's outcomes are composed as Y(x) = Y*(x, M(x)); PC is
     P(Y(0)=0, Y(1)=1) / P(Y(1)=1), summed over the cells of the law.
     """
-    (pc,) = _batch_true_pc(
-        np.array([law.m_block]), np.array([law.y_block]),
-        "law gives P(Y(1)=1) = 0: the probability of causation is undefined",
-    )
+    (pc,) = _batch_true_pc(np.array([law.m_block]), np.array([law.y_block]))
     return Probability(pc)
 
 
@@ -257,8 +252,17 @@ def _fit_block(u: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
+    _require_int("seed", seed, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(key,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _require_size(name: str, n) -> None:
+    """Reject a size that is not a positive integer, or one so large that numpy
+    cannot index its (n, 18) float64 draws."""
+    _require_int(name, n, 1)
+    if n > np.iinfo(np.intp).max // 144:
+        raise InvalidInputError(f"{name} = {n} is too large to draw")
 
 
 def _sample_blocks(
@@ -290,8 +294,7 @@ def sample_laws(
     (m, n, seed), and the first k laws are those of a call with n = k.
     Degenerate margins (all 0 or 1) give the unique point-mass law.
     """
-    _require_int("n", n, 1, "a positive integer")
-    _require_int("seed", seed, 0, "a nonnegative integer")
+    _require_size("n", n)
     m_cells, y_cells = _sample_blocks(n, m, seed)
     return [PotentialOutcomeLaw(m_block=mb, y_block=yb)
             for mb, yb in zip(m_cells.tolist(), y_cells.tolist())]
@@ -310,8 +313,7 @@ def simulate_trial(
     n_per_arm uniforms pick the mediator cells and the next n_per_arm
     the response cells, each by inverting the block's cumulative sum.
     """
-    _require_int("n_per_arm", n_per_arm, 1, "a positive integer")
-    _require_int("seed", seed, 0, "a nonnegative integer")
+    _require_size("n_per_arm", n_per_arm)
     cdfs = (np.cumsum(law.m_block), np.cumsum(law.y_block))
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
@@ -365,13 +367,10 @@ def soundness_report(
     then fail; such runs are diagnostic and their violations expected.
     A violation is a true PC outside an interval by more than ``STRUCT_TOL``.
     """
-    _require_int("n_laws", n_laws, 1, "a positive integer")
-    _require_int("seed", seed, 0, "a nonnegative integer")
+    _require_size("n_laws", n_laws)
     rep = compare(m)
     iv, simple_iv = rep.partial_interval, rep.simple_interval
-    m0 = None
-    if confounded:
-        m0 = _stream(seed, 1).random(n_laws)
+    m0 = _stream(seed, 1).random(n_laws) if confounded else None
     m_cells, y_cells = _sample_blocks(n_laws, m, seed, m0)
     pcs = _batch_true_pc(m_cells, y_cells)
     # Entry 0 of each endpoint pair is the partial interval, entry 1 the simple.

@@ -255,6 +255,43 @@ class TestNegativeSeed:
         assert not out_csv.exists()
 
 
+class TestOversizedSize:
+    """A size numpy cannot draw is invalid input (exit 1), not a numpy traceback.
+
+    10^18 is refused before anything is allocated; an allocation that fails is
+    only ever faked here, never attempted at a size that could succeed.
+    """
+
+    def test_verify(self, capsys, partial_file):
+        assert run(["verify", "--margins", partial_file,
+                    "--samples", str(10**18)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_laws = {10**18} is too large to draw\n"
+
+    def test_simulate_writes_nothing(self, capsys, tmp_path, law_file):
+        out_csv = tmp_path / "sim.csv"
+        assert run(["simulate", "--law", law_file, "--n", str(10**18),
+                    "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_per_arm = {10**18} is too large to draw\n"
+        )
+        assert not out_csv.exists()
+
+    def test_failed_allocation_exits_1(self, capsys, tmp_path, law_file, monkeypatch):
+        def empty(shape, dtype):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(oracle_mod.np, "empty", empty)
+        out_csv = tmp_path / "sim.csv"
+        assert run(["simulate", "--law", law_file, "--n", str(10**16),
+                    "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: Unable to allocate an array with shape (2, {10**16})\n"
+        )
+        assert not out_csv.exists()
+
+
 class TestSimulateCommand:
     def test_writes_records(self, capsys, tmp_path, law_file):
         out_csv = tmp_path / "sim.csv"

@@ -177,6 +177,18 @@ class TestCountTable:
             CountTable(30, 100, -1, 100)
         assert str(exc.value) == "unexposed_event must be a nonnegative integer, got -1"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((101, 100, 12, 100), "exposed_event 101 exceeds exposed_total 100"),
+            ((30, 100, 101, 100), "unexposed_event 101 exceeds unexposed_total 100"),
+        ],
+    )
+    def test_event_above_total_names_the_arm(self, args, message):
+        with pytest.raises(InvalidInputError) as exc:
+            CountTable(*args)
+        assert str(exc.value) == message
+
 
 def test_probability_rejects_integer_beyond_float_range():
     with pytest.raises(InvalidInputError, match="too large for a float"):

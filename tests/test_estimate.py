@@ -162,6 +162,14 @@ class TestEstimators:
         with pytest.raises(InvalidInputError):
             estimate_partial(d)
 
+    @pytest.mark.parametrize("empty_arm", [0, 1])
+    def test_complete_without_mediator_is_invalid_before_an_empty_arm(self, empty_arm):
+        d = Dataset(x=[1 - empty_arm] * 2, m=None, y=[0, 1])
+        with pytest.raises(InvalidInputError) as exc:
+            estimate_complete(d)
+        assert type(exc.value) is InvalidInputError
+        assert str(exc.value) == "records carry no mediator column"
+
     def test_partial_names_empty_stratum(self):
         d = records_from_counts({k: n for k, n in BALANCED.items() if k[:2] != (1, 0)})
         with pytest.raises(InsufficientDataError) as exc:

@@ -649,6 +649,11 @@ class TestSoundnessReport:
         with pytest.raises(InvalidInputError):
             soundness_report(example1_margins, n_laws=0)
 
+    def test_undefined_margins_come_before_a_bad_seed(self):
+        m = PartialMediationMargins(0.5, 0.5, 0.0, 0.0, 0.3, 0.4)
+        with pytest.raises(PcUndefinedError):
+            soundness_report(m, n_laws=2, seed=-1)
+
 
 class TestSeedValidation:
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
@@ -670,6 +675,21 @@ class TestSeedValidation:
         assert sample_laws(example1_margins, 3, seed=np.int64(7)) == sample_laws(
             example1_margins, 3, seed=7
         )
+
+
+class TestSizeValidation:
+    def test_sizes_numpy_cannot_index_are_refused(self, example1_margins):
+        law = PotentialOutcomeLaw.independent(example1_margins)
+        calls = {
+            "n": lambda size: sample_laws(example1_margins, size),
+            "n_laws": lambda size: soundness_report(example1_margins, n_laws=size),
+            "n_per_arm": lambda size: simulate_trial(law, size),
+        }
+        for name, call in calls.items():
+            for size in (10**18, 2**200):
+                with pytest.raises(InvalidInputError,
+                                   match=f"^{name} = {size} is too large to draw$"):
+                    call(size)
 
 
 class TestToleranceValidation:

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import pcbounds
 from pcbounds import core, estimate, mediation, oracle, simple
 
@@ -86,7 +88,11 @@ def test_star_import_binds_exactly_the_exported_names():
         assert value is getattr(pcbounds, name)
 
 
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_version_matches_pyproject():
+    from setuptools.config.pyprojecttoml import read_configuration
+
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    found = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
-    assert found == [pcbounds.__version__]
+    assert not re.search(r"^version\s*=\s*[\"']", pyproject.read_text(), re.M)
+    config = read_configuration(pyproject, expand=True)
+    assert config["project"]["version"] == pcbounds.__version__
