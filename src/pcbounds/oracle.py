@@ -20,11 +20,12 @@ the identification assumptions the bounds rely on.
 The layout is written down once, as two boolean mask tables: row x of
 ``_M_MASKS`` marks the mediator cells with M(x) = 1, row 2x + m of
 ``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
-independent law and the 4 x 16 indicator tables of the PC enumeration
-are all read off them. :func:`true_pc` is the one-law case of the
-batched enumeration :func:`soundness_report` runs. The two coupling
-references need no law: they evaluate their objectives exactly at the
-ends and corners of the Frechet ranges of the free cells.
+independent law, the 4 x 16 indicator tables of the PC enumeration and
+the record codes of :func:`simulate_trial` are all read off them.
+:func:`true_pc` is the one-law case of the batched enumeration
+:func:`soundness_report` runs. The two coupling references need no law:
+they evaluate their objectives exactly at the ends and corners of the
+Frechet ranges of the free cells.
 
 Random laws are built one binary coordinate at a time, in the cell
 order above, with each margin holding by construction (see
@@ -37,8 +38,8 @@ on n. Version 0.4.0 replaced iterative proportional fitting with this
 construction, so a seed now draws other laws than before.
 :func:`simulate_trial` draws trial records from a law the same way: arm
 x uses Philox keyed by ``(seed, x)``, its first n uniforms pick the
-mediator cells and the next n the response cells. It fills one uint8
-cell code per record and returns a :class:`~pcbounds.estimate.Dataset`.
+mediator cells and the next n the response cells, and each record's uint8
+cell code is looked up from its two cells in one table read off the masks.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .core import (
     _frozen,
     _require_int,
 )
-from .estimate import Dataset, _build, _pack, _read_object
+from .estimate import Dataset, _build, _read_object
 from .mediation import CompleteMediationMargins, PartialMediationMargins, compare
 from .simple import SimpleMargins
 
@@ -83,12 +84,15 @@ _Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
 # row 2x + M(x) of _Y_MASKS.
 _Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
 _JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
+# _CODES[x, i, j] is arm x's record code x << 2 | M(x) << 1 | Y*(x, M(x)) at mediator
+# cell i and response cell j. The extra last row and column repeat the cell before.
+_CODES = np.pad(4 * np.arange(2)[:, None, None] + 2 * _M_MASKS[:, :, None]
+                + np.stack([_Y0, _Y1]), (0, 1), "edge")[:2].astype(np.uint8)
 
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
-    pa = float(Probability(p_a))
-    pb = float(Probability(p_b))
+    pa, pb = float(Probability(p_a)), float(Probability(p_b))
     return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
 
 
@@ -143,9 +147,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
             f"{name} must be a sequence of {size} numbers, got {reprlib.repr(values)}"
         ) from None
     if len(cells) != size:
-        raise InvalidInputError(
-            f"{name} must have {size} cells, got {len(cells)}"
-        )
+        raise InvalidInputError(f"{name} must have {size} cells, got {len(cells)}")
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
             try:
@@ -300,9 +302,7 @@ def sample_laws(
             for mb, yb in zip(m_cells.tolist(), y_cells.tolist())]
 
 
-def simulate_trial(
-    law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0
-) -> Dataset:
+def simulate_trial(law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0) -> Dataset:
     """Simulate a randomized trial of 2 * n_per_arm participants.
 
     Each participant in arm x gets a potential table drawn from the law
@@ -311,19 +311,18 @@ def simulate_trial(
     column, arm 0 records first. Deterministic given (law, n_per_arm,
     seed): arm x draws from Philox keyed by ``(seed, x)``, its first
     n_per_arm uniforms pick the mediator cells and the next n_per_arm
-    the response cells, each by inverting the block's cumulative sum.
+    the response cells, each by inverting the block's cumulative sum. A
+    record's code is read off the masks: one lookup of its two cells.
     """
     _require_size("n_per_arm", n_per_arm)
-    cdfs = (np.cumsum(law.m_block), np.cumsum(law.y_block))
+    cdfs = np.cumsum(law.m_block), np.cumsum(law.y_block)
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
         gen = _stream(seed, x)
-        mcells, ycells = (np.minimum(
-            np.searchsorted(cdf, gen.random(n_per_arm), side="right"), cdf.size - 1
-        ).astype(np.uint8) for cdf in cdfs)
-        mvals = mcells >> (1 - x) & 1
-        yvals = ycells >> (3 - 2 * x - mvals)
-        arm[:] = _pack((np.full(n_per_arm, x, np.uint8), mvals, yvals))
+        mcells, ycells = (np.searchsorted(cdf, gen.random(n_per_arm), side="right")
+                          .astype(np.uint8) for cdf in cdfs)
+        # A search past the top of a cdf that rounds below 1 lands on the extra cell.
+        np.take(_CODES[x], 17 * mcells + ycells, out=arm)
     return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 

@@ -602,7 +602,7 @@ class TestSimulateTrialStream:
             zero_cells,
         ]
 
-    @pytest.mark.parametrize("n_per_arm", [1, 7, 1000])
+    @pytest.mark.parametrize("n_per_arm", [1, 7, 1000, 2**16 + 1])
     @pytest.mark.parametrize("seed", [0, 1, 9, 4242])
     def test_matches_reference_sampler(self, example1_margins, n_per_arm, seed):
         for law in self.laws(example1_margins):
@@ -613,6 +613,18 @@ class TestSimulateTrialStream:
                 assert got.dtype == np.int8
                 assert got.tolist() == want.tolist(), name
             assert d.codes.tolist() == (x << 2 | m << 1 | y).tolist()
+
+    def test_code_table_matches_shift_decoding(self):
+        # Index 4 (mediator) or 16 (response) is a search past the top of a cdf
+        # that rounds below 1; it must give the code of the block's last cell.
+        table = oracle_mod._CODES
+        assert table.shape == (2, 5, 17) and table.dtype == np.uint8
+        for x in (0, 1):
+            for i in range(5):
+                for j in range(17):
+                    m = min(i, 3) >> (1 - x) & 1
+                    y = min(j, 15) >> (3 - 2 * x - m) & 1
+                    assert table[x, i, j] == x << 2 | m << 1 | y, (x, i, j)
 
     def test_written_bytes_are_pinned(self, example1_margins, tmp_path):
         # the CLI test pins the bundled law's file; this pins the independent law's
