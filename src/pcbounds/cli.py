@@ -119,8 +119,10 @@ class BoundsReport:
 
 
 def _sig12(x: float) -> float:
-    """Round a float to 12 significant digits; -0.0 becomes 0.0."""
-    return float(f"{x:.12g}") if x else 0.0
+    """Round a float to 12 significant digits."""
+    if x == 0.0 or not math.isfinite(x):
+        return 0.0 if x == 0.0 else x
+    return float(f"{x:.12g}")
 
 
 def _round_tree(obj):
@@ -324,7 +326,8 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
 
 
 def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
-    dataset = simulate_trial(read_law_json(args.law), n_per_arm=args.n, seed=args.seed)
+    law = read_law_json(args.law)
+    dataset = simulate_trial(law, n_per_arm=args.n, seed=args.seed)
     written = write_records_csv(dataset, args.out)
     diagnostics = [f"wrote {written} records to {args.out}"]
     for x in (0, 1):

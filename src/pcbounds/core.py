@@ -98,9 +98,13 @@ class Probability(float):
             return float.__new__(cls, v)
         if math.isnan(v):
             raise InvalidInputError("probability must not be NaN")
-        if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
+        if -CLAMP_TOL <= v < 0.0:
+            v = 0.0
+        elif 1.0 < v <= 1.0 + CLAMP_TOL:
+            v = 1.0
+        if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"probability {value!r} outside [0, 1]")
-        return super().__new__(cls, min(max(v, 0.0), 1.0))
+        return super().__new__(cls, v)
 
 
 def _unit(v: float) -> Probability:

@@ -8,9 +8,13 @@ mediator itself is not randomized); that assumption is recorded in
 report metadata by the CLI rather than adjudicated here.
 
 Records are held as one uint8 cell code each, ``x << 2 | m << 1 | y``
-(m = 0 without a mediator), in a :class:`Dataset`;
+(m = 0 without a mediator): a :class:`Dataset` stores only the code
+column and its eight (x, m, y) cell counts, taken once; its ``x``, ``m``
+and ``y`` columns are decoded from the codes on access. It is built from
+columns, ``Dataset(x=..., m=..., y=...)``;
 :func:`~pcbounds.oracle.simulate_trial` and :func:`read_records_csv`
-build one from codes, and :func:`write_records_csv` writes its codes.
+return one built from codes, and :func:`write_records_csv` writes one
+from its codes.
 
 File formats owned by this module:
 
@@ -32,8 +36,6 @@ import csv
 import io
 import json
 import math
-import os
-import stat
 import warnings
 from dataclasses import field, fields
 from pathlib import Path
@@ -84,9 +86,6 @@ def _column(name: str, values) -> np.ndarray:
 _SHIFTS = {True: (2, 1, 0), False: (2, 0)}
 _ROWS = {m: np.array([list(",".join(str(c >> s & 1) for s in shifts).encode() + b"\r\n")
                       for c in range(8)], np.uint8) for m, shifts in _SHIFTS.items()}
-# No O_TRUNC: cutting a file to 0 on open makes the file system drop and then
-# reallocate its blocks. O_BINARY keeps Windows from opening it in text mode.
-_OVERWRITE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _pack(columns) -> np.ndarray:
@@ -224,9 +223,11 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
     """
     _require_tol("tol", tol)
     # The mediator counts go first: Dataset refuses records without a mediator.
-    (m1_in_0, _), (m1_in_1, _) = d.mediator_counts(0), d.mediator_counts(1)
-    (_, n0), (_, n1) = _require_arm(d, 0), _require_arm(d, 1)
-    a, b = (n0 - m1_in_0) / n0, m1_in_1 / n1
+    (m1_in_0, n0), (m1_in_1, n1) = d.mediator_counts(0), d.mediator_counts(1)
+    for x in (0, 1):
+        _require_arm(d, x)
+    a = (n0 - m1_in_0) / n0
+    b = m1_in_1 / n1
 
     pooled = {}
     for m in (0, 1):
@@ -255,8 +256,10 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
 
 def margins_from_count_table(t: CountTable) -> SimpleMargins:
     """Arm rates from a 2x2 count table."""
-    return SimpleMargins(t.exposed_event / t.exposed_total,
-                         t.unexposed_event / t.unexposed_total)
+    return SimpleMargins(
+        p1=t.exposed_event / t.exposed_total,
+        p0=t.unexposed_event / t.unexposed_total,
+    )
 
 
 _ZERO_TO_ONE = bytes.maketrans(b"0", b"1")
@@ -273,7 +276,7 @@ def _canonical_columns(data: bytes) -> np.ndarray | None:
     shortcut. The result is a view of ``data``, ``ord("0")`` or
     ``ord("1")`` per token, so bit 0 of each entry is the value.
     """
-    head, newline, _ = data.partition(b"\n")
+    head, newline, _ = data[:8].partition(b"\n")  # a header line has at most 7 bytes
     width = {b"x,m,y": 3, b"x,y": 2}.get(head.removesuffix(b"\r"))
     if width is None or not newline:
         return None
@@ -381,29 +384,19 @@ def write_records_csv(records: Dataset, path: str | Path) -> int:
 
     The file is the header, then one ``0``/``1`` row per record, every
     line ending in CRLF. The mediator column is present exactly when the
-    records carry mediator values. An existing file is overwritten in
-    place, the same file cut to the new length, and a write that fails
-    leaves it empty. The write is not atomic: when that matters, write
-    elsewhere and rename. Returns the number of rows written. Anything
-    but a :class:`Dataset` is an :class:`InvalidInputError`.
+    records carry mediator values. Each row is looked up from the
+    record's cell code in a table of eight lines and written from the
+    array's buffer. Returns the number of rows written. Anything but a
+    :class:`Dataset` is an :class:`InvalidInputError`.
     """
     if not isinstance(records, Dataset):
         raise InvalidInputError(
             f"records must be a Dataset, got {type(records).__name__}"
         )
-    header = b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n"
-    rows, size = _ROWS[records.has_mediator], 0
-    with open(os.open(path, _OVERWRITE, 0o666), "wb", buffering=0) as raw:
-        try:
-            # Closed, so flushed, before the cut below: no buffered byte lands after it.
-            with open(raw.fileno(), "wb", closefd=False) as fh:
-                fh.write(header)
-                for i in range(0, len(records), 1 << 16):
-                    fh.write(np.take(rows, records.codes[i : i + (1 << 16)], axis=0))
-            size = len(header) + rows.shape[1] * len(records)
-        finally:  # a FIFO or a device such as /dev/null has no length to cut
-            if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-                raw.truncate(size)
+    with Path(path).open("wb") as fh:
+        fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
+        for piece in np.split(records.codes, range(1 << 16, len(records), 1 << 16)):
+            fh.write(np.take(_ROWS[records.has_mediator], piece, axis=0))
     return len(records)
 
 

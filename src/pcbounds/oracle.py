@@ -20,12 +20,11 @@ the identification assumptions the bounds rely on.
 The layout is written down once, as two boolean mask tables: row x of
 ``_M_MASKS`` marks the mediator cells with M(x) = 1, row 2x + m of
 ``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
-independent law, the 4 x 16 indicator tables of the PC enumeration and
-the record codes of :func:`simulate_trial` are all read off them.
-:func:`true_pc` is the one-law case of the batched enumeration
-:func:`soundness_report` runs. The two coupling references need no law:
-they evaluate their objectives exactly at the ends and corners of the
-Frechet ranges of the free cells.
+independent law and the 4 x 16 indicator tables of the PC enumeration
+are all read off them. :func:`true_pc` is the one-law case of the
+batched enumeration :func:`soundness_report` runs. The two coupling
+references need no law: they evaluate their objectives exactly at the
+ends and corners of the Frechet ranges of the free cells.
 
 Random laws are built one binary coordinate at a time, in the cell
 order above, with each margin holding by construction (see
@@ -38,8 +37,8 @@ on n. Version 0.4.0 replaced iterative proportional fitting with this
 construction, so a seed now draws other laws than before.
 :func:`simulate_trial` draws trial records from a law the same way: arm
 x uses Philox keyed by ``(seed, x)``, its first n uniforms pick the
-mediator cells and the next n the response cells, and each record's uint8
-cell code is looked up from its two cells in one table read off the masks.
+mediator cells and the next n the response cells, and a table read off
+the masks gives each record's uint8 cell code in one lookup.
 """
 
 from __future__ import annotations
@@ -81,18 +80,16 @@ __all__ = [
 _M_MASKS = (np.arange(4) >> np.array([[1], [0]]) & 1).astype(bool)
 _Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
 # Per mediator cell (row), the response cells with Y(x) = Y*(x, M(x)) = 1,
-# row 2x + M(x) of _Y_MASKS.
+# row 2x + M(x) of _Y_MASKS. _CODES[x] holds the record code of each (row, cell).
 _Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
 _JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
-# _CODES[x, i, j] is arm x's record code x << 2 | M(x) << 1 | Y*(x, M(x)) at mediator
-# cell i and response cell j. The extra last row and column repeat the cell before.
-_CODES = np.pad(4 * np.arange(2)[:, None, None] + 2 * _M_MASKS[:, :, None]
-                + np.stack([_Y0, _Y1]), (0, 1), "edge")[:2].astype(np.uint8)
+_CODES = np.uint8([4 * x + 2 * _M_MASKS[x, :, None] + (_Y0, _Y1)[x] for x in (0, 1)])
 
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
-    pa, pb = float(Probability(p_a)), float(Probability(p_b))
+    pa = float(Probability(p_a))
+    pb = float(Probability(p_b))
     return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
 
 
@@ -147,7 +144,9 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
             f"{name} must be a sequence of {size} numbers, got {reprlib.repr(values)}"
         ) from None
     if len(cells) != size:
-        raise InvalidInputError(f"{name} must have {size} cells, got {len(cells)}")
+        raise InvalidInputError(
+            f"{name} must have {size} cells, got {len(cells)}"
+        )
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
             try:
@@ -302,27 +301,28 @@ def sample_laws(
             for mb, yb in zip(m_cells.tolist(), y_cells.tolist())]
 
 
-def simulate_trial(law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0) -> Dataset:
+def simulate_trial(
+    law: PotentialOutcomeLaw, n_per_arm: int, seed: int = 0
+) -> Dataset:
     """Simulate a randomized trial of 2 * n_per_arm participants.
 
-    Each participant in arm x gets a potential table drawn from the law
-    and contributes the record (x, M(x), Y*(x, M(x))). Returns the
-    records as a :class:`~pcbounds.estimate.Dataset` with a mediator
-    column, arm 0 records first. Deterministic given (law, n_per_arm,
-    seed): arm x draws from Philox keyed by ``(seed, x)``, its first
-    n_per_arm uniforms pick the mediator cells and the next n_per_arm
-    the response cells, each by inverting the block's cumulative sum. A
-    record's code is read off the masks: one lookup of its two cells.
+    Each participant in arm x gets a potential table drawn from the law and
+    contributes the record (x, M(x), Y*(x, M(x))), its code read off the
+    masks. Returns the records as a :class:`~pcbounds.estimate.Dataset` with
+    a mediator column, arm 0 records first. Deterministic given (law,
+    n_per_arm, seed): arm x draws from Philox keyed by ``(seed, x)``, its
+    first n_per_arm uniforms pick the mediator cells and the next n_per_arm
+    the response cells, each by inverting the block's cumulative sum.
     """
     _require_size("n_per_arm", n_per_arm)
-    cdfs = np.cumsum(law.m_block), np.cumsum(law.y_block)
+    # Searching all but the last sum stays in the block if the sum rounds below 1.
+    cdfs = (np.cumsum(law.m_block)[:-1], np.cumsum(law.y_block)[:-1])
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
         gen = _stream(seed, x)
         mcells, ycells = (np.searchsorted(cdf, gen.random(n_per_arm), side="right")
                           .astype(np.uint8) for cdf in cdfs)
-        # A search past the top of a cdf that rounds below 1 lands on the extra cell.
-        np.take(_CODES[x], 17 * mcells + ycells, out=arm)
+        np.take(_CODES[x], 16 * mcells + ycells, out=arm)
     return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 

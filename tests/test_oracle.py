@@ -615,16 +615,30 @@ class TestSimulateTrialStream:
             assert d.codes.tolist() == (x << 2 | m << 1 | y).tolist()
 
     def test_code_table_matches_shift_decoding(self):
-        # Index 4 (mediator) or 16 (response) is a search past the top of a cdf
-        # that rounds below 1; it must give the code of the block's last cell.
         table = oracle_mod._CODES
-        assert table.shape == (2, 5, 17) and table.dtype == np.uint8
+        assert table.shape == (2, 4, 16) and table.dtype == np.uint8
         for x in (0, 1):
-            for i in range(5):
-                for j in range(17):
-                    m = min(i, 3) >> (1 - x) & 1
-                    y = min(j, 15) >> (3 - 2 * x - m) & 1
+            for i in range(4):
+                for j in range(16):
+                    m = i >> (1 - x) & 1
+                    y = j >> (3 - 2 * x - m) & 1
                     assert table[x, i, j] == x << 2 | m << 1 | y, (x, i, j)
+
+    def test_draw_past_a_cdf_below_one_takes_the_last_cell(self, monkeypatch):
+        # Both cdfs end at 0.9999999999999999 < 1, so a search of the whole cdf
+        # for the largest uniform lands past the block.
+        law = PotentialOutcomeLaw(m_block=(0.7, 0.1, 0.1, 0.1),
+                                  y_block=(0.7, 0.1, 0.1, 0.1) + (0.0,) * 12)
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(law.m_block)[-1] == np.cumsum(law.y_block)[-1] == top
+
+        class Stream:
+            def random(self, n):
+                return np.resize([top, 0.0], n)
+
+        monkeypatch.setattr(oracle_mod, "_stream", lambda seed, x: Stream())
+        # per arm: mediator cell 3 and response cell 15, then cells 0 and 0
+        assert simulate_trial(law, 2).codes.tolist() == [3, 0, 7, 4]
 
     def test_written_bytes_are_pinned(self, example1_margins, tmp_path):
         # the CLI test pins the bundled law's file; this pins the independent law's
