@@ -120,9 +120,7 @@ class BoundsReport:
 
 def _sig12(x: float) -> float:
     """Round a float to 12 significant digits."""
-    if x == 0.0 or not math.isfinite(x):
-        return 0.0 if x == 0.0 else x
-    return float(f"{x:.12g}")
+    return float(f"{x:.12g}") if x else 0.0
 
 
 def _round_tree(obj):

@@ -7,14 +7,7 @@ observed mediator value identifies the response at that value (the
 mediator itself is not randomized); that assumption is recorded in
 report metadata by the CLI rather than adjudicated here.
 
-Records are held as one uint8 cell code each, ``x << 2 | m << 1 | y``
-(m = 0 without a mediator): a :class:`Dataset` stores only the code
-column and its eight (x, m, y) cell counts, taken once; its ``x``, ``m``
-and ``y`` columns are decoded from the codes on access. It is built from
-columns, ``Dataset(x=..., m=..., y=...)``;
-:func:`~pcbounds.oracle.simulate_trial` and :func:`read_records_csv`
-return one built from codes, and :func:`write_records_csv` writes one
-from its codes.
+Records are held in a :class:`Dataset`, one uint8 cell code per record.
 
 File formats owned by this module:
 

@@ -33,10 +33,8 @@ sum to more than 1, which no joint law of (M(0), M(1)) allows: that is
 the slack of the partial upper endpoint when the mediator block is
 independent of the response block (example 1: 0.8195, sharp 0.7960).
 
-Objects are built once: each margins class validates and stores every
-field in one hand-written ``__init__``, and a derived value already in
-[0, 1] becomes a :class:`Probability` through ``core._unit`` without a
-second Python-level call.
+Each margins class validates and stores every field in one hand-written
+``__init__``; derived values become probabilities through ``core._unit``.
 """
 
 from __future__ import annotations

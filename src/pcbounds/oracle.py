@@ -33,12 +33,8 @@ margins can be drawn. The draws come from Philox keyed via
 ``SeedSequence(seed, spawn_key=(0,))``, a confounded run's per-law M(0)
 targets from key ``(1,)``, so the same (margins, n, seed) gives the
 same laws on every run and platform and the first k laws do not depend
-on n. Version 0.4.0 replaced iterative proportional fitting with this
-construction, so a seed now draws other laws than before.
-:func:`simulate_trial` draws trial records from a law the same way: arm
-x uses Philox keyed by ``(seed, x)``, its first n uniforms pick the
-mediator cells and the next n the response cells, and a table read off
-the masks gives each record's uint8 cell code in one lookup.
+on n. :func:`simulate_trial` draws records from Philox too, keyed by
+``(seed, x)`` for arm x, and reads each record's code off the masks.
 """
 
 from __future__ import annotations

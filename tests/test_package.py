@@ -1,6 +1,10 @@
 """The package's public surface: the names ``pcbounds`` exports."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,28 @@ EXPORTED = [
     "write_records_csv",
 ]
 MODULES = (core, estimate, mediation, oracle, simple)
+NUMPY_MODULES = ["numpy", "pcbounds.estimate", "pcbounds.oracle"]
+
+# Bounds on example 1 through every regime, then a first numpy-backed name.
+FIRST_USE = f"""
+import json, sys
+import pcbounds as pb
+pm = pb.PartialMediationMargins(0.02, 0.835, 0.685, 0.857, 0.27, 0.019)
+pb.simple_bounds(pb.derive_simple_from_partial(pm))
+pb.complete_bounds(pb.collapse_to_complete(pm))
+pb.partial_bounds(pm)
+pb.compare(pm)
+before = [m for m in {NUMPY_MODULES!r} if m in sys.modules]
+public = sorted(n for n in dir(pb) if not n.startswith("_"))
+pb.Dataset
+after = [m for m in {NUMPY_MODULES!r} if m in sys.modules]
+try:
+    pb.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({{"before": before, "public": public, "after": after,
+                  "bound": sorted(vars(pb)), "error": error}}))
+"""
 
 
 def test_all_is_the_frozen_sorted_list():
@@ -77,6 +103,38 @@ def test_each_name_is_its_defining_modules_object():
     assert sorted(defined) == EXPORTED
     for name, module in defined.items():
         assert getattr(pcbounds, name) is getattr(module, name), name
+
+
+def run_fresh(code: str):
+    """Run code in a fresh interpreter and return its JSON stdout."""
+    src = Path(pcbounds.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_bounds_import_no_numpy_until_a_numpy_name_is_used():
+    out = run_fresh(FIRST_USE)
+    assert out["before"] == []
+    eager = (core, mediation, simple)
+    names = [n for module in eager for n in module.__all__]
+    assert out["public"] == sorted(names + ["core", "mediation", "simple"])
+    assert out["after"] == NUMPY_MODULES
+    assert set(EXPORTED) | {"__all__"} <= set(out["bound"])
+    assert "__getattr__" not in out["bound"]
+    assert out["error"] == "module 'pcbounds' has no attribute 'no_such_name'"
+
+
+def test_submodule_import_as_first_statement():
+    out = run_fresh(
+        "from pcbounds import oracle\n"
+        "import json, sys\n"
+        "print(json.dumps(oracle is sys.modules['pcbounds.oracle']))"
+    )
+    assert out is True
 
 
 def test_star_import_binds_exactly_the_exported_names():
