@@ -15,10 +15,9 @@ class, whose dataclass fields are the keys the help text, the input echo
 and a wrong-kind error list, its assumption tags, and the bound,
 derivation and estimator it runs. The margins reader, the parser and
 the reports all read it, and ``complete`` and ``partial`` share one
-handler that takes everything it calls from the record. Records, laws,
-the simulator and the oracle are reached as ``pcbounds.<name>``, which
-loads numpy on first use, so only ``--records``, ``simulate`` and
-``verify`` import it.
+handler that takes everything it calls from the record. Every library
+name is called as ``pb.<name>``, so the package alone decides which
+names load numpy (only ``--records``, ``simulate`` and ``verify`` do).
 
 Exit codes: 0 success, 1 invalid input or a closed stdout, 2 inestimable
 (undefined PC or missing strata), 3 verification failure.
@@ -35,30 +34,9 @@ import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
-import pcbounds
+import pcbounds as pb
 
-from .core import (
-    REPORT_TOL,
-    STRUCT_TOL,
-    BoundInterval,
-    InsufficientDataError,
-    InvalidInputError,
-    PcBoundsError,
-    PcUndefinedError,
-    _require_tol,
-    read_count_json,
-)
-from .mediation import (
-    CompleteMediationMargins,
-    PartialMediationMargins,
-    compare,
-    complete_bounds,
-    derive_simple_from_complete,
-    derive_simple_from_partial,
-    partial_bounds,
-    read_margins_json,
-)
-from .simple import SimpleMargins, margins_from_count_table, risk_ratio, simple_bounds
+from .core import _require_tol
 
 __all__ = ["BoundsReport", "run", "main"]
 
@@ -85,16 +63,17 @@ class _Regime:
 
 
 _BASE_TAGS = ("randomization", "exchangeability")
-# Each lambda looks its function up when called, so a wrapper bound over it runs.
+# Each lambda looks its name up per call: a bound wrapper runs, numpy loads late.
 _REGIMES = {r.name: r for r in (
-    _Regime("simple", SimpleMargins, _BASE_TAGS, lambda m: simple_bounds(m)),
-    _Regime("complete", CompleteMediationMargins,
+    _Regime("simple", pb.SimpleMargins, _BASE_TAGS, lambda m: pb.simple_bounds(m)),
+    _Regime("complete", pb.CompleteMediationMargins,
             ("A1", "A2", "A3", "complete-mediation", *_BASE_TAGS),
-            lambda m: complete_bounds(m), lambda m: derive_simple_from_complete(m),
-            lambda dataset, tol: pcbounds.estimate_complete(dataset, tol)),
-    _Regime("partial", PartialMediationMargins, ("A1", "A2", "A3", *_BASE_TAGS),
-            lambda m: partial_bounds(m), lambda m: derive_simple_from_partial(m),
-            lambda dataset, tol: pcbounds.estimate_partial(dataset)),
+            lambda m: pb.complete_bounds(m),
+            lambda m: pb.derive_simple_from_complete(m),
+            lambda dataset, tol: pb.estimate_complete(dataset, tol)),
+    _Regime("partial", pb.PartialMediationMargins, ("A1", "A2", "A3", *_BASE_TAGS),
+            lambda m: pb.partial_bounds(m), lambda m: pb.derive_simple_from_partial(m),
+            lambda dataset, tol: pb.estimate_partial(dataset)),
 )}
 _MEDIATOR_NOTE = (
     "mediator response rates are read from exposure-randomized strata; the "
@@ -107,8 +86,8 @@ class BoundsReport:
     """Everything a subcommand reports, in one schema-stable shape."""
 
     method: str
-    interval: BoundInterval | None
-    derived: SimpleMargins | None
+    interval: pb.BoundInterval | None
+    derived: pb.SimpleMargins | None
     diagnostics: list[str] = field(default_factory=list)
     assumptions: list[str] = field(default_factory=list)
     inputs_echo: dict = field(default_factory=dict)
@@ -155,19 +134,19 @@ def _print_report(r: BoundsReport, as_json: bool) -> None:
 
 def _read_margins(path: str, regime: _Regime, command: str, **extra):
     """Read margins of the regime's kind; return them and the input echo."""
-    m = read_margins_json(path)
+    m = pb.read_margins_json(path)
     if not isinstance(m, regime.margins):
         held = next(r for r in _REGIMES.values() if type(m) is r.margins)
-        raise InvalidInputError(
+        raise pb.InvalidInputError(
             f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
     echo = {"kind": f"{regime.name}-margins", "source": path, "values": asdict(m)}
     return m, {**echo, **extra}
 
 
-def _counts_check(derived: SimpleMargins, counts_path: str, tol: float) -> str:
+def _counts_check(derived: pb.SimpleMargins, counts_path: str, tol: float) -> str:
     """Say whether derived rates agree with an observed count table."""
-    observed = margins_from_count_table(read_count_json(counts_path))
+    observed = pb.margins_from_count_table(pb.read_count_json(counts_path))
     pairs = zip((derived.p1, derived.p0), (observed.p1, observed.p0))
     div = max(abs(float(a) - float(b)) for a, b in pairs)
     if div > tol:
@@ -181,19 +160,19 @@ def _counts_check(derived: SimpleMargins, counts_path: str, tol: float) -> str:
     )
 
 
-def _rates_text(d: SimpleMargins) -> str:
+def _rates_text(d: pb.SimpleMargins) -> str:
     return f"derived arm rates: p1 = {float(d.p1):.6g}, p0 = {float(d.p0):.6g}"
 
 
 def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
     if args.counts:
-        table = read_count_json(args.counts)
-        margins = derived = margins_from_count_table(table)
+        table = pb.read_count_json(args.counts)
+        margins = derived = pb.margins_from_count_table(table)
         echo = {"kind": "counts", "source": args.counts, "values": asdict(table)}
     else:
         margins, echo = _read_margins(args.margins, _REGIMES["simple"], "simple")
         derived = None
-    rr = risk_ratio(margins)
+    rr = pb.risk_ratio(margins)
     rr_text = "undefined (no events in either arm)" if math.isnan(rr) else f"{rr:.6g}"
     return BoundsReport(
         method="simple",
@@ -210,7 +189,7 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
     regime = _REGIMES[args.command]
     notes: list[str] = []
     if args.records:
-        dataset = pcbounds.read_records_csv(args.records)
+        dataset = pb.read_records_csv(args.records)
         with warnings.catch_warnings(record=True) as ws:
             warnings.simplefilter("always")
             margins = regime.estimate(dataset, tol)
@@ -241,9 +220,9 @@ def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
     margins, echo = _read_margins(
         args.margins, _REGIMES["partial"], "compare", complete_claim=bool(args.complete)
     )
-    claim_tol = STRUCT_TOL if args.tol is None else tol
-    rep = compare(margins, complete_claim=args.complete, claim_tol=claim_tol)
-    derived = derive_simple_from_partial(margins)
+    claim_tol = pb.STRUCT_TOL if args.tol is None else tol
+    rep = pb.compare(margins, complete_claim=args.complete, claim_tol=claim_tol)
+    derived = pb.derive_simple_from_partial(margins)
     intervals = {"simple": rep.simple_interval, "partial": rep.partial_interval}
     if rep.complete_interval is not None:
         intervals["complete"] = rep.complete_interval
@@ -281,13 +260,13 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
         args.margins, _REGIMES["partial"], "verify",
         samples=args.samples, seed=args.seed, confounded=bool(args.confounded),
     )
-    rep = pcbounds.soundness_report(
+    rep = pb.soundness_report(
         margins, n_laws=args.samples, seed=args.seed, confounded=args.confounded
     )
     diagnostics = [
         f"sampled {rep.n_laws} laws at seed {rep.seed}; {rep.violations} fell "
         f"outside the partial interval, {rep.simple_violations} outside the "
-        f"simple interval (tolerance {STRUCT_TOL:g})",
+        f"simple interval (tolerance {pb.STRUCT_TOL:g})",
         f"sampled PC range [{rep.min_true_pc:.6g}, {rep.max_true_pc:.6g}]; "
         f"endpoint gaps {rep.lower_gap:.4g} / {rep.upper_gap:.4g} "
         f"(observed slack, not a sharpness proof)",
@@ -309,7 +288,7 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
     return BoundsReport(
         method="verify",
         interval=rep.interval,
-        derived=derive_simple_from_partial(margins),
+        derived=pb.derive_simple_from_partial(margins),
         diagnostics=diagnostics,
         assumptions=list(_REGIMES["partial"].tags),
         inputs_echo=echo,
@@ -321,9 +300,9 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
 
 
 def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
-    law = pcbounds.read_law_json(args.law)
-    dataset = pcbounds.simulate_trial(law, n_per_arm=args.n, seed=args.seed)
-    written = pcbounds.write_records_csv(dataset, args.out)
+    law = pb.read_law_json(args.law)
+    dataset = pb.simulate_trial(law, n_per_arm=args.n, seed=args.seed)
+    written = pb.write_records_csv(dataset, args.out)
     diagnostics = [f"wrote {written} records to {args.out}"]
     for x in (0, 1):
         events, total = dataset.arm_counts(x)
@@ -376,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="X",
         help="override the reporting tolerance used by consistency checks "
-        f"(default {REPORT_TOL})",
+        f"(default {pb.REPORT_TOL})",
     )
     parser = argparse.ArgumentParser(
         prog="pcbounds",
@@ -431,14 +410,14 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    tol = REPORT_TOL if args.tol is None else args.tol
+    tol = pb.REPORT_TOL if args.tol is None else args.tol
     try:
         _require_tol("--tol", tol)
         report, code = _COMMANDS[args.command][0](args, tol)
-    except (PcUndefinedError, InsufficientDataError) as e:
+    except (pb.PcUndefinedError, pb.InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (PcBoundsError, OSError, MemoryError) as e:
+    except (pb.PcBoundsError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _print_report(report, args.json)

@@ -131,6 +131,7 @@ def _frozen(**options):
 
     Setting or deleting any attribute raises FrozenInstanceError; the
     dataclass's own methods raise TypeError for a name that is not a field.
+    An ``__init__`` the class defines is the one ``dataclass`` keeps.
     """
     def make(cls):
         cls = dataclass(frozen=True, slots=True, **options)(cls)
@@ -143,7 +144,7 @@ def _frozen(**options):
     return make
 
 
-@_frozen(init=False)
+@_frozen()
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
@@ -155,9 +156,9 @@ class BoundInterval:
     and must stay stable); a larger inversion raises
     :class:`InconsistentBoundsError`.
 
-    The hand-written ``__init__`` takes the generated one's parameters,
-    checks each endpoint and stores it once; ``fields``, ``replace``,
-    eq, hash, repr and pickling are the dataclass's own.
+    ``dataclass`` keeps the hand-written ``__init__``, which takes the
+    fields as parameters, checks each endpoint and stores it once;
+    ``fields``, ``replace``, eq, hash, repr and pickling are its own.
     """
 
     lower: Probability

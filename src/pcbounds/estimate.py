@@ -73,7 +73,7 @@ def _pack(columns) -> np.ndarray:
     return codes
 
 
-@_frozen(init=False, eq=False)
+@_frozen(eq=False)
 class Dataset:
     """An immutable batch of trial records, stored as one code column.
 

@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 
-@_frozen(init=False)
+@_frozen()
 class CompleteMediationMargins:
     """Margins when exposure acts on the outcome only through the mediator."""
 
@@ -94,7 +94,7 @@ class CompleteMediationMargins:
         object.__setattr__(self, "d", Probability(d))
 
 
-@_frozen(init=False)
+@_frozen()
 class PartialMediationMargins:
     """Response-surface and mediator margins when X may also act directly.
 
@@ -155,9 +155,9 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     """PC bounds under complete mediation.
 
-    The lower endpoint is the simple lower bound of the derived arm
-    rates (this closed form never improves the lower bound); the upper
-    endpoint divides :func:`complete_numerator` by the derived p1.
+    Lower: the simple lower bound of the derived arm rates; upper:
+    :func:`complete_numerator` over the derived p1. Both are sharp when the
+    mediator block is independent of the response block (the oracle's laws).
     """
     return _bounds(*_complete_parts(m.a, m.b, m.c, m.d), _COMPLETE_UNDEFINED)
 

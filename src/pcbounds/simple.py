@@ -21,7 +21,7 @@ from .core import _frozen, _unit
 __all__ = ["SimpleMargins", "margins_from_count_table", "risk_ratio", "simple_bounds"]
 
 
-@_frozen(init=False)
+@_frozen()
 class SimpleMargins:
     """Arm response rates p1 = P(Y=1 | X<-1) and p0 = P(Y=1 | X<-0)."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from pcbounds import (
     PotentialOutcomeLaw,
     Probability,
     SimpleMargins,
+    complete_bounds,
     complete_coupling_sweep,
     complete_numerator,
     coupling_sweep_simple,
@@ -221,6 +223,24 @@ class TestSweepAgainstClosedForms:
         m = CompleteMediationMargins(a, b, c, d)
         swept = complete_coupling_sweep(m)
         assert swept == pytest.approx(float(complete_numerator(m)), abs=1e-12)
+
+    @given(a=sweep_values, b=sweep_values, c=sweep_values, d=sweep_values)
+    @settings(max_examples=300)
+    def test_complete_lower_is_the_smallest_corner(self, a, b, c, d):
+        # Under block independence the numerator is w01 s + w10 t, with
+        # w01 = P(M(0)=0, M(1)=1), w10 = w01 - (a + b - 1), s = P(Y*(0)=0,
+        # Y*(1)=1) and t = s - (c + d - 1); w01 and s range over their Frechet
+        # intervals. Exact fractions keep a + b - 1 from cancelling.
+        assume(b * d + (1 - b) * (1 - c) > 0.0)
+        lower = complete_bounds(CompleteMediationMargins(a, b, c, d)).lower
+        a, b, c, d = map(Fraction, (a, b, c, d))
+        corners = [
+            w01 * s + (w01 - (a + b - 1)) * (s - (c + d - 1))
+            for w01 in (max(0, a + b - 1), min(a, b))
+            for s in (max(0, c + d - 1), min(c, d))
+        ]
+        p1 = b * d + (1 - b) * (1 - c)
+        assert float(lower) == pytest.approx(float(min(corners) / p1), abs=1e-9)
 
 
 class TestExactSweepsMatchTheGrids:

@@ -160,12 +160,21 @@ print(json.dumps([codes, loaded]))
 
 
 def test_submodule_import_as_first_statement():
-    out = run_fresh(
-        "from pcbounds import oracle\n"
-        "import json, sys\n"
-        "print(json.dumps(oracle is sys.modules['pcbounds.oracle']))"
-    )
-    assert out is True
+    margins = Path(__file__).resolve().parent.parent / "data" / "example1_margins.json"
+    for name in ("oracle", "cli"):
+        out = run_fresh(f"""
+from pcbounds import {name}
+import contextlib, io, json, sys
+loaded = [[m for m in {NUMPY_MODULES!r} if m in sys.modules]]
+if {name!r} == "cli":
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["compare", "--margins", {str(margins)!r}]) == 0
+    loaded.append([m for m in {NUMPY_MODULES!r} if m in sys.modules])
+print(json.dumps([{name} is sys.modules["pcbounds.{name}"], loaded]))
+""")
+        assert out[0] is True, name
+        if name == "cli":
+            assert out[1] == [[], []], "from pcbounds import cli loaded numpy"
 
 
 def test_star_import_binds_exactly_the_exported_names():
