@@ -21,7 +21,6 @@ from pcbounds import (
     CompleteMediationMargins,
     compare,
     complete_bounds,
-    decomposition,
     margins_from_count_table,
     read_count_json,
     read_margins_json,
@@ -51,10 +50,10 @@ def example_counts() -> None:
 
 def example_partial() -> None:
     m = read_margins_json(DATA_DIR / "example1_margins.json")
-    alpha, beta, gamma, delta = decomposition(m)
-    print("2. partial mediation (example 1 margins)")
-    print(f"  alpha={alpha:.4f} beta={beta:.4f} gamma={gamma:.4f} delta={delta:.4f}")
     cmp = compare(m)
+    print("2. partial mediation (example 1 margins)")
+    print(f"  alpha={cmp.alpha:.4f} beta={cmp.beta:.4f} gamma={cmp.gamma:.4f} "
+          f"delta={cmp.delta:.4f}")
     show_interval("exposure-only bounds", cmp.simple_interval)
     show_interval("mediator-informed bounds", cmp.partial_interval)
     gain = float(cmp.simple_interval.upper) - float(cmp.partial_interval.upper)

@@ -19,8 +19,8 @@ handler that takes everything it calls from the record. Every library
 name is called as ``pb.<name>``, so the package alone decides which
 names load numpy (only ``--records``, ``simulate`` and ``verify`` do).
 
-Exit codes: 0 success, 1 invalid input or a closed stdout, 2 inestimable
-(undefined PC or missing strata), 3 verification failure.
+Exit codes: 0 success, 1 invalid input, a closed stdout or numpy missing,
+2 inestimable (undefined PC or missing strata), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ def run(argv: list[str] | None = None) -> int:
     except (pb.PcUndefinedError, pb.InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (pb.PcBoundsError, OSError, MemoryError) as e:
+    except (pb.PcBoundsError, OSError, MemoryError, ModuleNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _print_report(report, args.json)

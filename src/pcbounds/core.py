@@ -182,9 +182,13 @@ class BoundInterval:
 
 
 def _require_tol(name: str, value: float) -> None:
-    """Reject a NaN or negative tolerance as invalid input."""
-    if not value >= 0.0:
-        raise InvalidInputError(f"{name} must be a nonnegative number, got {value!r}")
+    """Reject a NaN, a negative value or a non-number as invalid input."""
+    try:
+        if value >= 0.0:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"{name} must be a nonnegative number, got {value!r}")
 
 
 def _require_int(name: str, value, least: int) -> None:

@@ -24,8 +24,9 @@ returns the derived rates (p1, p0) and the upper numerator N
 (``simple._simple_parts``, ``_complete_parts``, and ``_partial_parts``,
 which also returns the split (alpha, beta, gamma, delta) and the four
 trajectory caps); one rule, ``simple._interval``, makes any of them
-[max(0, 1 - p0/p1), min(1, N/p1)]. The public functions wrap them, and
-:func:`compare` calls the partial kernel once.
+[max(0, 1 - p0/p1), min(1, N/p1)]. The public functions wrap them;
+:func:`compare` calls the partial kernel once and reports its split and
+both upper numerators.
 
 The partial N replaces each trajectory weight w_ab = P(M(0)=a, M(1)=b)
 with its own Frechet cap, min(P(M(0)=a), P(M(1)=b)). The four caps can
@@ -62,16 +63,10 @@ __all__ = [
     "CompleteMediationMargins",
     "PartialMediationMargins",
     "ComparisonReport",
-    "complete_numerator",
     "complete_bounds",
     "derive_simple_from_complete",
-    "partial_upper_terms",
-    "partial_upper_numerator",
     "partial_bounds",
     "derive_simple_from_partial",
-    "decomposition",
-    "simple_numerator_via_decomposition",
-    "collapse_to_complete",
     "compare",
     "read_margins_json",
 ]
@@ -137,12 +132,6 @@ def _complete_parts(a, b, c, d) -> tuple:
             min(a, b) * min(c, d) + min(na, nb) * min(nc, nd))
 
 
-def complete_numerator(m: CompleteMediationMargins) -> Probability:
-    """Largest feasible P(Y(0)=0, Y(1)=1 | X<-1) under complete mediation:
-    min{a,b} min{c,d} + min{1-a,1-b} min{1-c,1-d}."""
-    return Probability(_complete_parts(m.a, m.b, m.c, m.d)[2])
-
-
 def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
     """Arm response rates implied by complete-mediation margins.
 
@@ -155,15 +144,17 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     """PC bounds under complete mediation.
 
-    Lower: the simple lower bound of the derived arm rates; upper:
-    :func:`complete_numerator` over the derived p1. Both are sharp when the
-    mediator block is independent of the response block (the oracle's laws).
+    Lower: the simple lower bound of the derived arm rates; upper: the largest
+    feasible P(Y(0)=0, Y(1)=1 | X<-1) over p1. Both are sharp when the mediator
+    block is independent of the response block (the oracle's laws).
     """
     return _bounds(*_complete_parts(m.a, m.b, m.c, m.d), _COMPLETE_UNDEFINED)
 
 
 def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
-    """Raw derived (p1, p0), upper numerator, split and four trajectory caps."""
+    """Raw derived (p1, p0), upper numerator (it reaches 2 when both arm events
+    are certain), split, and the four trajectory caps, in the order
+    (m0, m1) = (0,0), (0,1), (1,0), (1,1)."""
     q00, q01, n0, n1 = 1 - y00, 1 - y01, 1 - m0, 1 - m1
     gamma, delta = y10 * n1, y11 * m1
     t1 = min(q00, y10) * min(n0, n1)
@@ -172,25 +163,6 @@ def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
     t4 = min(q01, y11) * min(m0, m1)
     return (gamma + delta, y00 * n0 + y01 * m0, t1 + t2 + t3 + t4,
             (q00 * n0, q01 * m0, gamma, delta), (t1, t2, t3, t4))
-
-
-def partial_upper_terms(m: PartialMediationMargins) -> tuple[float, ...]:
-    """The four Frechet-cap products, one per mediator trajectory.
-
-    Term order is (m0, m1) = (0,0), (0,1), (1,0), (1,1), writing
-    q_xm = 1 - y_xm for the no-outcome rates.
-    """
-    return _partial_parts(*_fields(m))[4]
-
-
-def partial_upper_numerator(m: PartialMediationMargins) -> float:
-    """Sum of the four trajectory caps, returned raw.
-
-    The sum can exceed 1 (it can reach 2 when both arm events are
-    certain), so it is a plain float, not a probability; the bound
-    clamps only after dividing by p1.
-    """
-    return _partial_parts(*_fields(m))[2]
 
 
 def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
@@ -208,47 +180,16 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     return _bounds(*_partial_parts(*_fields(m))[:3], _PARTIAL_UNDEFINED)
 
 
-def decomposition(m: PartialMediationMargins) -> tuple[Probability, ...]:
-    """Mediator-resolved split (alpha, beta, gamma, delta) of the arm events.
-
-    alpha + beta = P(Y(0)=0) and gamma + delta = P(Y(1)=1), with each
-    piece attributing the arm event to one mediator value.
-    """
-    return tuple(map(_unit, _partial_parts(*_fields(m))[3]))
-
-
-def simple_numerator_via_decomposition(m: PartialMediationMargins) -> Probability:
-    """min{alpha+beta, gamma+delta}, the simple numerator from the split.
-
-    alpha + beta = 1 - p0 and gamma + delta = p1 by algebra;
-    ``test_decomposition_partitions_arm_rates`` in
-    ``tests/test_mediation.py`` pins both identities at 1e-12.
-    """
-    alpha, beta, gamma, delta = _partial_parts(*_fields(m))[3]
-    return _unit(min(alpha + beta, gamma + delta))
-
-
 def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
     return (1.0 - v[4], v[5], 1.0 - v[0], v[3])
 
 
-def collapse_to_complete(m: PartialMediationMargins) -> CompleteMediationMargins:
-    """Reindex partial margins as complete-mediation margins.
-
-    Valid when the response surface does not depend on x (y00 = y10 and
-    y01 = y11); the caller is responsible for checking that claim. The
-    map is a = 1-m0, b = m1, c = 1-y00, d = y11.
-    """
-    return CompleteMediationMargins(*_collapsed(_fields(m)))
-
-
 @_frozen()
 class ComparisonReport:
-    """Side-by-side intervals plus the quantities the comparison rests on.
-
-    numerator_partial is a raw float (the four-term sum is not a
-    probability); construction verifies it never exceeds twice the
-    simple numerator.
+    """Side-by-side intervals plus the quantities the comparison rests on:
+    the split of P(Y(0)=0) = alpha + beta and P(Y(1)=1) = gamma + delta by
+    mediator value, and both upper numerators. numerator_partial is a raw
+    float; construction verifies it never exceeds twice numerator_simple.
     """
 
     simple_interval: BoundInterval

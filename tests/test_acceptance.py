@@ -28,32 +28,29 @@ import pytest
 import pcbounds.cli as cli
 from pcbounds import (
     BoundInterval,
+    CompleteMediationMargins,
     InconsistentBoundsError,
     InsufficientDataError,
     PartialMediationMargins,
     PcUndefinedError,
     PotentialOutcomeLaw,
     SimpleMargins,
-    collapse_to_complete,
     compare,
     complete_bounds,
-    complete_numerator,
     coupling_sweep_simple,
-    decomposition,
     derive_simple_from_partial,
     estimate_partial,
     margins_from_count_table,
     partial_bounds,
-    partial_upper_numerator,
-    partial_upper_terms,
     read_records_csv,
     risk_ratio,
     simple_bounds,
-    simple_numerator_via_decomposition,
     simulate_trial,
     soundness_report,
 )
 from pcbounds.cli import run
+from pcbounds.core import _unit
+from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
 
 
 def best_runtime(fn, repeats=5):
@@ -187,7 +184,7 @@ def test_criterion_2_exact_values_from_quoted_inputs(example1_margins):
     iv = partial_bounds(example1_margins)
     assert float(iv.lower) == pytest.approx(0.6512259759279816, rel=1e-12)
     assert float(iv.upper) == pytest.approx(0.8194743907896341, rel=1e-12)
-    assert partial_upper_numerator(example1_margins) == pytest.approx(
+    assert compare(example1_margins).numerator_partial == pytest.approx(
         0.564018, rel=1e-12
     )
     derived = derive_simple_from_partial(example1_margins)
@@ -296,14 +293,15 @@ def test_criterion_5_sweep_equivalence(acceptance_log):
 
 
 def _partial_property_violations(m):
-    """Count LOWER-EQUALITY, TWO-X, and TERMWISE violations for one set."""
+    """Count LOWER-EQUALITY, TWO-X, and TERMWISE violations for one set.
+
+    Reads the partial kernel, not ``compare``: the grid includes p1 = 0."""
     violations = []
-    t1, t2, t3, t4 = partial_upper_terms(m)
-    alpha, beta, _, _ = decomposition(m)
+    _, _, numerator, split, (t1, t2, t3, t4) = _partial_parts(*_fields(m))
+    alpha, beta, _, _ = map(_unit, split)
     if not (t1 <= alpha and t2 <= alpha and t3 <= beta and t4 <= beta):
         violations.append("TERMWISE")
-    numerator = partial_upper_numerator(m)
-    if numerator > 2.0 * float(simple_numerator_via_decomposition(m)) + 1e-9:
+    if numerator > 2.0 * min(split[0] + split[1], split[2] + split[3]) + 1e-9:
         violations.append("TWO-X")
     derived = derive_simple_from_partial(m)
     if float(derived.p1) > 0.0:
@@ -333,16 +331,14 @@ def test_criterion_6_dominance_properties(acceptance_log):
                     )
                     for name in _partial_property_violations(pm):
                         counts[name] += 1
-                    _, t2, t3, _ = partial_upper_terms(pm)
-                    if float(complete_numerator(collapse_to_complete(pm))) != (
-                        float(t2) + float(t3)
-                    ):
+                    _, t2, t3, _ = _partial_parts(*_fields(pm))[4]
+                    collapsed = _collapsed(_fields(pm))
+                    if _complete_parts(*collapsed)[2] != float(t2) + float(t3):
                         counts["TABLE-2"] += 1
                     derived = derive_simple_from_partial(pm)
                     if float(derived.p1) > 0.0:
-                        upper_c = float(
-                            complete_bounds(collapse_to_complete(pm)).upper
-                        )
+                        cm = CompleteMediationMargins(*collapsed)
+                        upper_c = float(complete_bounds(cm).upper)
                         if upper_c > float(partial_bounds(pm).upper) + 1e-9:
                             counts["COMPLETE-DOMINANCE"] += 1
                         if upper_c > float(simple_bounds(derived).upper) + 1e-9:

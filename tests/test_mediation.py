@@ -16,19 +16,15 @@ from pcbounds import (
     PcBoundsError,
     PcUndefinedError,
     Probability,
-    collapse_to_complete,
     compare,
     complete_bounds,
-    complete_numerator,
-    decomposition,
     derive_simple_from_complete,
     derive_simple_from_partial,
     partial_bounds,
-    partial_upper_numerator,
-    partial_upper_terms,
     simple_bounds,
-    simple_numerator_via_decomposition,
 )
+from pcbounds.core import _unit
+from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -54,7 +50,8 @@ def x_invariant_sets(draw):
 def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     """``compare`` as the composition of public calls it was before it
     became a single pass, kept as the differential reference. The partial
-    bounds go first, so p1 = 0 raises their message, as ``compare`` does."""
+    bounds go first, so p1 = 0 raises their message, as ``compare`` does.
+    The split and the numerators come from the partial kernel."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -69,7 +66,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     partial_iv = partial_bounds(m)
     derived = derive_simple_from_partial(m)
     simple_iv = simple_bounds(derived)
-    complete_iv = complete_bounds(collapse_to_complete(m)) if complete_claim else None
+    complete_iv = None
+    if complete_claim:
+        complete_iv = complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
 
     lowers = [simple_iv.lower, partial_iv.lower]
     uppers = [simple_iv.upper, partial_iv.upper]
@@ -90,7 +89,8 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
             f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
         ) from None
 
-    alpha, beta, gamma, delta = decomposition(m)
+    _, _, numerator, split, _ = _partial_parts(*_fields(m))
+    alpha, beta, gamma, delta = map(_unit, split)
     return ComparisonReport(
         simple_interval=simple_iv,
         partial_interval=partial_iv,
@@ -100,8 +100,8 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
         beta=beta,
         gamma=gamma,
         delta=delta,
-        numerator_simple=simple_numerator_via_decomposition(m),
-        numerator_partial=partial_upper_numerator(m),
+        numerator_simple=_unit(min(split[0] + split[1], split[2] + split[3])),
+        numerator_partial=numerator,
     )
 
 
@@ -129,7 +129,7 @@ def report_bits(make, *args, **kwargs):
 class TestCompleteMediation:
     def test_numerator_reference_values(self):
         m = CompleteMediationMargins(a=0.7, b=0.6, c=0.4, d=0.9)
-        assert float(complete_numerator(m)) == 0.27
+        assert _complete_parts(m.a, m.b, m.c, m.d)[2] == 0.27
 
     def test_derived_margins_reference_values(self):
         m = CompleteMediationMargins(a=0.7, b=0.6, c=0.4, d=0.9)
@@ -149,36 +149,36 @@ class TestCompleteMediation:
         min_form = min(a, b) * min(c, d) + min(1.0 - a, 1.0 - b) * min(
             1.0 - c, 1.0 - d
         )
-        assert float(complete_numerator(m)) == min_form
+        assert _complete_parts(m.a, m.b, m.c, m.d)[2] == min_form
 
     @given(a=probs, b=probs, c=probs, d=probs)
     def test_numerator_never_exceeds_response_rate(self, a, b, c, d):
         m = CompleteMediationMargins(a, b, c, d)
         p1 = float(derive_simple_from_complete(m).p1)
-        assert float(complete_numerator(m)) <= p1 + 1e-15
+        assert _complete_parts(m.a, m.b, m.c, m.d)[2] <= p1 + 1e-15
 
     def test_ties_fall_in_low_branch(self):
         m = CompleteMediationMargins(a=0.5, b=0.5, c=0.3, d=0.8)
-        assert float(complete_numerator(m)) == 0.5 * 0.3 + 0.5 * (1.0 - 0.8)
+        assert _complete_parts(m.a, m.b, m.c, m.d)[2] == 0.5 * 0.3 + 0.5 * (1.0 - 0.8)
 
 
 class TestPartialTerms:
     def test_reference_terms(self, example1_margins):
-        t1, t2, t3, t4 = partial_upper_terms(example1_margins)
+        t1, t2, t3, t4 = _partial_parts(*_fields(example1_margins))[4]
         assert float(t1) == pytest.approx(0.50005, rel=1e-12)
         assert float(t2) == pytest.approx(0.016283, rel=1e-12)
         assert float(t3) == pytest.approx(0.04455, rel=1e-12)
         assert float(t4) == pytest.approx(0.003135, rel=1e-12)
 
     def test_reference_numerator(self, example1_margins):
-        assert partial_upper_numerator(example1_margins) == pytest.approx(
+        assert compare(example1_margins).numerator_partial == pytest.approx(
             0.564018, rel=1e-12
         )
 
     def test_numerator_is_plain_float_and_can_exceed_one(self):
         m = PartialMediationMargins(y00=0.0, y01=0.0, y10=1.0, y11=1.0,
                                     m0=0.5, m1=0.5)
-        num = partial_upper_numerator(m)
+        num = compare(m).numerator_partial
         assert type(num) is float
         assert num == 2.0
         # The bound itself is still a probability after division.
@@ -186,8 +186,9 @@ class TestPartialTerms:
 
     @given(partial_margin_sets())
     def test_terms_bounded_by_decomposition(self, m):
-        t1, t2, t3, t4 = partial_upper_terms(m)
-        alpha, beta, _, _ = decomposition(m)
+        # The kernel, not ``compare``: the draws include p1 = 0.
+        _, _, _, split, (t1, t2, t3, t4) = _partial_parts(*_fields(m))
+        alpha, beta, _, _ = map(_unit, split)
         assert t1 <= alpha
         assert t2 <= alpha
         assert t3 <= beta
@@ -195,9 +196,8 @@ class TestPartialTerms:
 
     @given(partial_margin_sets())
     def test_numerator_at_most_twice_simple(self, m):
-        num = partial_upper_numerator(m)
-        simple_num = simple_numerator_via_decomposition(m)
-        assert num <= 2.0 * float(simple_num) + 1e-9
+        _, _, num, (alpha, beta, gamma, delta), _ = _partial_parts(*_fields(m))
+        assert num <= 2.0 * min(alpha + beta, gamma + delta) + 1e-9
 
 
 class TestDerivedMargins:
@@ -212,15 +212,15 @@ class TestDerivedMargins:
         assert float(d.p0) == pytest.approx(0.3176, rel=1e-12)
 
     def test_decomposition_example2(self, example2_margins):
-        alpha, beta, gamma, delta = decomposition(example2_margins)
-        assert float(alpha) == pytest.approx(0.0392, rel=1e-12)
-        assert float(beta) == pytest.approx(0.6432, rel=1e-12)
-        assert float(gamma) == pytest.approx(0.2366, rel=1e-12)
-        assert float(delta) == pytest.approx(0.5402, rel=1e-12)
+        rep = compare(example2_margins)
+        assert float(rep.alpha) == pytest.approx(0.0392, rel=1e-12)
+        assert float(rep.beta) == pytest.approx(0.6432, rel=1e-12)
+        assert float(rep.gamma) == pytest.approx(0.2366, rel=1e-12)
+        assert float(rep.delta) == pytest.approx(0.5402, rel=1e-12)
 
     @given(partial_margin_sets())
     def test_decomposition_partitions_arm_rates(self, m):
-        alpha, beta, gamma, delta = decomposition(m)
+        alpha, beta, gamma, delta = map(_unit, _partial_parts(*_fields(m))[3])
         d = derive_simple_from_partial(m)
         assert float(alpha) + float(beta) == pytest.approx(
             1.0 - float(d.p0), abs=1e-12
@@ -231,9 +231,8 @@ class TestDerivedMargins:
     def test_simple_numerator_matches_direct_form(self, m):
         d = derive_simple_from_partial(m)
         direct = min(1.0 - float(d.p0), float(d.p1))
-        assert float(simple_numerator_via_decomposition(m)) == pytest.approx(
-            direct, abs=1e-12
-        )
+        alpha, beta, gamma, delta = _partial_parts(*_fields(m))[3]
+        assert min(alpha + beta, gamma + delta) == pytest.approx(direct, abs=1e-12)
 
 
 class TestPartialBounds:
@@ -264,25 +263,24 @@ class TestCollapse:
     def test_mapping(self):
         m = PartialMediationMargins(y00=0.3, y01=0.8, y10=0.3, y11=0.8,
                                     m0=0.4, m1=0.7)
-        cm = collapse_to_complete(m)
-        assert float(cm.a) == 0.6
-        assert float(cm.b) == 0.7
-        assert float(cm.c) == 0.7
-        assert float(cm.d) == 0.8
+        a, b, c, d = _collapsed(_fields(m))
+        assert a == 0.6
+        assert b == 0.7
+        assert c == 0.7
+        assert d == 0.8
 
     def test_mapping_reads_the_unexposed_surface(self):
         # c and d come from y00 and y11 even when the claim does not hold.
         m = PartialMediationMargins(y00=0.3, y01=0.6, y10=0.5, y11=0.8,
                                     m0=0.4, m1=0.7)
-        cm = collapse_to_complete(m)
-        assert (float(cm.c), float(cm.d)) == (0.7, 0.8)
+        assert _collapsed(_fields(m))[2:] == (0.7, 0.8)
 
     @given(y0=probs, y1=probs, m0=probs, m1=probs)
     def test_complete_never_looser_within_its_model(self, y0, y1, m0, m1):
         m = PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
         d = derive_simple_from_partial(m)
         assume(float(d.p1) > 1e-9)
-        cm = collapse_to_complete(m)
+        cm = CompleteMediationMargins(*_collapsed(_fields(m)))
         upper_complete = float(complete_bounds(cm).upper)
         assert upper_complete <= float(partial_bounds(m).upper) + 1e-9
         assert upper_complete <= float(simple_bounds(d).upper) + 1e-9
@@ -292,8 +290,8 @@ class TestCollapse:
         # Starting from the partial side the two forms agree only up to
         # one rounding of 1 - (1 - m0), so this is not a bitwise check.
         m = PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
-        _, t2, t3, _ = partial_upper_terms(m)
-        assert float(complete_numerator(collapse_to_complete(m))) == pytest.approx(
+        _, t2, t3, _ = _partial_parts(*_fields(m))[4]
+        assert _complete_parts(*_collapsed(_fields(m)))[2] == pytest.approx(
             float(t2) + float(t3), abs=5e-16
         )
 
@@ -304,8 +302,8 @@ class TestCollapse:
         m = PartialMediationMargins(
             y00=1.0 - c, y01=d, y10=1.0 - c, y11=d, m0=1.0 - a, m1=b
         )
-        _, t2, t3, _ = partial_upper_terms(m)
-        numerator = complete_numerator(collapse_to_complete(m))
+        _, t2, t3, _ = _partial_parts(*_fields(m))[4]
+        numerator = _complete_parts(*_collapsed(_fields(m)))[2]
         assert float(numerator) == float(t2) + float(t3)
 
 
@@ -347,7 +345,7 @@ class TestCompare:
                                     m0=0.4, m1=0.7)
         rep = compare(m, complete_claim=True)
         assert rep.complete_interval is not None
-        expected = complete_bounds(collapse_to_complete(m))
+        expected = complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
         assert float(rep.complete_interval.upper) == float(expected.upper)
         assert float(rep.combined_interval.upper) <= float(
             rep.partial_interval.upper
@@ -366,7 +364,8 @@ class TestCompare:
             compare(example1_margins, complete_claim=True, claim_tol=1.0)
         simple_iv = simple_bounds(derive_simple_from_partial(example1_margins))
         partial_iv = partial_bounds(example1_margins)
-        complete_iv = complete_bounds(collapse_to_complete(example1_margins))
+        collapsed = CompleteMediationMargins(*_collapsed(_fields(example1_margins)))
+        complete_iv = complete_bounds(collapsed)
         assert float(complete_iv.upper) < float(partial_iv.lower)
         assert str(exc.value) == (
             "complete-mediation claim accepted at claim_tol 1, but its interval "
@@ -439,10 +438,12 @@ class TestSinglePassCompare:
         d = derive_simple_from_partial(m)
         assert abs(float(rep.alpha) + float(rep.beta) - (1.0 - float(d.p0))) <= 1e-12
         assert abs(float(rep.gamma) + float(rep.delta) - float(d.p1)) <= 1e-12
-        assert rep.numerator_simple == simple_numerator_via_decomposition(m)
+        _, _, numerator, (alpha, beta, gamma, delta), _ = _partial_parts(*_fields(m))
+        assert rep.numerator_simple == _unit(min(alpha + beta, gamma + delta))
+        assert rep.numerator_partial == numerator
         assert rep.numerator_partial <= 2.0 * float(rep.numerator_simple) + STRUCT_TOL
 
-    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0, "0.1", None])
     @pytest.mark.parametrize("claim", [False, True])
     def test_claim_tol_must_be_nonnegative(self, tol, claim):
         # |y00 - y10| = 0.8: a NaN tolerance used to accept this claim.

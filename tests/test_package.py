@@ -34,13 +34,10 @@ EXPORTED = [
     "STRUCT_TOL",
     "SimpleMargins",
     "SoundnessReport",
-    "collapse_to_complete",
     "compare",
     "complete_bounds",
     "complete_coupling_sweep",
-    "complete_numerator",
     "coupling_sweep_simple",
-    "decomposition",
     "derive_simple_from_complete",
     "derive_simple_from_partial",
     "estimate_complete",
@@ -49,8 +46,6 @@ EXPORTED = [
     "frechet",
     "margins_from_count_table",
     "partial_bounds",
-    "partial_upper_numerator",
-    "partial_upper_terms",
     "read_count_json",
     "read_law_json",
     "read_margins_json",
@@ -58,7 +53,6 @@ EXPORTED = [
     "risk_ratio",
     "sample_laws",
     "simple_bounds",
-    "simple_numerator_via_decomposition",
     "simulate_trial",
     "soundness_report",
     "true_pc",
@@ -73,7 +67,7 @@ import json, sys
 import pcbounds as pb
 pm = pb.PartialMediationMargins(0.02, 0.835, 0.685, 0.857, 0.27, 0.019)
 pb.simple_bounds(pb.derive_simple_from_partial(pm))
-pb.complete_bounds(pb.collapse_to_complete(pm))
+pb.complete_bounds(pb.CompleteMediationMargins(1 - pm.m0, pm.m1, 1 - pm.y00, pm.y11))
 pb.partial_bounds(pm)
 pb.compare(pm)
 before = [m for m in {NUMPY_MODULES!r} if m in sys.modules]
@@ -90,7 +84,7 @@ print(json.dumps({{"before": before, "public": public, "after": after,
 
 
 def test_all_is_the_frozen_sorted_list():
-    assert len(EXPORTED) == 50
+    assert len(EXPORTED) == 44
     assert pcbounds.__all__ == EXPORTED
 
 
@@ -128,9 +122,13 @@ def test_bounds_import_no_numpy_until_a_numpy_name_is_used():
     assert out["error"] == "module 'pcbounds' has no attribute 'no_such_name'"
 
 
-def test_cli_reads_margins_and_counts_without_numpy(tmp_path):
-    data = Path(__file__).resolve().parent.parent / "data"
-    partial, counts = data / "example1_margins.json", data / "reference_counts.json"
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """The CLI's margins and counts routes, and an eight-row record CSV."""
+    partial, counts = DATA / "example1_margins.json", DATA / "reference_counts.json"
     simple, complete = tmp_path / "simple.json", tmp_path / "complete.json"
     simple.write_text(json.dumps({"p1": 0.3, "p0": 0.12}))
     complete.write_text(json.dumps({"a": 0.7, "b": 0.6, "c": 0.4, "d": 0.9}))
@@ -143,8 +141,13 @@ def test_cli_reads_margins_and_counts_without_numpy(tmp_path):
         ["complete", "--margins", complete],
         ["partial", "--margins", partial, "--counts", counts],
         ["compare", "--margins", partial, "--counts", counts],
-        ["partial", "--records", records],
     ]
+    return routes, records
+
+
+def test_cli_reads_margins_and_counts_without_numpy(cli_inputs):
+    routes, records = cli_inputs
+    routes = routes + [["partial", "--records", records]]
     codes, loaded = run_fresh(f"""
 import contextlib, io, json, sys
 from pcbounds.cli import run
@@ -159,8 +162,36 @@ print(json.dumps([codes, loaded]))
     assert loaded == [[]] * (len(routes) - 1) + [NUMPY_MODULES]
 
 
+def test_cli_without_numpy_exits_1_on_the_numpy_routes(cli_inputs, tmp_path):
+    routes, records = cli_inputs
+    out = tmp_path / "simulated.csv"
+    numpy_routes = [
+        ["partial", "--records", records],
+        ["simulate", "--law", DATA / "example1_law.json", "--n", "5", "--out", out],
+        ["verify", "--margins", DATA / "example1_margins.json", "--samples", "5"],
+    ]
+    results = run_fresh(f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from pcbounds.cli import run
+results = []
+for argv in {[[str(a) for a in argv] for argv in routes + numpy_routes]!r}:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    results.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(results))
+""")
+    assert [code for code, _, _ in results[: len(routes)]] == [0] * len(routes)
+    for code, stdout, stderr in results[len(routes) :]:
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "numpy" in stderr
+    assert not out.exists()
+
+
 def test_submodule_import_as_first_statement():
-    margins = Path(__file__).resolve().parent.parent / "data" / "example1_margins.json"
+    margins = DATA / "example1_margins.json"
     for name in ("oracle", "cli"):
         out = run_fresh(f"""
 from pcbounds import {name}

@@ -42,13 +42,12 @@ from pcbounds import (
     PartialMediationMargins,
     PcUndefinedError,
     SimpleMargins,
-    collapse_to_complete,
     complete_bounds,
     derive_simple_from_partial,
     partial_bounds,
     simple_bounds,
 )
-from pcbounds.mediation import _complete_parts, _partial_parts
+from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
 from pcbounds.simple import _interval, _simple_parts
 
 U = 2.0**-53
@@ -90,7 +89,8 @@ def check_all_regimes(m: PartialMediationMargins) -> None:
     the complete bounds of its collapse."""
     check_regime(partial_bounds, _partial_parts, m)
     check_regime(simple_bounds, _simple_parts, derive_simple_from_partial(m))
-    check_regime(complete_bounds, _complete_parts, collapse_to_complete(m))
+    collapsed = CompleteMediationMargins(*_collapsed(_fields(m)))
+    check_regime(complete_bounds, _complete_parts, collapsed)
 
 
 def test_worked_examples_and_criterion_4_sets(criterion_4_sets):
