@@ -115,10 +115,7 @@ def _print_report(r: BoundsReport, as_json: bool) -> None:
         return
     print(f"method: {r.method}")
     if r.interval is not None:
-        print(
-            f"interval: [{float(r.interval.lower):.2f}, "
-            f"{float(r.interval.upper):.2f}]"
-        )
+        print(f"interval: [{r.interval.lower:.2f}, {r.interval.upper:.2f}]")
     if r.derived is not None:
         print(
             f"derived: P(Y=1 | X<-1) = {float(r.derived.p1):.4f}, "
@@ -417,7 +414,10 @@ def run(argv: list[str] | None = None) -> int:
     except (pb.PcUndefinedError, pb.InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (pb.PcBoundsError, OSError, MemoryError, ModuleNotFoundError) as e:
+    except ModuleNotFoundError as e:
+        print(f"error: {e}; install pcbounds[records] for numpy", file=sys.stderr)
+        return 1
+    except (pb.PcBoundsError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _print_report(report, args.json)

@@ -1,9 +1,9 @@
 """Validated probability scalars, bound intervals, and 2x2 trial counts.
 
-Everything downstream trades in these types: values are checked once at
-the edge, after which the bound formulas can assume unit-interval floats
-and ordered intervals. Two tolerance regimes apply throughout the
-package:
+Everything downstream trades in these types: values are converted once,
+at the edge, by :func:`_unit` and its guarded fast path, after which the
+bound formulas can assume unit-interval floats and ordered intervals.
+Two tolerance regimes apply throughout the package:
 
 * ``STRUCT_TOL`` for identities that hold by construction and should
   only ever be off by accumulated float error,
@@ -120,8 +120,9 @@ class Probability(float):
 
 
 def _unit(v: float) -> Probability:
-    """``Probability(v)``; a v already in [0, 1] skips the Python ``__new__``."""
-    if 0.0 <= v <= 1.0:
+    """``Probability(v)``, the one conversion of every constructor; its fast path,
+    taken only by a plain float already in [0, 1], skips the Python ``__new__``."""
+    if v.__class__ is float and 0.0 <= v <= 1.0:
         return float.__new__(Probability, v)
     return Probability(v)
 
@@ -148,8 +149,8 @@ def _frozen(**options):
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
-    Construction coerces an endpoint through :class:`Probability` unless
-    it already is one (then it is validated and passes through as is).
+    Construction converts an endpoint through :func:`_unit` unless it
+    already is a :class:`Probability` (then it passes through as is).
     A lower endpoint at most ``CLAMP_TOL`` above the upper one is float
     noise and collapses to the degenerate interval at ``lower`` (the
     lower endpoint is kept because it is shared across bound families
@@ -165,8 +166,8 @@ class BoundInterval:
     upper: Probability
 
     def __init__(self, lower: Probability, upper: Probability) -> None:
-        lo = lower if type(lower) is Probability else Probability(lower)
-        hi = upper if type(upper) is Probability else Probability(upper)
+        lo = lower if type(lower) is Probability else _unit(lower)
+        hi = upper if type(upper) is Probability else _unit(upper)
         if lo > hi:
             if lo - hi <= CLAMP_TOL:
                 hi = lo
@@ -182,9 +183,9 @@ class BoundInterval:
 
 
 def _require_tol(name: str, value: float) -> None:
-    """Reject a NaN, a negative value or a non-number as invalid input."""
+    """Reject a NaN, a negative value, a bool or a non-number as invalid input."""
     try:
-        if value >= 0.0:
+        if value >= 0.0 and value.__class__ is not bool:
             return
     except (TypeError, ValueError):
         pass

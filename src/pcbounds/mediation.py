@@ -34,11 +34,10 @@ sum to more than 1, which no joint law of (M(0), M(1)) allows: that is
 the slack of the partial upper endpoint when the mediator block is
 independent of the response block (example 1: 0.8195, sharp 0.7960).
 
-Each margins class validates and stores every field in one hand-written
-``__init__``; derived values become probabilities through ``core._unit``.
-:func:`read_margins_json` reads a margins file into the type whose field
-names are its keys: ``{p1, p0}``, ``{a, b, c, d}`` or
-``{y00, y01, y10, y11, m0, m1}``.
+Every field and derived value becomes a probability through ``core._unit``,
+each field in its class's one hand-written ``__init__``. :func:`read_margins_json`
+reads a margins file into the type whose field names are its keys:
+``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
 """
 
 from __future__ import annotations
@@ -83,10 +82,10 @@ class CompleteMediationMargins:
 
     def __init__(self, a: Probability, b: Probability, c: Probability,
                  d: Probability) -> None:
-        object.__setattr__(self, "a", Probability(a))
-        object.__setattr__(self, "b", Probability(b))
-        object.__setattr__(self, "c", Probability(c))
-        object.__setattr__(self, "d", Probability(d))
+        object.__setattr__(self, "a", _unit(a))
+        object.__setattr__(self, "b", _unit(b))
+        object.__setattr__(self, "c", _unit(c))
+        object.__setattr__(self, "d", _unit(d))
 
 
 @_frozen()
@@ -107,12 +106,12 @@ class PartialMediationMargins:
 
     def __init__(self, y00: Probability, y01: Probability, y10: Probability,
                  y11: Probability, m0: Probability, m1: Probability) -> None:
-        object.__setattr__(self, "y00", Probability(y00))
-        object.__setattr__(self, "y01", Probability(y01))
-        object.__setattr__(self, "y10", Probability(y10))
-        object.__setattr__(self, "y11", Probability(y11))
-        object.__setattr__(self, "m0", Probability(m0))
-        object.__setattr__(self, "m1", Probability(m1))
+        object.__setattr__(self, "y00", _unit(y00))
+        object.__setattr__(self, "y01", _unit(y01))
+        object.__setattr__(self, "y10", _unit(y10))
+        object.__setattr__(self, "y11", _unit(y11))
+        object.__setattr__(self, "m0", _unit(m0))
+        object.__setattr__(self, "m1", _unit(m1))
 
 
 def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
@@ -190,6 +189,7 @@ class ComparisonReport:
     the split of P(Y(0)=0) = alpha + beta and P(Y(1)=1) = gamma + delta by
     mediator value, and both upper numerators. numerator_partial is a raw
     float; construction verifies it never exceeds twice numerator_simple.
+    Without a complete claim, combined_interval is the narrower of the two, not a copy.
     """
 
     simple_interval: BoundInterval
@@ -222,7 +222,7 @@ def compare(
     required to hold within ``claim_tol`` (keep the default for analytic
     margins; pass a statistical tolerance for estimated ones), the
     margins are collapsed, and the complete-mediation interval joins the
-    intersection. A NaN or negative ``claim_tol`` is invalid input.
+    intersection. A NaN, negative or bool ``claim_tol`` is invalid input.
     """
     _require_tol("claim_tol", claim_tol)
     v = _fields(m)
@@ -234,14 +234,14 @@ def compare(
                     f"complete-mediation claim fails at M={mval}: "
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
-    p1, p0, numerator, split, _ = _partial_parts(*v)
+    p1, p0, numerator, (alpha, beta, gamma, delta), _ = _partial_parts(*v)
     p1, p0 = _unit(p1), _unit(p0)
     lower, upper = _interval(p1, p0, numerator, _PARTIAL_UNDEFINED)
     lower = _unit(lower)
     simple_upper = _interval(*_simple_parts(p1, p0), _PARTIAL_UNDEFINED)[1]
-    simple_iv = BoundInterval(lower, _unit(simple_upper))
-    partial_iv = BoundInterval(lower, _unit(upper))
-    combined = BoundInterval(lower, min(simple_iv.upper, partial_iv.upper))
+    simple_iv = BoundInterval(lower, simple_upper)
+    partial_iv = BoundInterval(lower, upper)
+    combined = partial_iv if partial_iv.upper < simple_iv.upper else simple_iv
     complete_iv = None
     if complete_claim:
         complete_iv = _bounds(*_complete_parts(*_collapsed(v)), _COMPLETE_UNDEFINED)
@@ -254,8 +254,7 @@ def compare(
                 f"but its interval {complete_iv} is disjoint from {combined}, "
                 f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
             ) from None
-
-    alpha, beta, gamma, delta = split = tuple(map(_unit, split))
+    split = _unit(alpha), _unit(beta), _unit(gamma), _unit(delta)
     return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, *split,
                             _unit(min(alpha + beta, gamma + delta)), numerator)
 

@@ -29,8 +29,8 @@ class SimpleMargins:
     p0: Probability
 
     def __init__(self, p1: Probability, p0: Probability) -> None:
-        object.__setattr__(self, "p1", Probability(p1))
-        object.__setattr__(self, "p0", Probability(p0))
+        object.__setattr__(self, "p1", _unit(p1))
+        object.__setattr__(self, "p0", _unit(p0))
 
 
 def margins_from_count_table(t: CountTable) -> SimpleMargins:
@@ -61,8 +61,7 @@ def _interval(p1, p0, numerator, undefined: str) -> tuple:
 
 def _bounds(p1, p0, numerator, undefined: str) -> BoundInterval:
     """:func:`_interval` on derived rates made probabilities, as an interval."""
-    lower, upper = _interval(_unit(p1), _unit(p0), numerator, undefined)
-    return BoundInterval(_unit(lower), _unit(upper))
+    return BoundInterval(*_interval(_unit(p1), _unit(p0), numerator, undefined))
 
 
 def _simple_parts(p1, p0) -> tuple:
@@ -76,5 +75,6 @@ def simple_bounds(m: SimpleMargins) -> BoundInterval:
     Raises :class:`PcUndefinedError` when p1 = 0: with no exposed cases
     the conditioning event is empty and PC has no value.
     """
-    return _bounds(*_simple_parts(m.p1, m.p0), "P(Y=1 | X<-1) = 0: there are no "
-                   "exposed cases, so the probability of causation is undefined")
+    undefined = ("P(Y=1 | X<-1) = 0: there are no exposed cases, so the probability "
+                 "of causation is undefined")
+    return BoundInterval(*_interval(*_simple_parts(m.p1, m.p0), undefined))

@@ -1,8 +1,11 @@
 import math
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pcbounds import (
@@ -11,8 +14,12 @@ from pcbounds import (
     CountTable,
     InconsistentBoundsError,
     InvalidInputError,
+    PartialMediationMargins,
+    PcUndefinedError,
     Probability,
+    compare,
 )
+from pcbounds.core import _unit
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -102,6 +109,59 @@ class TestProbabilityFastPath:
         p = Probability(value)
         assert type(p) is Probability
         assert float(p) == float(value)
+
+
+class _FloatSubclass(float):
+    pass
+
+
+def _any_outcome(make, value):
+    """(type name, float.hex) of the result, or (exception type, message)."""
+    try:
+        p = make(value)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return type(p).__name__, float.hex(p)
+
+
+class TestUnitFastPath:
+    """``_unit`` is ``Probability`` on every input; only its speed differs."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            -0.0, 0.0, 5e-324, 0.5, 1.0,
+            -CLAMP_TOL / 2, 1.0 + CLAMP_TOL / 2, -2 * CLAMP_TOL, 1.0 + 2 * CLAMP_TOL,
+            math.nan, math.inf, -math.inf,
+            0, 1, 2, True, False,
+            np.float64(0.5), Fraction(1, 3), Decimal("0.5"),
+            "0.5", None, 10**400,
+            _FloatSubclass(0.25), _FloatSubclass(1.5),
+        ],
+        ids=repr,
+    )
+    def test_same_type_bits_or_error_as_probability(self, value):
+        assert _any_outcome(_unit, value) == _any_outcome(Probability, value)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), st.booleans())
+    def test_every_report_field_and_endpoint_is_a_probability(self, v, claim):
+        if claim:
+            v[2], v[3] = v[0], v[1]
+        try:
+            rep = compare(PartialMediationMargins(*v), complete_claim=claim)
+        except PcUndefinedError:  # p1 = 0, or 0 after rounding under the claim
+            assume(False)
+        assert (rep.complete_interval is not None) == claim
+        for f in fields(rep):
+            value = getattr(rep, f.name)
+            if f.type == "Probability":
+                assert type(value) is Probability, f.name
+            elif f.type.startswith("BoundInterval") and value is not None:
+                assert type(value.lower) is type(value.upper) is Probability, f.name
+        if not claim:
+            narrower = min(rep.simple_interval, rep.partial_interval,
+                           key=lambda iv: iv.upper)
+            assert rep.combined_interval is narrower
 
 
 class TestBoundInterval:

@@ -602,7 +602,9 @@ class TestToleranceValidation:
         law = PotentialOutcomeLaw(m_block=law["m_block"], y_block=law["y_block"])
         return simulate_trial(law, n_per_arm=2000, seed=1)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-12, -1.0, "0.1", None])
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), -1e-12, -1.0, "0.1", None, True, False]
+    )
     def test_estimate_complete_rejects_nan_or_negative_tol(self, example1_records, tol):
         with pytest.raises(InvalidInputError, match="tol must be a nonnegative"):
             estimate_complete(example1_records, tol=tol)

@@ -443,12 +443,12 @@ class TestSinglePassCompare:
         assert rep.numerator_partial == numerator
         assert rep.numerator_partial <= 2.0 * float(rep.numerator_simple) + STRUCT_TOL
 
-    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0, "0.1", None])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0, "0.1", None, True, False])
     @pytest.mark.parametrize("claim", [False, True])
     def test_claim_tol_must_be_nonnegative(self, tol, claim):
         # |y00 - y10| = 0.8: a NaN tolerance used to accept this claim.
         m = PartialMediationMargins(0.1, 0.2, 0.9, 0.8, 0.3, 0.4)
-        with pytest.raises(InvalidInputError, match="claim_tol"):
+        with pytest.raises(InvalidInputError, match="claim_tol must be a nonnegative"):
             compare(m, complete_claim=claim, claim_tol=tol)
 
 

@@ -186,7 +186,7 @@ print(json.dumps(results))
     for code, stdout, stderr in results[len(routes) :]:
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error:") and stderr.count("\n") == 1
-        assert "numpy" in stderr
+        assert "numpy" in stderr and "pcbounds[records]" in stderr
     assert not out.exists()
 
 
