@@ -322,15 +322,11 @@ def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
 _COMMANDS = {
     "simple": (_cmd_simple, "bounds from exposure and outcome alone"),
     "complete": (_cmd_mediated, "bounds assuming complete mediation"),
-    "partial": (
-        _cmd_mediated,
-        "bounds using the mediator without the complete-mediation claim",
-    ),
+    "partial": (_cmd_mediated,
+                "bounds using the mediator without the complete-mediation claim"),
     "compare": (_cmd_compare, "all applicable intervals, intersected"),
-    "verify": (
-        _cmd_verify,
-        "sample laws at the given margins and test the bounds against them",
-    ),
+    "verify": (_cmd_verify,
+               "sample laws at the given margins and test the bounds against them"),
     "simulate": (_cmd_simulate, "draw trial records from a law file"),
 }
 _COUNTS_HELP = "optional count JSON cross-check of the derived arm rates"
@@ -375,22 +371,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd["compare"]
     _add_margins(p, _REGIMES["partial"], required=True)
-    p.add_argument(
-        "--complete",
-        action="store_true",
-        help="also claim complete mediation (requires y00 = y10 and y01 = y11)",
-    )
+    p.add_argument("--complete", action="store_true", help="also claim complete "
+                   "mediation (requires y00 = y10 and y01 = y11)")
     p.add_argument("--counts", metavar="FILE", help=_COUNTS_HELP)
 
     p = cmd["verify"]
     _add_margins(p, _REGIMES["partial"], required=True)
     p.add_argument("--samples", type=int, default=1000, help="laws to sample")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument(
-        "--confounded",
-        action="store_true",
-        help="break the no-confounding assumption on purpose (diagnostic mode)",
-    )
+    p.add_argument("--confounded", action="store_true", help="break the "
+                   "no-confounding assumption on purpose (diagnostic mode)")
 
     p = cmd["simulate"]
     p.add_argument("--law", metavar="FILE", required=True, help="law JSON file")

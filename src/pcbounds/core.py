@@ -2,7 +2,9 @@
 
 Everything downstream trades in these types: values are converted once,
 at the edge, by :func:`_unit` and its guarded fast path, after which the
-bound formulas can assume unit-interval floats and ordered intervals.
+bound formulas can assume unit-interval floats and ordered intervals. Every
+frozen type is made by :func:`_frozen` and stores each field through its
+slot's own descriptor, the one store the package has.
 Two tolerance regimes apply throughout the package:
 
 * ``STRUCT_TOL`` for identities that hold by construction and should
@@ -110,32 +112,36 @@ class Probability(float):
             return float.__new__(cls, v)
         if math.isnan(v):
             raise InvalidInputError("probability must not be NaN")
-        if -CLAMP_TOL <= v < 0.0:
-            v = 0.0
-        elif 1.0 < v <= 1.0 + CLAMP_TOL:
-            v = 1.0
-        if not 0.0 <= v <= 1.0:
+        if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
             raise InvalidInputError(f"probability {value!r} outside [0, 1]")
-        return super().__new__(cls, v)
+        return float.__new__(cls, float(v > 0.0))  # the nearer boundary
 
 
 def _unit(v: float) -> Probability:
     """``Probability(v)``, the one conversion of every constructor; its fast path,
-    taken only by a plain float already in [0, 1], skips the Python ``__new__``."""
-    if v.__class__ is float and 0.0 <= v <= 1.0:
+    taken only by a plain float or int already in [0, 1], skips the Python
+    ``__new__``. A bool, a float subclass and any other type take ``Probability``."""
+    if (v.__class__ is float or v.__class__ is int) and 0 <= v <= 1:
         return float.__new__(Probability, v)
     return Probability(v)
 
 
-def _frozen(**options):
+def _frozen(convert=None, **options):
     """``dataclass(frozen=True, slots=True, **options)`` that refuses every write.
 
     Setting or deleting any attribute raises FrozenInstanceError; the
     dataclass's own methods raise TypeError for a name that is not a field.
-    An ``__init__`` the class defines is the one ``dataclass`` keeps.
+    The store rule: the package stores every field through its slot's own
+    member descriptor, ``Cls.field.__set__(obj, value)``, which the refusal
+    does not see. A class that defines no ``__init__`` gets one made from its
+    fields, in order and without defaults: it stores ``convert(value)`` (the
+    value itself without ``convert``) in each, then calls ``__post_init__``
+    if the class has one. A hand-written ``__init__`` is kept as it is.
     """
     def make(cls):
-        cls = dataclass(frozen=True, slots=True, **options)(cls)
+        cls = dataclass(frozen=True, slots=True, init=False, **options)(cls)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _make_init(cls, convert)
 
         def refuse(self, name, *value):
             raise FrozenInstanceError(f"cannot set or delete {name!r}: "
@@ -143,6 +149,20 @@ def _frozen(**options):
         cls.__setattr__ = cls.__delattr__ = refuse
         return cls
     return make
+
+
+def _make_init(cls, convert):
+    """The ``__init__`` :func:`_frozen` makes, named and annotated as a dataclass's."""
+    names = [f.name for f in fields(cls)]
+    body = [f"set_{n}(self, {f'convert({n})' if convert else n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    env = {"convert": convert} | {f"set_{n}": cls.__dict__[n].__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
+    return init
 
 
 @_frozen()
@@ -156,10 +176,6 @@ class BoundInterval:
     lower endpoint is kept because it is shared across bound families
     and must stay stable); a larger inversion raises
     :class:`InconsistentBoundsError`.
-
-    ``dataclass`` keeps the hand-written ``__init__``, which takes the
-    fields as parameters, checks each endpoint and stores it once;
-    ``fields``, ``replace``, eq, hash, repr and pickling are its own.
     """
 
     lower: Probability
@@ -175,11 +191,14 @@ class BoundInterval:
                 raise InconsistentBoundsError(
                     f"lower bound {float(lo)!r} exceeds upper bound {float(hi)!r}"
                 )
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        _set_lower(self, lo)
+        _set_upper(self, hi)
 
     def __str__(self) -> str:
         return f"[{float(self.lower):.6g}, {float(self.upper):.6g}]"
+
+
+_set_lower, _set_upper = BoundInterval.lower.__set__, BoundInterval.upper.__set__
 
 
 def _require_tol(name: str, value: float) -> None:

@@ -114,7 +114,7 @@ class Dataset:
                      for i in range(0, codes.size, 1 << 16)).reshape(2, 2, 2).tolist()
         for name, value in (("source", source), ("has_mediator", has_mediator),
                             ("codes", codes), ("_cells", counts)):
-            object.__setattr__(self, name, value)
+            getattr(Dataset, name).__set__(self, value)
         return self
 
     def __reduce__(self):
@@ -286,11 +286,8 @@ def _reader_columns(path: Path, reader) -> np.ndarray:
     except StopIteration:
         raise RecordParseError(f"{path}:1: file is empty") from None
     header = [h.strip() for h in header]
-    if header == ["x", "m", "y"]:
-        width = 3
-    elif header == ["x", "y"]:
-        width = 2
-    else:
+    width = {("x", "m", "y"): 3, ("x", "y"): 2}.get(tuple(header))
+    if width is None:
         raise RecordParseError(
             f"{path}:1: header must be 'x,m,y' or 'x,y', got {','.join(header)!r}"
         )

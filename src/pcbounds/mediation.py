@@ -23,10 +23,10 @@ Each formula has one source. One kernel per regime, on plain numbers,
 returns the derived rates (p1, p0) and the upper numerator N
 (``simple._simple_parts``, ``_complete_parts``, and ``_partial_parts``,
 which also returns the split (alpha, beta, gamma, delta) and the four
-trajectory caps); one rule, ``simple._interval``, makes any of them
-[max(0, 1 - p0/p1), min(1, N/p1)]. The public functions wrap them;
-:func:`compare` calls the partial kernel once and reports its split and
-both upper numerators.
+trajectory caps), each Frechet min taken by ``simple._min``; one rule,
+``simple._interval``, makes any of them [max(0, 1 - p0/p1), min(1, N/p1)].
+The public functions wrap them; :func:`compare` calls the partial kernel
+once and reports its split and both upper numerators.
 
 The partial N replaces each trajectory weight w_ab = P(M(0)=a, M(1)=b)
 with its own Frechet cap, min(P(M(0)=a), P(M(1)=b)). The four caps can
@@ -35,7 +35,7 @@ the slack of the partial upper endpoint when the mediator block is
 independent of the response block (example 1: 0.8195, sharp 0.7960).
 
 Every field and derived value becomes a probability through ``core._unit``,
-each field in its class's one hand-written ``__init__``. :func:`read_margins_json`
+each field in the ``__init__`` that ``core._frozen`` makes. :func:`read_margins_json`
 reads a margins file into the type whose field names are its keys:
 ``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
 """
@@ -50,13 +50,14 @@ from .core import (
     BoundInterval,
     InconsistentBoundsError,
     InvalidInputError,
+    PcUndefinedError,
     Probability,
     _frozen,
     _read_object,
     _require_tol,
     _unit,
 )
-from .simple import SimpleMargins, _bounds, _interval, _simple_parts
+from .simple import SimpleMargins, _bounds, _interval, _min, _simple_parts
 
 __all__ = [
     "CompleteMediationMargins",
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 
-@_frozen()
+@_frozen(convert=_unit)
 class CompleteMediationMargins:
     """Margins when exposure acts on the outcome only through the mediator."""
 
@@ -80,15 +81,8 @@ class CompleteMediationMargins:
     c: Probability
     d: Probability
 
-    def __init__(self, a: Probability, b: Probability, c: Probability,
-                 d: Probability) -> None:
-        object.__setattr__(self, "a", _unit(a))
-        object.__setattr__(self, "b", _unit(b))
-        object.__setattr__(self, "c", _unit(c))
-        object.__setattr__(self, "d", _unit(d))
 
-
-@_frozen()
+@_frozen(convert=_unit)
 class PartialMediationMargins:
     """Response-surface and mediator margins when X may also act directly.
 
@@ -103,15 +97,6 @@ class PartialMediationMargins:
     y11: Probability
     m0: Probability
     m1: Probability
-
-    def __init__(self, y00: Probability, y01: Probability, y10: Probability,
-                 y11: Probability, m0: Probability, m1: Probability) -> None:
-        object.__setattr__(self, "y00", _unit(y00))
-        object.__setattr__(self, "y01", _unit(y01))
-        object.__setattr__(self, "y10", _unit(y10))
-        object.__setattr__(self, "y11", _unit(y11))
-        object.__setattr__(self, "m0", _unit(m0))
-        object.__setattr__(self, "m1", _unit(m1))
 
 
 def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
@@ -128,7 +113,7 @@ def _complete_parts(a, b, c, d) -> tuple:
     """Raw derived (p1, p0) and upper numerator of complete margins."""
     na, nb, nc, nd = 1 - a, 1 - b, 1 - c, 1 - d
     return (b * d + nb * nc, na * d + a * nc,
-            min(a, b) * min(c, d) + min(na, nb) * min(nc, nd))
+            _min(a, b) * _min(c, d) + _min(na, nb) * _min(nc, nd))
 
 
 def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
@@ -156,10 +141,10 @@ def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
     (m0, m1) = (0,0), (0,1), (1,0), (1,1)."""
     q00, q01, n0, n1 = 1 - y00, 1 - y01, 1 - m0, 1 - m1
     gamma, delta = y10 * n1, y11 * m1
-    t1 = min(q00, y10) * min(n0, n1)
-    t2 = min(q00, y11) * min(n0, m1)
-    t3 = min(q01, y10) * min(m0, n1)
-    t4 = min(q01, y11) * min(m0, m1)
+    t1 = _min(q00, y10) * _min(n0, n1)
+    t2 = _min(q00, y11) * _min(n0, m1)
+    t3 = _min(q01, y10) * _min(m0, n1)
+    t4 = _min(q01, y11) * _min(m0, m1)
     return (gamma + delta, y00 * n0 + y01 * m0, t1 + t2 + t3 + t4,
             (q00 * n0, q01 * m0, gamma, delta), (t1, t2, t3, t4))
 
@@ -190,6 +175,7 @@ class ComparisonReport:
     mediator value, and both upper numerators. numerator_partial is a raw
     float; construction verifies it never exceeds twice numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
+    With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0.
     """
 
     simple_interval: BoundInterval
@@ -222,7 +208,8 @@ def compare(
     required to hold within ``claim_tol`` (keep the default for analytic
     margins; pass a statistical tolerance for estimated ones), the
     margins are collapsed, and the complete-mediation interval joins the
-    intersection. A NaN, negative or bool ``claim_tol`` is invalid input.
+    intersection; a claim raises :class:`PcUndefinedError` only where the
+    call without it does. A NaN, negative or bool ``claim_tol`` is invalid input.
     """
     _require_tol("claim_tol", claim_tol)
     v = _fields(m)
@@ -244,7 +231,10 @@ def compare(
     combined = partial_iv if partial_iv.upper < simple_iv.upper else simple_iv
     complete_iv = None
     if complete_claim:
-        complete_iv = _bounds(*_complete_parts(*_collapsed(v)), _COMPLETE_UNDEFINED)
+        try:
+            complete_iv = _bounds(*_complete_parts(*_collapsed(v)), _COMPLETE_UNDEFINED)
+        except PcUndefinedError:  # p1 > 0, but not after the collapse
+            complete_iv = BoundInterval(0.0, 1.0)
         try:
             combined = BoundInterval(max(combined.lower, complete_iv.lower),
                                      min(combined.upper, complete_iv.upper))
@@ -256,7 +246,7 @@ def compare(
             ) from None
     split = _unit(alpha), _unit(beta), _unit(gamma), _unit(delta)
     return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, *split,
-                            _unit(min(alpha + beta, gamma + delta)), numerator)
+                            _unit(_min(alpha + beta, gamma + delta)), numerator)
 
 
 def read_margins_json(

@@ -172,8 +172,8 @@ class PotentialOutcomeLaw:
     y_block: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m_block", _clean_block("m_block", self.m_block, 4))
-        object.__setattr__(self, "y_block", _clean_block("y_block", self.y_block, 16))
+        type(self).m_block.__set__(self, _clean_block("m_block", self.m_block, 4))
+        type(self).y_block.__set__(self, _clean_block("y_block", self.y_block, 16))
 
     def margins(self) -> PartialMediationMargins:
         """One-dimensional margins of the law, in the P(=1) convention."""

@@ -21,16 +21,12 @@ from .core import _frozen, _unit
 __all__ = ["SimpleMargins", "margins_from_count_table", "risk_ratio", "simple_bounds"]
 
 
-@_frozen()
+@_frozen(convert=_unit)
 class SimpleMargins:
     """Arm response rates p1 = P(Y=1 | X<-1) and p0 = P(Y=1 | X<-0)."""
 
     p1: Probability
     p0: Probability
-
-    def __init__(self, p1: Probability, p0: Probability) -> None:
-        object.__setattr__(self, "p1", _unit(p1))
-        object.__setattr__(self, "p0", _unit(p0))
 
 
 def margins_from_count_table(t: CountTable) -> SimpleMargins:
@@ -50,13 +46,20 @@ def risk_ratio(m: SimpleMargins) -> float:
     return float(m.p1) / float(m.p0)
 
 
+def _min(a, b):
+    """``min(a, b)``, the same object on a tie and for 0.0 and -0.0, without the
+    builtin's call: the Frechet min of every kernel."""
+    return b if b < a else a
+
+
 def _interval(p1, p0, numerator, undefined: str) -> tuple:
     """The interval rule of every regime, (max(0, 1 - p0/p1), min(1, numerator/p1));
     p1 = 0 raises :class:`PcUndefinedError` with the message ``undefined``. Integer
     literals keep it exact on fractions; on floats they act as 0.0 and 1.0."""
     if p1 == 0:
         raise PcUndefinedError(undefined)
-    return max(0, 1 - p0 / p1), min(1, numerator / p1)
+    lower, upper = 1 - p0 / p1, numerator / p1
+    return lower if lower > 0 else 0, upper if upper < 1 else 1
 
 
 def _bounds(p1, p0, numerator, undefined: str) -> BoundInterval:
@@ -66,7 +69,7 @@ def _bounds(p1, p0, numerator, undefined: str) -> BoundInterval:
 
 def _simple_parts(p1, p0) -> tuple:
     """The arm rates and their upper numerator, the Frechet cap on P(Y(0)=0, Y(1)=1)."""
-    return p1, p0, min(1 - p0, p1)
+    return p1, p0, _min(1 - p0, p1)
 
 
 def simple_bounds(m: SimpleMargins) -> BoundInterval:

@@ -1,9 +1,10 @@
 """The constructor contract of the frozen value classes.
 
 ``BoundInterval``, ``SimpleMargins``, ``CompleteMediationMargins`` and
-``PartialMediationMargins`` validate and store each field once in a
-hand-written ``__init__``. These tests pin everything a caller could see
-of the dataclass-generated constructor they replace: the signature, the
+``PartialMediationMargins`` validate and store each field once in an
+``__init__`` that is not the one ``dataclass`` generates (``BoundInterval``'s
+is hand-written, the margins' are made by ``core._frozen``). These tests pin
+everything a caller could see of the dataclass-generated constructor: the
 argument errors, ``dataclasses`` helpers, eq/hash/repr, frozenness,
 pickling and the clamp-or-raise rules of each field. Every frozen class
 in the package refuses a write to any attribute the same way.

@@ -149,7 +149,7 @@ class TestUnitFastPath:
             v[2], v[3] = v[0], v[1]
         try:
             rep = compare(PartialMediationMargins(*v), complete_claim=claim)
-        except PcUndefinedError:  # p1 = 0, or 0 after rounding under the claim
+        except PcUndefinedError:  # p1 = 0
             assume(False)
         assert (rep.complete_interval is not None) == claim
         for f in fields(rep):
@@ -162,6 +162,29 @@ class TestUnitFastPath:
             narrower = min(rep.simple_interval, rep.partial_interval,
                            key=lambda iv: iv.upper)
             assert rep.combined_interval is narrower
+
+    @given(st.lists(st.one_of(probs, st.integers(0, 20).map(lambda k: k / 20)),
+                    min_size=6, max_size=6), st.booleans())
+    def test_margins_and_compare_never_call_probability_new(self, v, claim):
+        # _interval clamps an endpoint to the int 0 or 1, which _unit's fast
+        # path must take as it takes a float.
+        if claim:
+            v[2], v[3] = v[0], v[1]
+        calls = []
+        new = Probability.__new__
+
+        def counting(cls, value):
+            calls.append(value)
+            return new(cls, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Probability, "__new__", staticmethod(counting))
+            try:
+                compare(PartialMediationMargins(*v), complete_claim=claim)
+            except PcUndefinedError:  # p1 = 0
+                assume(False)
+            assert calls == []
+            _unit(True)  # a bool takes Probability, so the counter counts
+        assert calls == [True]
 
 
 class TestBoundInterval:

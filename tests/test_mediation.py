@@ -51,7 +51,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     """``compare`` as the composition of public calls it was before it
     became a single pass, kept as the differential reference. The partial
     bounds go first, so p1 = 0 raises their message, as ``compare`` does.
-    The split and the numerators come from the partial kernel."""
+    Where p1 > 0 but the collapsed margins' p1 is 0, the claim adds the
+    vacuous complete interval [0, 1]. The split and the numerators come
+    from the partial kernel."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -68,7 +70,11 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     simple_iv = simple_bounds(derived)
     complete_iv = None
     if complete_claim:
-        complete_iv = complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
+        try:
+            complete_iv = complete_bounds(
+                CompleteMediationMargins(*_collapsed(_fields(m))))
+        except PcUndefinedError:
+            complete_iv = BoundInterval(0.0, 1.0)
 
     lowers = [simple_iv.lower, partial_iv.lower]
     uppers = [simple_iv.upper, partial_iv.upper]
@@ -410,8 +416,9 @@ class TestSinglePassCompare:
 
     @given(partial_margin_sets(grid), st.sampled_from([0.0, 0.3, 1.0]))
     def test_wide_claim_tolerances(self, m, tol):
-        # Wide tolerances admit claims whose complete-mediation p1 is 0 or
-        # whose intervals cross; both sides must fail the same way.
+        # Wide tolerances admit claims whose complete-mediation p1 is 0 (the
+        # complete interval is then [0, 1]) or whose intervals cross; both
+        # sides must answer, or fail, the same way.
         assert report_bits(compare, m, True, tol) == report_bits(
             reference_compare, m, True, tol
         )
@@ -430,6 +437,31 @@ class TestSinglePassCompare:
         got = report_bits(compare, m, claim)
         assert isinstance(got, tuple) and issubclass(got[0], PcBoundsError)
         assert got == report_bits(reference_compare, m, claim)
+
+    @pytest.mark.parametrize("values", [(1e-17, 0.0, 1e-17, 0.0, 0.0, 0.0),
+                                        (1e-17, 0.3, 1e-17, 0.3, 0.0, 0.0)])
+    def test_a_claim_keeps_a_pc_its_collapse_rounds_away(self, values):
+        # 1 - y00 rounds to 1, so the collapsed p1 is 0 while the partial p1
+        # is 1e-17: the claim adds the vacuous complete interval.
+        m = PartialMediationMargins(*values)
+        with pytest.raises(PcUndefinedError):
+            complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
+        free, claimed = compare(m), compare(m, complete_claim=True)
+        assert claimed.complete_interval == BoundInterval(0.0, 1.0)
+        assert claimed.combined_interval == free.combined_interval
+        assert report_bits(compare, m, True) == report_bits(reference_compare, m, True)
+
+    @given(partial_margin_sets(st.sampled_from([0.0, 1e-17, 1e-10, 0.3, 1.0])),
+           st.sampled_from([STRUCT_TOL, 1.0]))
+    def test_a_claim_is_undefined_only_where_the_claim_free_call_is(self, m, tol):
+        try:
+            compare(m)
+        except PcUndefinedError:
+            return
+        try:
+            compare(m, complete_claim=True, claim_tol=tol)
+        except (AssumptionViolationError, InconsistentBoundsError):
+            pass
 
     @given(partial_margin_sets())
     def test_numerators_match_their_checked_forms(self, m):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from pcbounds import (
     risk_ratio,
     simple_bounds,
 )
+from pcbounds.simple import _interval, _min
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -76,3 +78,43 @@ def test_upper_shrinks_as_p0_grows(p1, p0):
     if p0 < 1.0:
         wider = simple_bounds(SimpleMargins(p1, p0 * 0.5))
         assert float(iv.upper) <= float(wider.upper) + 1e-12
+
+
+# --- the pairwise min and the clamp of every kernel ---------------------------
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+@given(edge_floats, edge_floats)
+def test_min_is_the_builtin_min(a, b):
+    twin = float.fromhex(a.hex())  # equal to a, another object
+    assert _min(a, b) is min(a, b)
+    assert _min(b, a) is min(b, a)
+    assert _min(a, twin) is min(a, twin) is a
+
+
+@given(st.fractions(), st.fractions())
+def test_min_is_the_builtin_min_on_fractions(a, b):
+    assert _min(a, b) is min(a, b)
+    assert _min(a, Fraction(a)) is min(a, Fraction(a)) is a
+
+
+def _typed_hex(values):
+    return [(type(x), float(x).hex()) for x in values]
+
+
+@given(st.floats(5e-324, 1.0), probs, st.floats(0.0, 2.0))
+def test_interval_clamps_as_max_and_min(p1, p0, numerator):
+    want = (max(0, 1 - p0 / p1), min(1, numerator / p1))
+    got = _interval(p1, p0, numerator, "")
+    assert _typed_hex(got) == _typed_hex(want)
+
+
+@given(st.fractions(0, 1).filter(bool), st.fractions(0, 1), st.fractions(0, 2))
+def test_interval_clamps_as_max_and_min_on_fractions(p1, p0, numerator):
+    want = (max(0, 1 - p0 / p1), min(1, numerator / p1))
+    got = _interval(p1, p0, numerator, "")
+    assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
