@@ -1,10 +1,10 @@
 """Validated probability scalars, bound intervals, and 2x2 trial counts.
 
 Everything downstream trades in these types: values are converted once,
-at the edge, by :func:`_unit` and its guarded fast path, after which the
-bound formulas can assume unit-interval floats and ordered intervals. Every
-frozen type is made by :func:`_frozen` and stores each field through its
-slot's own descriptor, the one store the package has.
+at the edge, by :func:`_unit` (a :class:`Probability` passes through it as
+it is), after which the bound formulas can assume unit-interval floats and
+ordered intervals. Every frozen type is made by :func:`_frozen` and stores
+each field through its slot's own descriptor, the one store the package has.
 Two tolerance regimes apply throughout the package:
 
 * ``STRUCT_TOL`` for identities that hold by construction and should
@@ -19,7 +19,7 @@ a window of ``CLAMP_TOL``; anything larger is a real error and raises.
 This module also holds the rule of every JSON input (count, margins and
 law files): one object whose keys are the field names of the type it
 builds, no repeated key, no JSON boolean as a number, and every error
-naming the file. :func:`read_count_json` reads a count file, whose keys
+naming the file as given. :func:`read_count_json` reads a count file, whose keys
 are the four integer fields of :class:`CountTable`.
 """
 
@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import FrozenInstanceError, dataclass, fields
-from pathlib import Path
 
 STRUCT_TOL = 1e-9
 REPORT_TOL = 0.005
@@ -118,12 +118,12 @@ class Probability(float):
 
 
 def _unit(v: float) -> Probability:
-    """``Probability(v)``, the one conversion of every constructor; its fast path,
-    taken only by a plain float or int already in [0, 1], skips the Python
-    ``__new__``. A bool, a float subclass and any other type take ``Probability``."""
+    """``Probability(v)``, the one conversion; a plain float or int already in [0, 1]
+    skips the Python ``__new__``, and a ``Probability`` comes back as itself. A
+    bool, a float subclass and any other type take ``Probability``."""
     if (v.__class__ is float or v.__class__ is int) and 0 <= v <= 1:
         return float.__new__(Probability, v)
-    return Probability(v)
+    return v if v.__class__ is Probability else Probability(v)
 
 
 def _frozen(convert=None, **options):
@@ -250,18 +250,19 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_json(path: Path):
-    """Decode a JSON file; any decoding failure, a repeated key included, is a
-    RecordParseError."""
+def _read_json(path: str | os.PathLike):
+    """Decode a JSON file, opened and named as given; any decoding failure, a
+    repeated key included, is a RecordParseError."""
     try:
-        return json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        with open(os.fspath(path)) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise RecordParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
     except (ValueError, RecursionError) as e:
         raise RecordParseError(f"{path}: invalid JSON: {e}") from None
 
 
-def _read_object(path: Path, *types) -> tuple[type, dict]:
+def _read_object(path: str | os.PathLike, *types) -> tuple[type, dict]:
     """The first of ``types`` whose field names are the file's keys, and the object;
     a JSON boolean as a value or list cell is an InvalidInputError, any other
     shape a RecordParseError that lists each type's keys. Both name the file."""
@@ -281,7 +282,7 @@ def _read_object(path: Path, *types) -> tuple[type, dict]:
                            f"{expected}{got}")
 
 
-def _build(path: Path, cls, data: dict):
+def _build(path: str | os.PathLike, cls, data: dict):
     """``cls(**data)``, with the file named in any InvalidInputError."""
     try:
         return cls(**data)
@@ -289,7 +290,6 @@ def _build(path: Path, cls, data: dict):
         raise InvalidInputError(f"{path}: {e}") from None
 
 
-def read_count_json(path: str | Path) -> CountTable:
+def read_count_json(path: str | os.PathLike) -> CountTable:
     """Parse a count JSON file into a :class:`CountTable`."""
-    path = Path(path)
     return _build(path, *_read_object(path, CountTable))

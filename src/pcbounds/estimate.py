@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import field
-from pathlib import Path
 
 import numpy as np
 
@@ -263,7 +263,7 @@ def _canonical_columns(data: bytes) -> np.ndarray | None:
     return cells[:, 0 : 2 * width : 2].T
 
 
-def _parsed_columns(path: Path, data: bytes) -> np.ndarray:
+def _parsed_columns(path: str | os.PathLike, data: bytes) -> np.ndarray:
     """Row-by-row ``csv.reader`` parse of a record CSV into (width, rows)."""
     try:
         text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
@@ -280,7 +280,7 @@ def _parsed_columns(path: Path, data: bytes) -> np.ndarray:
         raise RecordParseError(f"{path}:{reader.line_num}: {e}") from None
 
 
-def _reader_columns(path: Path, reader) -> np.ndarray:
+def _reader_columns(path: str | os.PathLike, reader) -> np.ndarray:
     try:
         header = next(reader)
     except StopIteration:
@@ -310,12 +310,12 @@ def _reader_columns(path: Path, reader) -> np.ndarray:
     return np.array(values, dtype=np.uint8).reshape(-1, width).T
 
 
-def read_records_csv(path: str | Path) -> Dataset:
+def read_records_csv(path: str | os.PathLike) -> Dataset:
     """Parse a record CSV into a :class:`Dataset`.
 
     The header fixes the schema (``x,m,y`` or ``x,y``); every data cell
-    must be the token 0 or 1. Errors name the offending line as
-    ``path:line``. The file is read once. A file as
+    must be the token 0 or 1. Errors name the offending line as ``path:line``,
+    the path as given and as in ``source``. The file is read once. A file as
     :func:`write_records_csv` writes it (LF or CRLF line ends, a final
     newline, no spaces) is checked piece by piece and its cell codes are
     decoded from a view of its bytes; any other file goes through
@@ -337,15 +337,15 @@ def read_records_csv(path: str | Path) -> Dataset:
       cannot decode; ``path:N: field larger than field limit (...)``:
       a field ``csv.reader`` refuses.
     """
-    path = Path(path)
-    data = path.read_bytes()
+    with open(os.fspath(path), "rb") as fh:
+        data = fh.read()
     cols = _canonical_columns(data)
     if cols is None:
         cols = _parsed_columns(path, data)
     return Dataset._from_codes(_pack(cols), len(cols) == 3, source=str(path))
 
 
-def write_records_csv(records: Dataset, path: str | Path) -> int:
+def write_records_csv(records: Dataset, path: str | os.PathLike) -> int:
     """Write a :class:`Dataset` in the CSV format :func:`read_records_csv` accepts.
 
     The file is the header, then one ``0``/``1`` row per record, every
@@ -359,7 +359,7 @@ def write_records_csv(records: Dataset, path: str | Path) -> int:
         raise InvalidInputError(
             f"records must be a Dataset, got {type(records).__name__}"
         )
-    with Path(path).open("wb") as fh:
+    with open(os.fspath(path), "wb") as fh:
         fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
         for piece in np.split(records.codes, range(1 << 16, len(records), 1 << 16)):
             fh.write(np.take(_ROWS[records.has_mediator], piece, axis=0))

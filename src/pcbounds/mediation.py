@@ -42,7 +42,7 @@ reads a margins file into the type whose field names are its keys:
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .core import (
     STRUCT_TOL,
@@ -250,10 +250,9 @@ def compare(
 
 
 def read_margins_json(
-    path: str | Path,
+    path: str | os.PathLike,
 ) -> SimpleMargins | CompleteMediationMargins | PartialMediationMargins:
     """Parse a margins JSON file; the key set selects the margins type."""
-    path = Path(path)
     kinds = SimpleMargins, CompleteMediationMargins, PartialMediationMargins
     cls, data = _read_object(path, *kinds)
     values = {}
@@ -262,7 +261,7 @@ def read_margins_json(
             raise InvalidInputError(f"{path}: field {name!r} must be a number, "
                                     f"got {v!r}")
         try:
-            values[name] = Probability(v)
+            values[name] = _unit(v)
         except InvalidInputError as e:
             raise InvalidInputError(f"{path}: field {name!r}: {e}") from None
     return cls(**values)

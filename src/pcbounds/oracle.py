@@ -39,9 +39,9 @@ on n. :func:`simulate_trial` draws records from Philox too, keyed by
 
 from __future__ import annotations
 
+import os
 import reprlib
 from array import array
-from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .core import (
     _frozen,
     _read_object,
     _require_int,
+    _unit,
 )
 from .estimate import Dataset
 from .mediation import CompleteMediationMargins, PartialMediationMargins, compare
@@ -86,8 +87,8 @@ _CODES = np.uint8([4 * x + 2 * _M_MASKS[x, :, None] + (_Y0, _Y1)[x] for x in (0,
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
-    pa = float(Probability(p_a))
-    pb = float(Probability(p_b))
+    pa = float(_unit(p_a))
+    pb = float(_unit(p_b))
     return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
 
 
@@ -106,7 +107,7 @@ def coupling_sweep_simple(m: SimpleMargins) -> BoundInterval:
     cap = frechet(1.0 - float(m.p0), p1)
     # q = p1 up to rounding makes the ratio overshoot 1 by an ulp when
     # p1 is tiny; the ratio is a probability, so clip, don't reject.
-    return BoundInterval(*(Probability(min(q / p1, 1.0))
+    return BoundInterval(*(_unit(min(q / p1, 1.0))
                            for q in (cap.lower, cap.upper)))
 
 
@@ -148,7 +149,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
             try:
-                cells[k] = float(Probability(v))
+                cells[k] = float(_unit(v))
             except InvalidInputError:
                 raise InvalidInputError(
                     f"{name}[{k}] = {v!r} is not a probability") from None
@@ -196,14 +197,13 @@ class PotentialOutcomeLaw:
         ))
 
 
-def read_law_json(path: str | Path) -> PotentialOutcomeLaw:
+def read_law_json(path: str | os.PathLike) -> PotentialOutcomeLaw:
     """Parse a law JSON file, ``{"m_block": [4 cells], "y_block": [16 cells]}``.
 
     The file follows ``core``'s rule for every JSON input: exactly those two
     keys, none repeated, no cell a JSON ``true`` or ``false``, and the file
     named in every error; :class:`PotentialOutcomeLaw` checks everything else.
     """
-    path = Path(path)
     return _build(path, *_read_object(path, PotentialOutcomeLaw))
 
 
@@ -224,7 +224,7 @@ def true_pc(law: PotentialOutcomeLaw) -> Probability:
     P(Y(0)=0, Y(1)=1) / P(Y(1)=1), summed over the cells of the law.
     """
     (pc,) = _batch_true_pc(np.array([law.m_block]), np.array([law.y_block]))
-    return Probability(pc)
+    return _unit(pc)
 
 
 def _fit_block(u: np.ndarray, targets: np.ndarray) -> np.ndarray:

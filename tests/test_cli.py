@@ -109,6 +109,18 @@ class TestSimpleCommand:
         assert run(["simple", "--margins", "/no/such/file.json"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_error_names_the_path_the_json_echo_names(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("range.json").write_text(json.dumps({"p1": 0.3, "p0": 0.12}))
+        _, rep = run_json(capsys, ["simple", "--margins", "./range.json", "--json"])
+        assert rep["inputs_echo"]["source"] == "./range.json"
+        Path("range.json").write_text(json.dumps({"p1": 1.5, "p0": 0.12}))
+        assert run(["simple", "--margins", "./range.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ./range.json: field 'p1': probability 1.5 outside [0, 1]\n")
+
 
 class TestMediationCommands:
     def test_partial_report(self, capsys, partial_file):

@@ -1,7 +1,8 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from pcbounds import (
     PcUndefinedError,
     Probability,
     compare,
+    read_margins_json,
 )
 from pcbounds.core import _unit
 
 probs = st.floats(min_value=0.0, max_value=1.0)
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestProbability:
@@ -136,12 +139,14 @@ class TestUnitFastPath:
             0, 1, 2, True, False,
             np.float64(0.5), Fraction(1, 3), Decimal("0.5"),
             "0.5", None, 10**400,
-            _FloatSubclass(0.25), _FloatSubclass(1.5),
+            _FloatSubclass(0.25), _FloatSubclass(1.5), Probability(0.75),
         ],
         ids=repr,
     )
     def test_same_type_bits_or_error_as_probability(self, value):
         assert _any_outcome(_unit, value) == _any_outcome(Probability, value)
+        if type(value) is Probability:
+            assert _unit(value) is value
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), st.booleans())
     def test_every_report_field_and_endpoint_is_a_probability(self, v, claim):
@@ -185,6 +190,22 @@ class TestUnitFastPath:
             assert calls == []
             _unit(True)  # a bool takes Probability, so the counter counts
         assert calls == [True]
+
+    def test_margins_file_and_replace_never_call_probability_new(self):
+        # Each field converts once, in read_margins_json; the margins type and
+        # dataclasses.replace take the Probability it made as it is.
+        calls = []
+        new = Probability.__new__
+
+        def counting(cls, value):
+            calls.append(value)
+            return new(cls, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Probability, "__new__", staticmethod(counting))
+            m = read_margins_json(DATA / "example1_margins.json")
+            assert calls == []
+            replace(m, y00=0.1)
+        assert calls == []
 
 
 class TestBoundInterval:

@@ -593,6 +593,80 @@ def test_every_reader_refuses_a_repeated_key(tmp_path, reader, text, key):
     assert str(exc.value) == f"{path}: invalid JSON: repeated key {key!r}"
 
 
+def _write(path):
+    """The bytes ``write_records_csv`` writes to ``path`` for two records."""
+    write_records_csv(Dataset(x=[0, 1], m=[0, 1], y=[1, 1]), path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _comparable(result):
+    """A reader's result in a form ``==`` compares by value."""
+    if isinstance(result, Dataset):
+        return result.source, result.has_mediator, result.codes.tolist()
+    return result
+
+
+# Each file function, with a good and a bad file for each reader.
+_FILE_FUNCTIONS = {
+    "counts": (read_count_json, json.dumps(_COUNTS), "[]"),
+    "margins": (read_margins_json, '{"p1": 0.3, "p0": 0.12}', '{"p1": 1.5, "p0": 0}'),
+    "law": (read_law_json, json.dumps({"m_block": [1, 0, 0, 0], "y_block": _Y_BLOCK}),
+            '{"m_block": [1, 0, 0, 0], "y_block": [1]}'),
+    "records": (read_records_csv, "x,m,y\n0,0,1\n1,1,1\n", "x,m,y\n0,2,1\n"),
+    "write": (_write, None, None),
+}
+_READERS = [name for name in _FILE_FUNCTIONS if name != "write"]
+
+
+class TestPathsAsGiven:
+    """Every file function opens a ``str`` or ``os.PathLike`` path as given,
+    and names it as given."""
+
+    @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
+    def test_str_and_pathlib_path_agree(self, tmp_path, name):
+        function, good, _ = _FILE_FUNCTIONS[name]
+        path = tmp_path / "input"
+        if good is not None:
+            path.write_text(good)
+        assert _comparable(function(str(path))) == _comparable(function(path))
+
+    @pytest.mark.parametrize("name", _READERS)
+    def test_bad_file_message_starts_with_the_path_as_given(
+        self, tmp_path, monkeypatch, name
+    ):
+        function, _, bad = _FILE_FUNCTIONS[name]
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(bad)
+        with pytest.raises(InvalidInputError) as exc:
+            function("./bad.json")
+        assert str(exc.value).startswith("./bad.json:")
+
+    def test_writer_names_the_path_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            _write("./bad.csv")
+        assert exc.value.filename == "./bad.csv"
+
+    @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
+    def test_empty_path_is_no_such_file(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as exc:
+            _FILE_FUNCTIONS[name][0]("")
+        assert str(exc.value).endswith("No such file or directory: ''")
+
+    @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
+    def test_int_path_is_refused_and_leaves_the_descriptor_open(self, tmp_path, name):
+        fd = os.open(tmp_path / "open.json", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(TypeError, match="os.PathLike object, not int"):
+                _FILE_FUNCTIONS[name][0](fd)
+            os.fstat(fd)
+        finally:
+            os.close(fd)
+
+
 class TestToleranceValidation:
     @pytest.fixture
     def example1_records(self):

@@ -1,5 +1,6 @@
 """The package's public surface: the names ``pcbounds`` exports."""
 
+import ast
 import json
 import os
 import re
@@ -99,11 +100,12 @@ def test_each_name_is_its_defining_modules_object():
         assert getattr(pcbounds, name) is getattr(module, name), name
 
 
-def run_fresh(code: str):
-    """Run code in a fresh interpreter and return its JSON stdout."""
+def run_fresh(code: str, *flags: str):
+    """Run code in a fresh interpreter with ``flags``; return its JSON stdout."""
     src = Path(pcbounds.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
+        timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -160,6 +162,45 @@ print(json.dumps([codes, loaded]))
 """)
     assert codes == [0] * len(routes)
     assert loaded == [[]] * (len(routes) - 1) + [NUMPY_MODULES]
+
+
+def test_cli_margins_and_counts_routes_never_load_pathlib(cli_inputs):
+    # -S keeps site's .pth files, which may import pathlib, out of the run;
+    # numpy is not importable under -S, so the records route stays out too.
+    routes, _ = cli_inputs
+    codes, loaded = run_fresh(f"""
+import contextlib, io, json, sys
+from pcbounds.cli import run
+codes, loaded = [], []
+for argv in {[[str(a) for a in argv] for argv in routes]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+    loaded.append("pathlib" in sys.modules)
+print(json.dumps([codes, loaded]))
+""", "-S")
+    assert codes == [0] * len(routes)
+    assert loaded == [False] * len(routes)
+
+
+def _probability_calls(tree: ast.AST) -> list:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "Probability"]
+
+
+def test_probability_is_called_only_in_unit_and_pathlib_is_never_imported():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(pcbounds.__file__).parent.glob("*.py")}
+    counts = {name: len(_probability_calls(tree)) for name, tree in trees.items()}
+    assert counts == {name: int(name == "core") for name in trees}
+    (unit,) = [node for node in ast.walk(trees["core"])
+               if isinstance(node, ast.FunctionDef) and node.name == "_unit"]
+    assert len(_probability_calls(unit)) == 1
+    modules = [alias.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert "dataclasses" in modules
+    assert [m for m in modules if m.partition(".")[0] == "pathlib"] == []
 
 
 def test_cli_without_numpy_exits_1_on_the_numpy_routes(cli_inputs, tmp_path):
