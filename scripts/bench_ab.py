@@ -1,0 +1,191 @@
+#!/usr/bin/env python3
+"""Benchmark the working tree against a parent commit, in alternating pairs.
+
+    python3 scripts/bench_ab.py --parent REV [--pairs 10] [--out FILE] [--smoke]
+
+Three trees are built side by side in a scratch directory: the parent
+commit twice (``git archive REV``) and the working tree once (its tracked
+files and its untracked, not ignored, ones, as they are on disk). For each
+workload in ``BENCHMARK.json``, pair k (k = 1, 2, ...) runs
+``benchmark/run.py --seed k --trace 0`` in the parent and in the change, for
+the ``run_seconds`` of ``BENCHMARK.json``, the parent first in odd pairs and
+the change first in even ones. One A/A pair then runs the parent against
+its second copy (seed 1), so that the spread the tree's directory alone
+causes is printed next to each ratio. Every run has
+``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``, and starts with every
+``__pycache__`` of the three trees removed.
+
+For each end-to-end metric the summary gives both sides' medians, the
+parent's quartiles, the paired ratio (the median over pairs of change /
+parent), the pairs the change won, whether the change's median is better
+than the parent's by more than the parent's interquartile distance, and the
+A/A spread |copy / parent - 1|. ``--out FILE`` writes every run and the
+summary as JSON. ``--smoke`` passes ``--smoke`` to ``run.py`` and runs
+for 1 s. The exit code is 1 when any op failed, 2 when a run could not
+run at all.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _quartiles(values: list) -> tuple:
+    """(q1, q3) by linear interpolation, as ``numpy.percentile`` gives them."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(pairs: dict, aa: dict, declared: list) -> dict:
+    """Per workload and declared end-to-end metric, the paired comparison.
+
+    ``pairs[workload]`` is a list of (parent, change) metric dicts, one per
+    pair; ``aa[workload]`` is one (parent, copy) pair of the parent with
+    itself; ``declared`` is ``BENCHMARK.json``'s ``end_to_end`` list.
+    """
+    summary = {}
+    for workload, runs in pairs.items():
+        rows = {}
+        for metric in declared:
+            name, higher = metric["name"], metric["better"] == "higher"
+            a, b = [p[name] for p, _ in runs], [c[name] for _, c in runs]
+            ratios = [y / x if x else float("nan") for x, y in zip(a, b)]
+            q1, q3 = _quartiles(a)
+            gain = statistics.median(b) - statistics.median(a)
+            base, copy = (run[name] for run in aa[workload])
+            rows[name] = {
+                "parent_median": statistics.median(a),
+                "parent_q1": q1,
+                "parent_q3": q3,
+                "change_median": statistics.median(b),
+                "ratio": statistics.median(ratios),
+                "change_wins": sum(y > x if higher else y < x for x, y in zip(a, b)),
+                "pairs": len(runs),
+                "beyond_parent_iqr": (gain if higher else -gain) > q3 - q1,
+                "aa_spread": abs(copy / base - 1) if base else float("nan"),
+            }
+        summary[workload] = rows
+    return summary
+
+
+def format_summary(summary: dict) -> str:
+    lines = []
+    for workload, rows in summary.items():
+        lines.append(f"{workload:16s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
+                     f"{'won':>6s} {'>IQR':>5s} {'A/A':>7s}")
+        for name, r in rows.items():
+            lines.append(
+                f"  {name:14s} {r['parent_median']:12.6g} {r['change_median']:12.6g} "
+                f"{r['ratio']:7.4f} {r['change_wins']:>3d}/{r['pairs']:<2d} "
+                f"{'yes' if r['beyond_parent_iqr'] else 'no':>5s} {r['aa_spread']:7.4f}"
+            )
+    return "\n".join(lines)
+
+
+def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, **kwargs)
+
+
+def build_trees(rev: str, scratch: str) -> dict:
+    """The parent twice and the working tree once, under ``scratch``."""
+    trees = {side: os.path.join(scratch, side) for side in ("parent", "copy", "change")}
+    archive = os.path.join(scratch, "parent.tar")
+    _git("archive", "--format=tar", "-o", archive, rev)
+    for side in ("parent", "copy"):
+        shutil.unpack_archive(archive, trees[side], "tar")
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                  capture_output=True).stdout.decode().split("\0")
+    for rel in filter(None, listed):
+        src, dst = os.path.join(ROOT, rel), os.path.join(trees["change"], rel)
+        if os.path.isfile(src):  # a tracked file deleted on disk is left out
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+    return trees
+
+
+class RunFailed(Exception):
+    """A benchmark run could not run; nothing was measured."""
+
+
+def run_once(tree: str, trees: dict, workload: str, seed: int, args) -> dict:
+    """One ``benchmark/run.py --trace 0`` in ``tree``: its last JSON line."""
+    for top in trees.values():
+        for path, dirs, _ in os.walk(top):
+            if "__pycache__" in dirs:
+                shutil.rmtree(os.path.join(path, "__pycache__"))
+                dirs.remove("__pycache__")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd + ["--smoke"] * args.smoke, cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RunFailed(f"{workload} seed {seed} in {tree}: exit {proc.returncode}: "
+                        f"{proc.stderr.strip()}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"  {os.path.basename(tree):6s} {workload} seed {seed}: "
+          f"{result['failed']}/{result['attempted']} ops failed", flush=True)
+    return result
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="the commit to compare against")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--smoke", action="store_true",
+                   help="run.py --smoke, 1 s per run: a check that the script runs")
+    p.add_argument("--out", help="write every run and the summary to this JSON file")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    args.seconds = 1 if args.smoke else declared["run_seconds"]
+    workloads = [w["name"] for w in declared["workloads"]]
+    runs = {"pairs": {w: [] for w in workloads}, "aa": {}}
+    scratch = tempfile.mkdtemp(prefix="bench_ab-")
+    try:
+        trees = build_trees(args.parent, scratch)
+        for w in workloads:
+            for k in range(1, args.pairs + 1):
+                order = ("parent", "change") if k % 2 else ("change", "parent")
+                done = {s: run_once(trees[s], trees, w, k, args) for s in order}
+                runs["pairs"][w].append((done["parent"], done["change"]))
+            runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
+                                  for s in ("parent", "copy"))
+    except (RunFailed, subprocess.CalledProcessError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    def values(pair):
+        return tuple({k: v["value"] for k, v in r["metrics"].items()} for r in pair)
+    summary = summarize({w: list(map(values, ps)) for w, ps in runs["pairs"].items()},
+                        {w: values(pair) for w, pair in runs["aa"].items()},
+                        declared["end_to_end"])
+    print(format_summary(summary))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"parent": args.parent, "seconds": args.seconds,
+                       "smoke": args.smoke, "runs": runs, "summary": summary},
+                      fh, indent=1)
+    every = [r for pairs in runs["pairs"].values() for pair in pairs for r in pair]
+    every += [r for pair in runs["aa"].values() for r in pair]
+    return 1 if any(r["failed"] for r in every) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

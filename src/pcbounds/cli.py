@@ -117,10 +117,8 @@ def _print_report(r: BoundsReport, as_json: bool) -> None:
     if r.interval is not None:
         print(f"interval: [{r.interval.lower:.2f}, {r.interval.upper:.2f}]")
     if r.derived is not None:
-        print(
-            f"derived: P(Y=1 | X<-1) = {float(r.derived.p1):.4f}, "
-            f"P(Y=1 | X<-0) = {float(r.derived.p0):.4f}"
-        )
+        print(f"derived: P(Y=1 | X<-1) = {r.derived.p1:.4f}, "
+              f"P(Y=1 | X<-0) = {r.derived.p0:.4f}")
     if r.assumptions:
         print("assumptions: " + ", ".join(r.assumptions))
     if r.diagnostics:
@@ -145,7 +143,7 @@ def _counts_check(derived: pb.SimpleMargins, counts_path: str, tol: float) -> st
     """Say whether derived rates agree with an observed count table."""
     observed = pb.margins_from_count_table(pb.read_count_json(counts_path))
     pairs = zip((derived.p1, derived.p0), (observed.p1, observed.p0))
-    div = max(abs(float(a) - float(b)) for a, b in pairs)
+    div = max(abs(a - b) for a, b in pairs)
     if div > tol:
         return (
             f"derived rates disagree with the count table {counts_path}: max "
@@ -158,7 +156,7 @@ def _counts_check(derived: pb.SimpleMargins, counts_path: str, tol: float) -> st
 
 
 def _rates_text(d: pb.SimpleMargins) -> str:
-    return f"derived arm rates: p1 = {float(d.p1):.6g}, p0 = {float(d.p0):.6g}"
+    return f"derived arm rates: p1 = {d.p1:.6g}, p0 = {d.p0:.6g}"
 
 
 def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
@@ -225,18 +223,15 @@ def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
         intervals["complete"] = rep.complete_interval
     diagnostics = [_rates_text(derived)]
     diagnostics += [f"{name} interval {iv}" for name, iv in intervals.items()]
-    winner = min(intervals, key=lambda name: float(intervals[name].upper))
+    winner = min(intervals, key=lambda name: intervals[name].upper)
     diagnostics.append(f"{winner} upper bound is smallest")
+    diagnostics.append(f"decomposition: alpha = {rep.alpha:.6g}, beta = {rep.beta:.6g}"
+                       f", gamma = {rep.gamma:.6g}, delta = {rep.delta:.6g}")
     diagnostics.append(
-        f"decomposition: alpha = {float(rep.alpha):.6g}, beta = "
-        f"{float(rep.beta):.6g}, gamma = {float(rep.gamma):.6g}, delta = "
-        f"{float(rep.delta):.6g}"
-    )
-    diagnostics.append(
-        f"upper-bound numerators: simple {float(rep.numerator_simple):.6g}, "
+        f"upper-bound numerators: simple {rep.numerator_simple:.6g}, "
         f"partial {rep.numerator_partial:.6g} "
-        f"(ratio {rep.numerator_partial / float(rep.numerator_simple):.4g} <= 2)"
-        if float(rep.numerator_simple) > 0.0
+        f"(ratio {rep.numerator_partial / rep.numerator_simple:.4g} <= 2)"
+        if rep.numerator_simple > 0.0
         else f"upper-bound numerators: simple 0, partial {rep.numerator_partial:.6g}"
     )
     if args.counts:

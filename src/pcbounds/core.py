@@ -1,10 +1,11 @@
 """Validated probability scalars, bound intervals, and 2x2 trial counts.
 
 Everything downstream trades in these types: values are converted once,
-at the edge, by :func:`_unit` (a :class:`Probability` passes through it as
-it is), after which the bound formulas can assume unit-interval floats and
-ordered intervals. Every frozen type is made by :func:`_frozen` and stores
-each field through its slot's own descriptor, the one store the package has.
+at the edge, by :func:`_unit`, which checks each as :class:`Probability` does
+and hands back a plain float, after which the bound formulas can assume
+unit-interval floats and ordered intervals. Every frozen type is made by
+:func:`_frozen` and stores each field through its slot's own descriptor, the
+one store the package has.
 Two tolerance regimes apply throughout the package:
 
 * ``STRUCT_TOL`` for identities that hold by construction and should
@@ -94,8 +95,8 @@ class Probability(float):
     A value already in [0, 1] (including -0.0, whose sign is kept) takes
     a fast path that only converts it; NaN and out-of-range values go on
     to the clamp-or-raise checks, and an integer too large for a float
-    raises :class:`InvalidInputError` too. Instances behave as plain floats in
-    arithmetic, and ``min``/``max`` work on them directly.
+    raises :class:`InvalidInputError` too. The package stores no instance:
+    :func:`_unit` checks a value here and keeps its plain ``float``.
     """
 
     __slots__ = ()
@@ -117,13 +118,14 @@ class Probability(float):
         return float.__new__(cls, float(v > 0.0))  # the nearer boundary
 
 
-def _unit(v: float) -> Probability:
-    """``Probability(v)``, the one conversion; a plain float or int already in [0, 1]
-    skips the Python ``__new__``, and a ``Probability`` comes back as itself. A
-    bool, a float subclass and any other type take ``Probability``."""
-    if (v.__class__ is float or v.__class__ is int) and 0 <= v <= 1:
-        return float.__new__(Probability, v)
-    return v if v.__class__ is Probability else Probability(v)
+def _unit(v: float) -> float:
+    """``float(Probability(v))``, the one conversion: a float in [0, 1] comes back as
+    itself, an int in [0, 1] as ``float(v)``, anything else through ``Probability``."""
+    if v.__class__ is float and 0.0 <= v <= 1.0:
+        return v
+    if v.__class__ is int and 0 <= v <= 1:
+        return float(v)
+    return float(Probability(v))
 
 
 def _frozen(convert=None, **options):
@@ -169,8 +171,7 @@ def _make_init(cls, convert):
 class BoundInterval:
     """Closed interval [lower, upper] of probabilities.
 
-    Construction converts an endpoint through :func:`_unit` unless it
-    already is a :class:`Probability` (then it passes through as is).
+    Construction converts each endpoint through :func:`_unit` to a plain float.
     A lower endpoint at most ``CLAMP_TOL`` above the upper one is float
     noise and collapses to the degenerate interval at ``lower`` (the
     lower endpoint is kept because it is shared across bound families
@@ -178,24 +179,23 @@ class BoundInterval:
     :class:`InconsistentBoundsError`.
     """
 
-    lower: Probability
-    upper: Probability
+    lower: float
+    upper: float
 
-    def __init__(self, lower: Probability, upper: Probability) -> None:
-        lo = lower if type(lower) is Probability else _unit(lower)
-        hi = upper if type(upper) is Probability else _unit(upper)
+    def __init__(self, lower: float, upper: float) -> None:
+        lo, hi = _unit(lower), _unit(upper)
         if lo > hi:
             if lo - hi <= CLAMP_TOL:
                 hi = lo
             else:
                 raise InconsistentBoundsError(
-                    f"lower bound {float(lo)!r} exceeds upper bound {float(hi)!r}"
+                    f"lower bound {lo!r} exceeds upper bound {hi!r}"
                 )
         _set_lower(self, lo)
         _set_upper(self, hi)
 
     def __str__(self) -> str:
-        return f"[{float(self.lower):.6g}, {float(self.upper):.6g}]"
+        return f"[{self.lower:.6g}, {self.upper:.6g}]"
 
 
 _set_lower, _set_upper = BoundInterval.lower.__set__, BoundInterval.upper.__set__

@@ -34,10 +34,11 @@ sum to more than 1, which no joint law of (M(0), M(1)) allows: that is
 the slack of the partial upper endpoint when the mediator block is
 independent of the response block (example 1: 0.8195, sharp 0.7960).
 
-Every field and derived value becomes a probability through ``core._unit``,
-each field in the ``__init__`` that ``core._frozen`` makes. :func:`read_margins_json`
-reads a margins file into the type whose field names are its keys:
-``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
+Every field and derived rate is a plain float checked by ``core._unit``, each
+field in the ``__init__`` that ``core._frozen`` makes; where a derived p1 is
+subnormal, ``simple._rates`` runs the kernel again on ``Fraction``s, exactly.
+:func:`read_margins_json` reads a margins file into the type whose field names
+are its keys: ``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ from .core import (
     InconsistentBoundsError,
     InvalidInputError,
     PcUndefinedError,
-    Probability,
     _frozen,
     _read_object,
     _require_tol,
     _unit,
 )
-from .simple import SimpleMargins, _bounds, _interval, _min, _simple_parts
+from .simple import SimpleMargins, _bounds, _interval, _min, _rates, _simple_parts
 
 __all__ = [
     "CompleteMediationMargins",
@@ -76,10 +76,10 @@ __all__ = [
 class CompleteMediationMargins:
     """Margins when exposure acts on the outcome only through the mediator."""
 
-    a: Probability
-    b: Probability
-    c: Probability
-    d: Probability
+    a: float
+    b: float
+    c: float
+    d: float
 
 
 @_frozen(convert=_unit)
@@ -91,12 +91,12 @@ class PartialMediationMargins:
     for those.
     """
 
-    y00: Probability
-    y01: Probability
-    y10: Probability
-    y11: Probability
-    m0: Probability
-    m1: Probability
+    y00: float
+    y01: float
+    y10: float
+    y11: float
+    m0: float
+    m1: float
 
 
 def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
@@ -132,7 +132,7 @@ def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
     feasible P(Y(0)=0, Y(1)=1 | X<-1) over p1. Both are sharp when the mediator
     block is independent of the response block (the oracle's laws).
     """
-    return _bounds(*_complete_parts(m.a, m.b, m.c, m.d), _COMPLETE_UNDEFINED)
+    return _bounds(_complete_parts, (m.a, m.b, m.c, m.d), _COMPLETE_UNDEFINED)
 
 
 def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
@@ -161,7 +161,7 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     rates; the upper endpoint is the four-term numerator over p1,
     clamped at 1.
     """
-    return _bounds(*_partial_parts(*_fields(m))[:3], _PARTIAL_UNDEFINED)
+    return _bounds(_partial_parts, _fields(m), _PARTIAL_UNDEFINED)
 
 
 def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
@@ -172,8 +172,8 @@ def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
 class ComparisonReport:
     """Side-by-side intervals plus the quantities the comparison rests on:
     the split of P(Y(0)=0) = alpha + beta and P(Y(1)=1) = gamma + delta by
-    mediator value, and both upper numerators. numerator_partial is a raw
-    float; construction verifies it never exceeds twice numerator_simple.
+    mediator value, and both upper numerators, raw from the float kernel even
+    where p1 is subnormal; construction checks numerator_partial <= 2 numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
     With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0.
     """
@@ -182,18 +182,18 @@ class ComparisonReport:
     partial_interval: BoundInterval
     complete_interval: BoundInterval | None
     combined_interval: BoundInterval
-    alpha: Probability
-    beta: Probability
-    gamma: Probability
-    delta: Probability
-    numerator_simple: Probability
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+    numerator_simple: float
     numerator_partial: float
 
     def __post_init__(self) -> None:
-        if self.numerator_partial > 2.0 * float(self.numerator_simple) + STRUCT_TOL:
+        if self.numerator_partial > 2.0 * self.numerator_simple + STRUCT_TOL:
             raise InconsistentBoundsError(
                 f"partial numerator {self.numerator_partial!r} exceeds twice "
-                f"the simple numerator {float(self.numerator_simple)!r}"
+                f"the simple numerator {self.numerator_simple!r}"
             )
 
 
@@ -222,17 +222,16 @@ def compare(
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
     p1, p0, numerator, (alpha, beta, gamma, delta), _ = _partial_parts(*v)
-    p1, p0 = _unit(p1), _unit(p0)
-    lower, upper = _interval(p1, p0, numerator, _PARTIAL_UNDEFINED)
-    lower = _unit(lower)
-    simple_upper = _interval(*_simple_parts(p1, p0), _PARTIAL_UNDEFINED)[1]
-    simple_iv = BoundInterval(lower, simple_upper)
-    partial_iv = BoundInterval(lower, upper)
+    rates = _rates(_partial_parts, v, p1, p0, numerator)
+    lower, upper = _interval(*rates, _PARTIAL_UNDEFINED)
+    simple_upper = _interval(*_simple_parts(*rates[:2]), _PARTIAL_UNDEFINED)[1]
+    simple_iv = BoundInterval(float(lower), float(simple_upper))
+    partial_iv = BoundInterval(float(lower), float(upper))
     combined = partial_iv if partial_iv.upper < simple_iv.upper else simple_iv
     complete_iv = None
     if complete_claim:
         try:
-            complete_iv = _bounds(*_complete_parts(*_collapsed(v)), _COMPLETE_UNDEFINED)
+            complete_iv = _bounds(_complete_parts, _collapsed(v), _COMPLETE_UNDEFINED)
         except PcUndefinedError:  # p1 > 0, but not after the collapse
             complete_iv = BoundInterval(0.0, 1.0)
         try:
@@ -244,9 +243,9 @@ def compare(
                 f"but its interval {complete_iv} is disjoint from {combined}, "
                 f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
             ) from None
-    split = _unit(alpha), _unit(beta), _unit(gamma), _unit(delta)
-    return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, *split,
-                            _unit(_min(alpha + beta, gamma + delta)), numerator)
+    return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, alpha, beta,
+                            gamma, delta, _unit(_min(alpha + beta, gamma + delta)),
+                            numerator)
 
 
 def read_margins_json(

@@ -50,7 +50,6 @@ from .core import (
     BoundInterval,
     InvalidInputError,
     PcUndefinedError,
-    Probability,
     _build,
     _frozen,
     _read_object,
@@ -87,8 +86,7 @@ _CODES = np.uint8([4 * x + 2 * _M_MASKS[x, :, None] + (_Y0, _Y1)[x] for x in (0,
 
 def frechet(p_a: float, p_b: float) -> BoundInterval:
     """Frechet bounds on P(A and B) from the two event probabilities."""
-    pa = float(_unit(p_a))
-    pb = float(_unit(p_b))
+    pa, pb = _unit(p_a), _unit(p_b)
     return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
 
 
@@ -99,16 +97,14 @@ def coupling_sweep_simple(m: SimpleMargins) -> BoundInterval:
     interval and PC = q / p1 is increasing in q, so the extremes are the
     two ends of that interval divided by p1.
     """
-    p1 = float(m.p1)
+    p1 = m.p1
     if p1 == 0.0:
-        raise PcUndefinedError(
-            "P(Y=1 | X<-1) = 0: the probability of causation is undefined"
-        )
-    cap = frechet(1.0 - float(m.p0), p1)
+        raise PcUndefinedError("P(Y=1 | X<-1) = 0: the probability of causation is "
+                               "undefined")
+    cap = frechet(1.0 - m.p0, p1)
     # q = p1 up to rounding makes the ratio overshoot 1 by an ulp when
     # p1 is tiny; the ratio is a probability, so clip, don't reject.
-    return BoundInterval(*(_unit(min(q / p1, 1.0))
-                           for q in (cap.lower, cap.upper)))
+    return BoundInterval(*(min(q / p1, 1.0) for q in (cap.lower, cap.upper)))
 
 
 def complete_coupling_sweep(m: CompleteMediationMargins) -> float:
@@ -121,7 +117,7 @@ def complete_coupling_sweep(m: CompleteMediationMargins) -> float:
     Frechet range, and the sum is bilinear in the two, so its maximum
     sits at one of the four corners of the box of ranges.
     """
-    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
+    a, b, c, d = m.a, m.b, m.c, m.d
     return max(q01 * r01 + (1.0 - a - b + q01) * (1.0 - c - d + r01)
                for q01 in (max(a + b - 1.0, 0.0), min(a, b))
                for r01 in (max(c + d - 1.0, 0.0), min(c, d)))
@@ -149,7 +145,7 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
             try:
-                cells[k] = float(_unit(v))
+                cells[k] = _unit(v)
             except InvalidInputError:
                 raise InvalidInputError(
                     f"{name}[{k}] = {v!r} is not a probability") from None
@@ -217,7 +213,7 @@ def _batch_true_pc(m_blocks: np.ndarray, y_blocks: np.ndarray) -> np.ndarray:
     return joint / p_y1
 
 
-def true_pc(law: PotentialOutcomeLaw) -> Probability:
+def true_pc(law: PotentialOutcomeLaw) -> float:
     """Exact PC under a fully specified law, by 64-cell enumeration.
 
     An individual's outcomes are composed as Y(x) = Y*(x, M(x)); PC is

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BoundInterval, CountTable, PcUndefinedError, Probability
-from .core import _frozen, _unit
+from .core import BoundInterval, CountTable, PcUndefinedError, _frozen, _unit
 
 __all__ = ["SimpleMargins", "margins_from_count_table", "risk_ratio", "simple_bounds"]
 
@@ -25,8 +24,8 @@ __all__ = ["SimpleMargins", "margins_from_count_table", "risk_ratio", "simple_bo
 class SimpleMargins:
     """Arm response rates p1 = P(Y=1 | X<-1) and p0 = P(Y=1 | X<-0)."""
 
-    p1: Probability
-    p0: Probability
+    p1: float
+    p0: float
 
 
 def margins_from_count_table(t: CountTable) -> SimpleMargins:
@@ -43,7 +42,7 @@ def risk_ratio(m: SimpleMargins) -> float:
     """
     if m.p0 == 0.0:
         return math.nan if m.p1 == 0.0 else math.inf
-    return float(m.p1) / float(m.p0)
+    return m.p1 / m.p0
 
 
 def _min(a, b):
@@ -62,9 +61,20 @@ def _interval(p1, p0, numerator, undefined: str) -> tuple:
     return lower if lower > 0 else 0, upper if upper < 1 else 1
 
 
-def _bounds(p1, p0, numerator, undefined: str) -> BoundInterval:
-    """:func:`_interval` on derived rates made probabilities, as an interval."""
-    return BoundInterval(*_interval(_unit(p1), _unit(p0), numerator, undefined))
+def _rates(kernel, args, p1, p0, numerator) -> tuple:
+    """The derived (p1, p0) made probabilities, and the numerator; a subnormal p1 loses
+    the bounds to float products, so ``kernel`` then reruns on exact ``Fraction``s,
+    and the caller takes the ``float`` of each endpoint."""
+    if p1 < 2.2250738585072014e-308 and p1:
+        from fractions import Fraction  # here alone: importing it costs about 18 ms
+        return kernel(*map(Fraction, args))[:3]
+    return _unit(p1), _unit(p0), numerator
+
+
+def _bounds(kernel, args, undefined: str) -> BoundInterval:
+    """:func:`_interval` on :func:`_rates` of ``kernel(*args)``, as an interval."""
+    rates = _rates(kernel, args, *kernel(*args)[:3])
+    return BoundInterval(*map(float, _interval(*rates, undefined)))
 
 
 def _simple_parts(p1, p0) -> tuple:

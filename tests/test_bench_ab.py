@@ -1,0 +1,73 @@
+"""The summary of ``scripts/bench_ab.py``, on made-up paired runs."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
+spec = importlib.util.spec_from_file_location("bench_ab", SCRIPT)
+bench_ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_ab)
+
+DECLARED = [
+    {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _pair(parent_items, change_items, parent_ms, change_ms):
+    return ({"items_per_s": parent_items, "op_p50_ms": parent_ms},
+            {"items_per_s": change_items, "op_p50_ms": change_ms})
+
+
+def test_medians_quartiles_ratio_wins_and_aa_spread():
+    pairs = {"w": [_pair(100.0, 150.0, 0.010, 0.006),
+                   _pair(110.0, 150.0, 0.009, 0.007),
+                   _pair(90.0, 80.0, 0.011, 0.012),
+                   _pair(100.0, 160.0, 0.010, 0.006),
+                   _pair(120.0, 170.0, 0.008, 0.005)]}
+    aa = {"w": ({"items_per_s": 100.0, "op_p50_ms": 0.010},
+                {"items_per_s": 95.0, "op_p50_ms": 0.011})}
+    items = bench_ab.summarize(pairs, aa, DECLARED)["w"]["items_per_s"]
+    assert items["parent_median"] == 100.0 and items["change_median"] == 150.0
+    # numpy.percentile([90, 100, 100, 110, 120], [25, 75]) is [100, 110]
+    assert (items["parent_q1"], items["parent_q3"]) == (100.0, 110.0)
+    # the median of 1.5, 150/110, 80/90, 1.6 and 170/120
+    assert items["ratio"] == pytest.approx(170 / 120)
+    assert (items["change_wins"], items["pairs"]) == (4, 5)
+    assert items["beyond_parent_iqr"]  # 50 more than the parent's IQR of 10
+    assert items["aa_spread"] == pytest.approx(0.05)
+    latency = bench_ab.summarize(pairs, aa, DECLARED)["w"]["op_p50_ms"]
+    # lower is better: the change wins where its latency is smaller
+    assert latency["change_wins"] == 4
+    assert latency["change_median"] == 0.006
+    assert latency["ratio"] == pytest.approx(0.625)  # of .6, 7/9, 12/11, .6, .625
+    assert latency["beyond_parent_iqr"]
+    assert latency["aa_spread"] == pytest.approx(0.1)
+
+
+def test_a_gain_inside_the_parents_spread_is_not_beyond_it():
+    pairs = {"w": [_pair(100.0, 104.0, 0.010, 0.010),
+                   _pair(90.0, 94.0, 0.010, 0.010),
+                   _pair(110.0, 114.0, 0.010, 0.010)]}
+    aa = {"w": pairs["w"][0]}
+    rows = bench_ab.summarize(pairs, aa, DECLARED)["w"]
+    assert rows["items_per_s"]["change_wins"] == 3
+    # quartiles 95 and 105: a gain of 4 is inside the parent's IQR of 10
+    assert not rows["items_per_s"]["beyond_parent_iqr"]
+    assert rows["op_p50_ms"]["change_wins"] == 0  # a tie is not a win
+    assert rows["op_p50_ms"]["ratio"] == 1.0
+
+
+def test_one_pair_and_a_zero_parent():
+    pairs = {"w": [_pair(0.0, 5.0, 0.010, 0.020)]}
+    aa = {"w": pairs["w"][0]}
+    rows = bench_ab.summarize(pairs, aa, DECLARED)["w"]
+    assert math.isnan(rows["items_per_s"]["ratio"])
+    assert rows["items_per_s"]["parent_q1"] == rows["items_per_s"]["parent_q3"] == 0.0
+    assert math.isnan(rows["items_per_s"]["aa_spread"])
+    assert rows["op_p50_ms"]["ratio"] == 2.0 and rows["op_p50_ms"]["change_wins"] == 0
+    text = bench_ab.format_summary(bench_ab.summarize(pairs, aa, DECLARED))
+    assert text.splitlines()[1].split()[0] == "items_per_s"

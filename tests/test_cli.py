@@ -181,6 +181,20 @@ class TestCompareCommand:
         assert any("simple upper bound is smallest" in s
                    for s in rep["diagnostics"])
 
+    def test_subnormal_rates_exit_0_with_the_exact_interval(self, capsys, tmp_path):
+        # In floats the lower bound came out 1 and the upper 0: an error, exit 1.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "y00": 5e-324, "y01": 0.0, "y10": 5e-324, "y11": 0.0,
+            "m0": 0.5, "m1": 0.0,
+        }))
+        code, rep = run_json(capsys, ["compare", "--margins", str(path), "--json"])
+        assert code == 0
+        assert rep["interval"] == {"lower": 0.5, "upper": 1.0}
+        assert "simple interval [0.5, 1]" in rep["diagnostics"]
+        assert run(["compare", "--margins", str(path)]) == 0
+        assert "interval: [0.50, 1.00]\n" in capsys.readouterr().out
+
     def test_complete_claim_violation_exits_1(self, capsys, partial_file):
         assert run(["compare", "--margins", partial_file, "--complete"]) == 1
         assert "complete-mediation claim fails" in capsys.readouterr().err

@@ -6,8 +6,9 @@
 is hand-written, the margins' are made by ``core._frozen``). These tests pin
 everything a caller could see of the dataclass-generated constructor: the
 argument errors, ``dataclasses`` helpers, eq/hash/repr, frozenness,
-pickling and the clamp-or-raise rules of each field. Every frozen class
-in the package refuses a write to any attribute the same way.
+pickling and the clamp-or-raise rules of each field. Every field holds a
+plain ``float``, never a ``Probability``. Every frozen class in the package
+refuses a write to any attribute the same way.
 """
 
 import copy
@@ -63,8 +64,8 @@ def test_positional_and_keyword_construction(cls, names, values, other):
     assert by_position == by_keyword
     assert _bits(by_position, names) == _bits(by_keyword, names)
     for name, value in zip(names, values):
-        assert type(getattr(by_position, name)) is Probability
-        assert getattr(by_position, name) == value
+        assert type(getattr(by_position, name)) is float
+        assert getattr(by_position, name) is value
 
 
 @contract
@@ -97,7 +98,8 @@ def test_dataclass_helpers(cls, names, values, other):
     assert dataclasses.asdict(obj) == dict(zip(names, values))
     changed = dataclasses.replace(obj, **{names[0]: other[0]})
     assert changed == cls(other[0], *values[1:])
-    assert type(getattr(changed, names[0])) is Probability
+    assert type(getattr(changed, names[0])) is float
+    assert _bits(changed, names) == _bits(cls(other[0], *values[1:]), names)
     assert dataclasses.replace(obj) == obj
 
 
@@ -189,7 +191,7 @@ def test_signature(cls, names, values, other):
     for p in params:
         assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         assert p.default is inspect.Parameter.empty
-        assert p.annotation == "Probability"
+        assert p.annotation == "float"
     assert inspect.signature(cls).return_annotation in (None, "None")
 
 
@@ -214,7 +216,7 @@ def test_every_field_clamps(cls, names, values, other, raw, stored):
         else:
             args = values[:k] + (raw,) + values[k + 1:]
         got = getattr(cls(*args), name)
-        assert type(got) is Probability
+        assert type(got) is float
         assert float.hex(got) == float.hex(stored)
 
 
@@ -265,7 +267,7 @@ class TestBoundIntervalOrder:
             dataclasses.replace(BoundInterval(0.2, 0.4), lower=0.9)
 
 
-# --- core._unit against Probability ------------------------------------------
+# --- core._unit against float(Probability(v)) --------------------------------
 
 
 def _outcome(make, value):
@@ -275,6 +277,16 @@ def _outcome(make, value):
     except InvalidInputError as e:
         return type(e).__name__, str(e)
     return type(p).__name__, float.hex(p), math.copysign(1.0, p)
+
+
+def _check_unit(value):
+    """``_unit(value)`` is ``float(Probability(value))``, bit for bit or error for
+    error, and a float already in [0, 1] comes back as the same object."""
+    from pcbounds.core import _unit
+
+    assert _outcome(_unit, value) == _outcome(lambda v: float(Probability(v)), value)
+    if 0.0 <= value <= 1.0:
+        assert _unit(value) is value
 
 
 @pytest.mark.parametrize(
@@ -288,20 +300,14 @@ def _outcome(make, value):
     ids=repr,
 )
 def test_unit_matches_probability(value):
-    from pcbounds.core import _unit
-
-    assert _outcome(_unit, value) == _outcome(Probability, value)
+    _check_unit(value)
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_unit_matches_probability_on_any_float(value):
-    from pcbounds.core import _unit
-
-    assert _outcome(_unit, value) == _outcome(Probability, value)
+    _check_unit(value)
 
 
 @given(st.floats(min_value=-4 * CLAMP_TOL, max_value=1.0 + 4 * CLAMP_TOL))
 def test_unit_matches_probability_near_the_edges(value):
-    from pcbounds.core import _unit
-
-    assert _outcome(_unit, value) == _outcome(Probability, value)
+    _check_unit(value)

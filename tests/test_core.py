@@ -128,7 +128,8 @@ def _any_outcome(make, value):
 
 
 class TestUnitFastPath:
-    """``_unit`` is ``Probability`` on every input; only its speed differs."""
+    """``_unit`` is ``float(Probability(v))`` on every input; only its speed differs,
+    and a float already in [0, 1] comes back as the same object."""
 
     @pytest.mark.parametrize(
         "value",
@@ -144,8 +145,11 @@ class TestUnitFastPath:
         ids=repr,
     )
     def test_same_type_bits_or_error_as_probability(self, value):
-        assert _any_outcome(_unit, value) == _any_outcome(Probability, value)
-        if type(value) is Probability:
+        reference = _any_outcome(lambda v: float(Probability(v)), value)
+        assert _any_outcome(_unit, value) == reference
+        if reference[0] == "float":
+            assert type(_unit(value)) is float
+        if type(value) is float and 0.0 <= value <= 1.0:
             assert _unit(value) is value
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), st.booleans())
@@ -159,10 +163,10 @@ class TestUnitFastPath:
         assert (rep.complete_interval is not None) == claim
         for f in fields(rep):
             value = getattr(rep, f.name)
-            if f.type == "Probability":
-                assert type(value) is Probability, f.name
+            if f.type == "float":
+                assert type(value) is float, f.name
             elif f.type.startswith("BoundInterval") and value is not None:
-                assert type(value.lower) is type(value.upper) is Probability, f.name
+                assert type(value.lower) is type(value.upper) is float, f.name
         if not claim:
             narrower = min(rep.simple_interval, rep.partial_interval,
                            key=lambda iv: iv.upper)
@@ -193,7 +197,7 @@ class TestUnitFastPath:
 
     def test_margins_file_and_replace_never_call_probability_new(self):
         # Each field converts once, in read_margins_json; the margins type and
-        # dataclasses.replace take the Probability it made as it is.
+        # dataclasses.replace take the float it handed back as it is.
         calls = []
         new = Probability.__new__
 
@@ -216,12 +220,20 @@ class TestBoundInterval:
 
     def test_coerces_floats(self):
         iv = BoundInterval(0.2, 0.8)
-        assert isinstance(iv.lower, Probability)
+        assert type(iv.lower) is type(iv.upper) is float
+        iv = BoundInterval(0, Probability(0.8))
+        assert type(iv.lower) is type(iv.upper) is float
+        assert float.hex(iv.lower) == float.hex(0.0)
+        assert float.hex(iv.upper) == float.hex(0.8)
 
     def test_probability_endpoints_pass_through(self):
-        lo, hi = Probability(0.2), Probability(0.8)
+        # A float in [0, 1] is stored as itself; a Probability as its plain float.
+        lo, hi = 0.2, 0.8
         iv = BoundInterval(lo, hi)
         assert iv.lower is lo and iv.upper is hi
+        iv = BoundInterval(Probability(0.2), Probability(0.8))
+        assert (type(iv.lower), iv.lower, type(iv.upper), iv.upper) == (
+            float, 0.2, float, 0.8)
 
     def test_still_checks_probability_endpoints_for_inversion(self):
         with pytest.raises(InconsistentBoundsError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -25,6 +26,7 @@ from pcbounds import (
 )
 from pcbounds.core import _unit
 from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
+from pcbounds.simple import _interval, _simple_parts
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -47,6 +49,16 @@ def x_invariant_sets(draw):
     return PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
 
 
+def simple_of_derived(m):
+    """The simple bounds of m's derived rates: ``simple_bounds`` of the float
+    rates, or, where p1 is subnormal and float products have lost the bounds,
+    the float of each endpoint of the exact rates' interval."""
+    if 0 < _partial_parts(*_fields(m))[0] < 2.0**-1022:
+        exact = _simple_parts(*_partial_parts(*map(Fraction, _fields(m)))[:2])
+        return BoundInterval(*map(float, _interval(*exact, "")))
+    return simple_bounds(derive_simple_from_partial(m))
+
+
 def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     """``compare`` as the composition of public calls it was before it
     became a single pass, kept as the differential reference. The partial
@@ -66,8 +78,7 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
                     f"|{names[0]} - {names[1]}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
     partial_iv = partial_bounds(m)
-    derived = derive_simple_from_partial(m)
-    simple_iv = simple_bounds(derived)
+    simple_iv = simple_of_derived(m)
     complete_iv = None
     if complete_claim:
         try:
@@ -256,7 +267,7 @@ class TestPartialBounds:
     def test_lower_equals_simple_lower(self, m):
         d = derive_simple_from_partial(m)
         assume(float(d.p1) > 0.0)
-        assert float(partial_bounds(m).lower) == float(simple_bounds(d).lower)
+        assert float(partial_bounds(m).lower) == float(simple_of_derived(m).lower)
 
     @given(partial_margin_sets())
     def test_interval_well_formed(self, m):
@@ -509,3 +520,53 @@ def test_compare_words_an_undefined_pc_as_partial_bounds_does(claim):
         "derived P(Y=1 | X<-1) = 0: the probability of causation is undefined "
         "for these margins"
     )
+
+
+class TestSubnormalRates:
+    """A derived p1 below 2**-1022 loses the bounds to float products; the
+    kernel then reruns on fractions, and each endpoint is the float of the
+    exact one. Both sets failed in floats: the partial one with a lower bound
+    of 1 over an upper bound of 0, the complete one as [0, 0]."""
+
+    PARTIAL = (5e-324, 0.0, 5e-324, 0.0, 0.5, 0.0)
+    # x-invariant, and its collapse is (1 - 0.95, 1.0, 1.0, 5e-324)
+    COLLAPSING = (0.0, 5e-324, 0.0, 5e-324, 0.95, 1.0)
+
+    @staticmethod
+    def _ends(iv):
+        return type(iv.lower), iv.lower, type(iv.upper), iv.upper
+
+    @pytest.mark.parametrize("claim", [False, True])
+    def test_partial_set(self, claim):
+        m = PartialMediationMargins(*self.PARTIAL)
+        assert self._ends(partial_bounds(m)) == (float, 0.5, float, 1.0)
+        rep = compare(m, complete_claim=claim)
+        for iv in (rep.simple_interval, rep.partial_interval, rep.combined_interval):
+            assert self._ends(iv) == (float, 0.5, float, 1.0)
+        # The collapsed p1 is 0 here, so the claim adds the vacuous interval.
+        assert rep.complete_interval == (BoundInterval(0.0, 1.0) if claim else None)
+
+    def test_complete_set(self):
+        m = CompleteMediationMargins(0.05, 1.0, 1.0, 5e-324)
+        assert self._ends(complete_bounds(m)) == (float, 0.05, float, 0.05)
+
+    def test_complete_set_through_compare(self):
+        m = PartialMediationMargins(*self.COLLAPSING)
+        a = 1 - 0.95  # exact in floats
+        assert _collapsed(_fields(m)) == (a, 1.0, 1.0, 5e-324)
+        assert self._ends(complete_bounds(CompleteMediationMargins(*_collapsed(
+            _fields(m))))) == (float, a, float, a)
+        assert self._ends(partial_bounds(m)) == (float, a, float, 1.0)
+        rep = compare(m, complete_claim=True)
+        assert self._ends(rep.simple_interval) == (float, a, float, 1.0)
+        assert self._ends(rep.partial_interval) == (float, a, float, 1.0)
+        assert self._ends(rep.complete_interval) == (float, a, float, a)
+        assert self._ends(rep.combined_interval) == (float, a, float, a)
+
+    @pytest.mark.parametrize("values", [PARTIAL, COLLAPSING])
+    def test_report_agrees_with_the_reference(self, values):
+        m = PartialMediationMargins(*values)
+        for claim in (False, True):
+            got = report_bits(compare, m, claim)
+            assert got == report_bits(reference_compare, m, claim)
+            assert all(isinstance(v, tuple) for v in got.values() if v is not None)

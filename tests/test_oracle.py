@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcbounds.oracle as oracle_mod
@@ -226,6 +226,7 @@ class TestSweepAgainstClosedForms:
         assert swept == pytest.approx(numerator, abs=1e-12)
 
     @given(a=sweep_values, b=sweep_values, c=sweep_values, d=sweep_values)
+    @example(a=0.05, b=1.0, c=1.0, d=5e-324)  # a subnormal p1, rerun exactly
     @settings(max_examples=300)
     def test_complete_lower_is_the_smallest_corner(self, a, b, c, d):
         # Under block independence the numerator is w01 s + w10 t, with

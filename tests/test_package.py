@@ -124,6 +124,22 @@ def test_bounds_import_no_numpy_until_a_numpy_name_is_used():
     assert out["error"] == "module 'pcbounds' has no attribute 'no_such_name'"
 
 
+def test_fractions_load_only_for_a_subnormal_derived_rate():
+    # The exact rerun imports fractions, about 18 ms, in its own branch.
+    loaded = run_fresh("""
+import json, sys
+import pcbounds as pb
+pm = pb.PartialMediationMargins(0.02, 0.835, 0.685, 0.857, 0.27, 0.019)
+pb.compare(pm, complete_claim=False)
+pb.partial_bounds(pm)
+pb.complete_bounds(pb.CompleteMediationMargins(0.7, 0.6, 0.4, 0.9))
+loaded = ["fractions" in sys.modules]
+pb.compare(pb.PartialMediationMargins(5e-324, 0.0, 5e-324, 0.0, 0.5, 0.0))
+print(json.dumps(loaded + ["fractions" in sys.modules]))
+""", "-S")
+    assert loaded == [False, True]
+
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
