@@ -2,6 +2,7 @@
 """Benchmark the working tree against a parent commit, in alternating pairs.
 
     python3 scripts/bench_ab.py --parent REV [--pairs 10] [--out FILE] [--smoke]
+    python3 scripts/bench_ab.py --parent REV --cold-start N [--out FILE]
 
 Three trees are built side by side in a scratch directory: the parent
 commit twice (``git archive REV``) and the working tree once (its tracked
@@ -23,6 +24,15 @@ A/A spread |copy / parent - 1|. ``--out FILE`` writes every run and the
 summary as JSON. ``--smoke`` passes ``--smoke`` to ``run.py`` and runs
 for 1 s. The exit code is 1 when any op failed, 2 when a run could not
 run at all.
+
+``--cold-start N`` times cold starts instead of the workloads: each command
+of ``COLD_STARTS`` (``import pcbounds`` and the CLI's ``compare`` on example
+1's margins, each with ``-S`` and without) runs as a fresh interpreter in the
+root of the parent and of the change, with ``PYTHONPATH`` set to the tree's
+``src``. One round writes the bytecode caches and is not kept; then N rounds
+run every command on both sides, the parent first in odd rounds and the change
+first in even ones. The summary gives each side's best and median wall time
+in milliseconds, and the change / parent ratio of each.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -93,6 +104,45 @@ def format_summary(summary: dict) -> str:
     return "\n".join(lines)
 
 
+# The cold-start commands: the arguments of a fresh interpreter run in a tree.
+_COMPARE = ["-m", "pcbounds.cli", "compare", "--margins", "data/example1_margins.json"]
+COLD_STARTS = {
+    "import -S": ["-S", "-c", "import pcbounds"],
+    "import": ["-c", "import pcbounds"],
+    "compare -S": ["-S", *_COMPARE],
+    "compare": _COMPARE,
+}
+
+
+def summarize_cold(times: dict) -> dict:
+    """Per command, each side's best and median milliseconds, and change / parent.
+
+    ``times[command]`` maps ``"parent"`` and ``"change"`` to the wall times of
+    their runs, in milliseconds.
+    """
+    summary = {}
+    for command, sides in times.items():
+        row = {side: {"best_ms": min(runs), "median_ms": statistics.median(runs)}
+               for side, runs in sides.items()}
+        for stat in ("best", "median"):
+            row[f"{stat}_ratio"] = (row["change"][f"{stat}_ms"]
+                                    / row["parent"][f"{stat}_ms"])
+        summary[command] = row
+    return summary
+
+
+def format_cold(summary: dict) -> str:
+    lines = [f"{'cold start (ms)':16s} {'parent best':>11s} {'median':>8s} "
+             f"{'change best':>11s} {'median':>8s} {'best x':>7s} {'median x':>8s}"]
+    for command, r in summary.items():
+        lines.append(
+            f"  {command:14s} {r['parent']['best_ms']:11.1f} "
+            f"{r['parent']['median_ms']:8.1f} {r['change']['best_ms']:11.1f} "
+            f"{r['change']['median_ms']:8.1f} {r['best_ratio']:7.3f} "
+            f"{r['median_ratio']:8.3f}")
+    return "\n".join(lines)
+
+
 def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, **kwargs)
 
@@ -140,6 +190,53 @@ def run_once(tree: str, trees: dict, workload: str, seed: int, args) -> dict:
     return result
 
 
+def with_trees(rev: str, measure):
+    """``measure(trees)`` on trees built in a scratch directory that is removed
+    after; None, with the error printed, when a run could not run at all."""
+    scratch = tempfile.mkdtemp(prefix="bench_ab-")
+    try:
+        return measure(build_trees(rev, scratch))
+    except (RunFailed, subprocess.CalledProcessError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def run_pairs(trees: dict, workloads: list, args) -> dict:
+    """The alternating pairs of every workload, then its A/A pair."""
+    runs = {"pairs": {w: [] for w in workloads}, "aa": {}}
+    for w in workloads:
+        for k in range(1, args.pairs + 1):
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            done = {s: run_once(trees[s], trees, w, k, args) for s in order}
+            runs["pairs"][w].append((done["parent"], done["change"]))
+        runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
+                              for s in ("parent", "copy"))
+    return runs
+
+
+def cold_start(trees: dict, rounds: int) -> dict:
+    """Wall milliseconds of each side's runs of every cold-start command."""
+    times = {command: {"parent": [], "change": []} for command in COLD_STARTS}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    for k in range(rounds + 1):  # round 0 writes the bytecode caches
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        for command, args in COLD_STARTS.items():
+            for side in order:
+                env["PYTHONPATH"] = os.path.join(trees[side], "src")
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, *args], cwd=trees[side],
+                                      env=env, capture_output=True, text=True)
+                elapsed = (time.perf_counter() - start) * 1e3
+                if proc.returncode:
+                    raise RunFailed(f"{command} in {trees[side]}: exit "
+                                    f"{proc.returncode}: {proc.stderr.strip()}")
+                if k:
+                    times[command][side].append(elapsed)
+    return times
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="the commit to compare against")
@@ -147,29 +244,22 @@ def main(argv=None) -> int:
     p.add_argument("--smoke", action="store_true",
                    help="run.py --smoke, 1 s per run: a check that the script runs")
     p.add_argument("--out", help="write every run and the summary to this JSON file")
+    p.add_argument("--cold-start", type=int, metavar="N",
+                   help="time N rounds of fresh cold starts instead of the workloads")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.cold_start is not None:
+        if args.cold_start < 1:
+            p.error("--cold-start must be at least 1")
+        return main_cold(args)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     args.seconds = 1 if args.smoke else declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]
-    runs = {"pairs": {w: [] for w in workloads}, "aa": {}}
-    scratch = tempfile.mkdtemp(prefix="bench_ab-")
-    try:
-        trees = build_trees(args.parent, scratch)
-        for w in workloads:
-            for k in range(1, args.pairs + 1):
-                order = ("parent", "change") if k % 2 else ("change", "parent")
-                done = {s: run_once(trees[s], trees, w, k, args) for s in order}
-                runs["pairs"][w].append((done["parent"], done["change"]))
-            runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
-                                  for s in ("parent", "copy"))
-    except (RunFailed, subprocess.CalledProcessError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    runs = with_trees(args.parent, lambda trees: run_pairs(trees, workloads, args))
+    if runs is None:
         return 2
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
     def values(pair):
         return tuple({k: v["value"] for k, v in r["metrics"].items()} for r in pair)
@@ -185,6 +275,22 @@ def main(argv=None) -> int:
     every = [r for pairs in runs["pairs"].values() for pair in pairs for r in pair]
     every += [r for pair in runs["aa"].values() for r in pair]
     return 1 if any(r["failed"] for r in every) else 0
+
+
+def main_cold(args) -> int:
+    """``--cold-start N``: the cold-start rounds, their summary and ``--out``."""
+    times = with_trees(args.parent, lambda trees: cold_start(trees, args.cold_start))
+    if times is None:
+        return 2
+    summary = summarize_cold(times)
+    print(format_cold(summary))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"parent": args.parent, "cold_start_rounds": args.cold_start,
+                       "commands": {c: [sys.executable, *a] for c, a in
+                                    COLD_STARTS.items()},
+                       "times_ms": times, "summary": summary}, fh, indent=1)
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ consistency checks of ``complete``, ``partial`` and ``compare``; the
 other subcommands accept it and ignore it.
 
 ``_REGIMES`` holds one record per evidence regime: its name, its margins
-class, whose dataclass fields are the keys the help text, the input echo
+class, whose ``__match_args__`` are the keys the help text, the input echo
 and a wrong-kind error list, its assumption tags, and the bound,
 derivation and estimator it runs. The margins reader, the parser and
 the reports all read it, and ``complete`` and ``partial`` share one
@@ -32,7 +32,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import pcbounds as pb
 
@@ -54,7 +54,7 @@ class _Regime:
 
     @property
     def keys(self) -> str:
-        return "{" + ", ".join(f.name for f in fields(self.margins)) + "}"
+        return "{" + ", ".join(self.margins.__match_args__) + "}"
 
     @property
     def noun(self) -> str:
@@ -135,8 +135,8 @@ def _read_margins(path: str, regime: _Regime, command: str, **extra):
         raise pb.InvalidInputError(
             f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
-    echo = {"kind": f"{regime.name}-margins", "source": path, "values": asdict(m)}
-    return m, {**echo, **extra}
+    fields = {name: getattr(m, name) for name in m.__match_args__}
+    return m, dict(kind=f"{regime.name}-margins", source=path, values=fields, **extra)
 
 
 def _counts_check(derived: pb.SimpleMargins, counts_path: str, tol: float) -> str:
@@ -276,7 +276,7 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
     else:
         diagnostics.append("all sampled laws fall inside both intervals")
     code = 3 if (not rep.passed and not rep.confounded) else 0
-    names = [f.name for f in fields(rep)]
+    names = rep.__match_args__
     return BoundsReport(
         method="verify",
         interval=rep.interval,

@@ -4,8 +4,8 @@ Everything downstream trades in these types: values are converted once,
 at the edge, by :func:`_unit`, which checks each as :class:`Probability` does
 and hands back a plain float, after which the bound formulas can assume
 unit-interval floats and ordered intervals. Every frozen type is made by
-:func:`_frozen` and stores each field through its slot's own descriptor, the
-one store the package has.
+:func:`_frozen`, without ``dataclasses``, and stores each field through its
+slot's own descriptor, the one store the package has.
 Two tolerance regimes apply throughout the package:
 
 * ``STRUCT_TOL`` for identities that hold by construction and should
@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 
 STRUCT_TOL = 1e-9
 REPORT_TOL = 0.005
@@ -128,11 +128,26 @@ def _unit(v: float) -> float:
     return float(Probability(v))
 
 
-def _frozen(convert=None, **options):
-    """``dataclass(frozen=True, slots=True, **options)`` that refuses every write.
+class _Fields(frozenset):
+    """A :func:`_frozen` class's hidden field names, as its ``__dataclass_fields__``:
+    the first lookup makes the table with ``dataclasses`` and stores it instead."""
 
-    Setting or deleting any attribute raises FrozenInstanceError; the
-    dataclass's own methods raise TypeError for a name that is not a field.
+    def __get__(self, obj, cls) -> dict:
+        from dataclasses import field, make_dataclass
+        spec = [(n, t, field(repr=n not in self))
+                for n, t in cls.__annotations__.items()]
+        cls.__dataclass_fields__ = make_dataclass(
+            cls.__name__, spec, init=False, repr=False, eq=False).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+def _frozen(convert=None, eq=True, hidden=()):
+    """A frozen slotted class with a dataclass's fields, made without ``dataclasses``.
+
+    It has a dataclass's ``__match_args__``, repr (less the ``hidden`` fields), eq
+    and hash (unless ``eq=False``) and list pickle state; setting or deleting any
+    attribute raises FrozenInstanceError; :class:`_Fields` serves the helpers.
+    One ``attrgetter`` reads the fields, another the shown ones: two or more each.
     The store rule: the package stores every field through its slot's own
     member descriptor, ``Cls.field.__set__(obj, value)``, which the refusal
     does not see. A class that defines no ``__init__`` gets one made from its
@@ -141,30 +156,44 @@ def _frozen(convert=None, **options):
     if the class has one. A hand-written ``__init__`` is kept as it is.
     """
     def make(cls):
-        cls = dataclass(frozen=True, slots=True, init=False, **options)(cls)
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _make_init(cls, convert)
+        names = tuple(cls.__annotations__)
+        shown = [n for n in names if n not in hidden]
+        get, show = attrgetter(*names), attrgetter(*shown)
+        text = f"{cls.__qualname__}({', '.join(n + '={!r}' for n in shown)})"
+
+        def setstate(self, state):
+            for store, value in zip(stores, state):
+                store(self, value)
 
         def refuse(self, name, *value):
+            from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot set or delete {name!r}: "
                                       f"{type(self).__name__} is frozen")
+        body = dict(vars(cls), __slots__=names, __match_args__=names,
+                    __qualname__=cls.__qualname__, __dataclass_fields__=_Fields(hidden),
+                    __repr__=lambda self: text.format(*show(self)),
+                    __getstate__=lambda self: list(get(self)), __setstate__=setstate)
+        del body["__dict__"], body["__weakref__"]
+        if eq:
+            body["__hash__"] = lambda self: hash(get(self))
+            body["__eq__"] = lambda self, other: (
+                get(self) == get(other) if other.__class__ is self.__class__
+                else NotImplemented)
+        cls = type(cls)(cls.__name__, cls.__bases__, body)
         cls.__setattr__ = cls.__delattr__ = refuse
+        stores = [vars(cls)[n].__set__ for n in names]
+        if "__init__" not in body:
+            arg = "convert({})" if convert else "{}"
+            code = [f"set_{n}(self, {arg.format(n)})" for n in names]
+            code += ["self.__post_init__()"] * hasattr(cls, "__post_init__")
+            env = {"convert": convert} | {f"set_{n}": s for n, s in zip(names, stores)}
+            source = "\n    ".join([f"def __init__(self, {', '.join(names)}):", *code])
+            exec(source, env)
+            cls.__init__ = init = env["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__annotations__ = cls.__annotations__ | {"return": None}
         return cls
     return make
-
-
-def _make_init(cls, convert):
-    """The ``__init__`` :func:`_frozen` makes, named and annotated as a dataclass's."""
-    names = [f.name for f in fields(cls)]
-    body = [f"set_{n}(self, {f'convert({n})' if convert else n})" for n in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    env = {"convert": convert} | {f"set_{n}": cls.__dict__[n].__set__ for n in names}
-    exec(f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
-    return init
 
 
 @_frozen()
@@ -229,8 +258,8 @@ class CountTable:
     unexposed_total: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_int(f.name, getattr(self, f.name), 0)
+        for name in self.__match_args__:
+            _require_int(name, getattr(self, name), 0)
         if self.exposed_total == 0 or self.unexposed_total == 0:
             raise InvalidInputError("arm totals must be positive")
         for arm in ("exposed", "unexposed"):
@@ -267,16 +296,15 @@ def _read_object(path: str | os.PathLike, *types) -> tuple[type, dict]:
     a JSON boolean as a value or list cell is an InvalidInputError, any other
     shape a RecordParseError that lists each type's keys. Both name the file."""
     data = _read_json(path)
-    names = [[f.name for f in fields(cls)] for cls in types]
-    for cls, keys in zip(types, names):
-        if isinstance(data, dict) and data.keys() == set(keys):
-            for key in keys:
+    for cls in types:
+        if isinstance(data, dict) and data.keys() == set(cls.__match_args__):
+            for key in cls.__match_args__:
                 cells = data[key] if isinstance(data[key], list) else [data[key]]
                 if any(isinstance(c, bool) for c in cells):
                     raise InvalidInputError(f"{path}: {key} holds a boolean, "
                                             "not a number")
             return cls, data
-    expected = " | ".join("{" + ", ".join(keys) + "}" for keys in names)
+    expected = " | ".join("{" + ", ".join(c.__match_args__) + "}" for c in types)
     got = f", got {sorted(data)}" if isinstance(data, dict) else ""
     raise RecordParseError(f"{path}: expected a JSON object with exactly the keys "
                            f"{expected}{got}")

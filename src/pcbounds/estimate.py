@@ -20,7 +20,6 @@ import io
 import math
 import os
 import warnings
-from dataclasses import field
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def _pack(columns) -> np.ndarray:
     return codes
 
 
-@_frozen(eq=False)
+@_frozen(eq=False, hidden=("codes", "_cells"))
 class Dataset:
     """An immutable batch of trial records, stored as one code column.
 
@@ -89,8 +88,8 @@ class Dataset:
 
     source: str
     has_mediator: bool
-    codes: np.ndarray = field(repr=False)
-    _cells: list = field(repr=False)
+    codes: np.ndarray
+    _cells: list
 
     def __init__(self, x, m, y, source: str = "") -> None:
         columns = [_column("x", x), _column("y", y)]
@@ -112,9 +111,7 @@ class Dataset:
         # bincount widens its input to intp, so count in pieces of 2^16 codes
         counts = sum(np.bincount(codes[i : i + (1 << 16)], minlength=8)
                      for i in range(0, codes.size, 1 << 16)).reshape(2, 2, 2).tolist()
-        for name, value in (("source", source), ("has_mediator", has_mediator),
-                            ("codes", codes), ("_cells", counts)):
-            getattr(Dataset, name).__set__(self, value)
+        self.__setstate__((source, has_mediator, codes, counts))
         return self
 
     def __reduce__(self):

@@ -71,3 +71,30 @@ def test_one_pair_and_a_zero_parent():
     assert rows["op_p50_ms"]["ratio"] == 2.0 and rows["op_p50_ms"]["change_wins"] == 0
     text = bench_ab.format_summary(bench_ab.summarize(pairs, aa, DECLARED))
     assert text.splitlines()[1].split()[0] == "items_per_s"
+
+
+def test_cold_start_best_median_and_ratios():
+    times = {"import -S": {"parent": [40.0, 44.0, 41.0, 60.0],
+                           "change": [30.0, 28.0, 29.0, 35.0]},
+             "compare": {"parent": [70.0], "change": [77.0]}}
+    summary = bench_ab.summarize_cold(times)
+    row = summary["import -S"]
+    assert row["parent"] == {"best_ms": 40.0, "median_ms": 42.5}
+    assert row["change"] == {"best_ms": 28.0, "median_ms": 29.5}
+    assert row["best_ratio"] == pytest.approx(0.7)
+    assert row["median_ratio"] == pytest.approx(29.5 / 42.5)
+    # one round: best and median are that run, and a slower change shows > 1
+    assert summary["compare"]["best_ratio"] == pytest.approx(1.1)
+    assert summary["compare"]["median_ratio"] == pytest.approx(1.1)
+    lines = bench_ab.format_cold(summary).splitlines()
+    assert [line.split()[:2] for line in lines[1:]] == [["import", "-S"],
+                                                        ["compare", "70.0"]]
+    assert lines[1].split()[2:] == ["40.0", "42.5", "28.0", "29.5", "0.700", "0.694"]
+
+
+def test_cold_start_commands_are_the_import_and_the_cli_compare():
+    commands = bench_ab.COLD_STARTS
+    assert set(commands) == {"import -S", "import", "compare -S", "compare"}
+    assert commands["import -S"] == ["-S", "-c", "import pcbounds"]
+    assert commands["compare -S"] == ["-S"] + commands["compare"]
+    assert commands["compare"][-2:] == ["--margins", "data/example1_margins.json"]

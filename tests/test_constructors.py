@@ -9,15 +9,23 @@ argument errors, ``dataclasses`` helpers, eq/hash/repr, frozenness,
 pickling and the clamp-or-raise rules of each field. Every field holds a
 plain ``float``, never a ``Probability``. Every frozen class in the package
 refuses a write to any attribute the same way.
+
+``core._frozen`` builds these classes without ``dataclasses``; the tests at the
+end pin, for each of its other classes, what 0.9.0 built with ``dataclass``:
+the repr, eq and hash, ``match``, the ``dataclasses`` helpers and the pickle
+bytes, so that pickles load across versions in both directions.
 """
 
 import copy
 import dataclasses
 import inspect
+import io
+import json
 import math
 import pickle
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +35,7 @@ from hypothesis import strategies as st
 from pcbounds import (
     CLAMP_TOL,
     BoundInterval,
+    ComparisonReport,
     CompleteMediationMargins,
     CountTable,
     Dataset,
@@ -36,6 +45,7 @@ from pcbounds import (
     PotentialOutcomeLaw,
     Probability,
     SimpleMargins,
+    SoundnessReport,
     compare,
     soundness_report,
 )
@@ -159,9 +169,11 @@ def test_every_write_raises_frozen_instance_error(make):
         lambda: delattr(obj, name),
         lambda: delattr(obj, "width"),
     )
-    for write in writes:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for attr, write in zip((name, "width", name, "width"), writes):
+        with pytest.raises(dataclasses.FrozenInstanceError) as exc:
             write()
+        assert str(exc.value) == (f"cannot set or delete {attr!r}: "
+                                  f"{type(obj).__name__} is frozen")
     assert not hasattr(obj, "__dict__")
     assert _field_values(pickle.loads(pickle.dumps(obj))) == _field_values(obj)
 
@@ -311,3 +323,153 @@ def test_unit_matches_probability_on_any_float(value):
 @given(st.floats(min_value=-4 * CLAMP_TOL, max_value=1.0 + 4 * CLAMP_TOL))
 def test_unit_matches_probability_near_the_edges(value):
     _check_unit(value)
+
+
+# --- the contract of every other _frozen class, as 0.9.0 kept it --------------
+
+IV = BoundInterval(0.25, 0.75)
+# name: (one instance, its repr at 0.9.0, its fields in order, a field to change)
+OTHERS = {
+    "CountTable": (
+        lambda: CountTable(30, 100, 12, 100),
+        "CountTable(exposed_event=30, exposed_total=100, unexposed_event=12, "
+        "unexposed_total=100)",
+        ("exposed_event", "exposed_total", "unexposed_event", "unexposed_total"),
+        {"exposed_event": 31},
+    ),
+    "ComparisonReport": (
+        lambda: ComparisonReport(IV, BoundInterval(0.25, 0.5), None,
+                                 BoundInterval(0.25, 0.5), 0.125, 0.375, 0.0625, 0.5,
+                                 0.5, 0.75),
+        "ComparisonReport(simple_interval=BoundInterval(lower=0.25, upper=0.75), "
+        "partial_interval=BoundInterval(lower=0.25, upper=0.5), "
+        "complete_interval=None, combined_interval=BoundInterval(lower=0.25, "
+        "upper=0.5), alpha=0.125, beta=0.375, gamma=0.0625, delta=0.5, "
+        "numerator_simple=0.5, numerator_partial=0.75)",
+        ("simple_interval", "partial_interval", "complete_interval",
+         "combined_interval", "alpha", "beta", "gamma", "delta", "numerator_simple",
+         "numerator_partial"),
+        {"alpha": 0.25},
+    ),
+    "PotentialOutcomeLaw": (
+        lambda: PotentialOutcomeLaw((0.25,) * 4, (0.5, 0.5) + (0.0,) * 14),
+        "PotentialOutcomeLaw(m_block=(0.25, 0.25, 0.25, 0.25), y_block=(0.5, 0.5, "
+        + ", ".join(["0.0"] * 14) + "))",
+        ("m_block", "y_block"),
+        {"m_block": (1.0, 0.0, 0.0, 0.0)},
+    ),
+    "SoundnessReport": (
+        lambda: SoundnessReport(IV, BoundInterval(0.125, 0.875), 5, 7, 0, 1, 0.0,
+                                0.375, 0.625, 0.125, 0.25, False),
+        "SoundnessReport(interval=BoundInterval(lower=0.25, upper=0.75), "
+        "simple_interval=BoundInterval(lower=0.125, upper=0.875), n_laws=5, seed=7, "
+        "violations=0, simple_violations=1, worst_violation=0.0, min_true_pc=0.375, "
+        "max_true_pc=0.625, lower_gap=0.125, upper_gap=0.25, confounded=False)",
+        ("interval", "simple_interval", "n_laws", "seed", "violations",
+         "simple_violations", "worst_violation", "min_true_pc", "max_true_pc",
+         "lower_gap", "upper_gap", "confounded"),
+        {"seed": 8},
+    ),
+    "Dataset": (
+        lambda: Dataset(x=[0, 1, 1], m=[1, 0, 1], y=[1, 1, 0], source="r.csv"),
+        "Dataset(source='r.csv', has_mediator=True)",
+        ("source", "has_mediator", "codes", "_cells"),
+        None,
+    ),
+}
+others = pytest.mark.parametrize("make, text, names, change", OTHERS.values(),
+                                 ids=OTHERS)
+
+
+@others
+def test_repr_is_the_one_0_9_0_printed(make, text, names, change):
+    assert repr(make()) == text
+
+
+@others
+def test_eq_and_hash(make, text, names, change):
+    a, b = make(), make()
+    if isinstance(a, Dataset):  # eq=False: identity, as object has it
+        assert a == a and a != b and hash(a) == object.__hash__(a)
+        return
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, n) for n in names))
+    assert a.__eq__(object()) is NotImplemented
+    assert a != dataclasses.replace(a, **change)
+
+
+@others
+def test_match_args_and_a_positional_pattern(make, text, names, change):
+    obj = make()
+    cls = type(obj)
+    assert cls.__match_args__ == names
+    match obj:
+        case cls(first, second):
+            assert (first, second) == (getattr(obj, names[0]), getattr(obj, names[1]))
+        case _:
+            pytest.fail("the positional pattern did not match")
+
+
+@others
+def test_dataclasses_helpers_read_the_fields(make, text, names, change):
+    obj = make()
+    cls = type(obj)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(obj)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert dataclasses.fields(obj) == dataclasses.fields(cls)
+    assert all(f.init and f.compare for f in dataclasses.fields(cls))
+    values = [getattr(obj, n) for n in names]
+    plain = [dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+             for v in values]
+    assert list(dataclasses.asdict(obj)) == list(names)
+    assert len(dataclasses.astuple(obj)) == len(names)
+    if cls is Dataset:
+        shown = [f.repr for f in dataclasses.fields(Dataset)]
+        assert shown == [True, True, False, False]
+        assert dataclasses.fields(Dataset)[2].repr is False
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            dataclasses.replace(obj)
+        return
+    assert list(dataclasses.asdict(obj).values()) == plain
+    assert dataclasses.astuple(obj) == tuple(
+        dataclasses.astuple(v) if dataclasses.is_dataclass(v) else v for v in values)
+    assert all(f.repr for f in dataclasses.fields(cls))
+    assert dataclasses.replace(obj) == obj
+
+
+# Bytes of ``_dumps(obj, protocol)`` for each instance, made by pcbounds 0.9.0.
+PICKLES = json.loads(
+    (Path(__file__).resolve().parent / "frozen_pickles_0.9.0.json").read_text())
+EVERY = {**{case[0].__name__: (lambda case=case: case[0](*case[2])) for case in CASES},
+         **{name: case[0] for name, case in OTHERS.items()}}
+
+
+class _NoArrays(pickle.Pickler):
+    """A pickler that names a numpy array by a persistent id: numpy pickles an
+    array through functions whose module moves between its versions."""
+
+    def persistent_id(self, obj):
+        return "array" if isinstance(obj, np.ndarray) else None
+
+
+def _dumps(obj, protocol: int) -> bytes:
+    out = io.BytesIO()
+    _NoArrays(out, protocol).dump(obj)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", EVERY)
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_bytes_are_the_ones_0_9_0_wrote(name, protocol):
+    obj = EVERY[name]()
+    got = _dumps(obj, protocol)
+    assert got.hex() == PICKLES[name][protocol]
+    if not isinstance(obj, Dataset):
+        assert got == pickle.dumps(obj, protocol)
+
+    class Loader(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return obj.codes
+
+    back = Loader(io.BytesIO(bytes.fromhex(PICKLES[name][protocol]))).load()
+    assert type(back) is type(obj) and _field_values(back) == _field_values(obj)

@@ -140,6 +140,33 @@ print(json.dumps(loaded + ["fractions" in sys.modules]))
     assert loaded == [False, True]
 
 
+def test_bounds_and_value_types_never_load_dataclasses():
+    # core._frozen builds the frozen types itself; dataclasses, and inspect with
+    # it, load only for a dataclasses helper or a FrozenInstanceError.
+    loaded = run_fresh("""
+import json, pickle, sys
+import pcbounds as pb
+pm = pb.PartialMediationMargins(0.02, 0.835, 0.685, 0.857, 0.27, 0.019)
+x_invariant = pb.PartialMediationMargins(0.3, 0.6, 0.3, 0.6, 0.2, 0.7)
+pb.simple_bounds(pb.SimpleMargins(0.3, 0.12))
+pb.complete_bounds(pb.CompleteMediationMargins(0.7, 0.6, 0.4, 0.9))
+pb.partial_bounds(pm)
+pb.compare(pm)
+reports = [pb.compare(x_invariant), pb.compare(x_invariant, complete_claim=True)]
+for obj in reports + [pm, pb.CountTable(30, 100, 12, 100)]:
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    hash(obj), repr(obj)
+    match obj:
+        case pb.ComparisonReport(simple, partial):
+            assert simple.lower == partial.lower
+before = [m in sys.modules for m in ("dataclasses", "inspect")]
+import dataclasses
+dataclasses.fields(pm)
+print(json.dumps(before + ["inspect" in sys.modules]))
+""", "-S")
+    assert loaded == [False, False, True]
+
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
