@@ -130,10 +130,11 @@ def _unit(v: float) -> float:
 
 class _Fields(frozenset):
     """A :func:`_frozen` class's hidden field names, as its ``__dataclass_fields__``:
-    the first lookup makes the table with ``dataclasses`` and stores it instead."""
+    the first lookup makes the table with ``dataclasses`` and puts it in its place."""
 
     def __get__(self, obj, cls) -> dict:
         from dataclasses import field, make_dataclass
+        cls = next(c for c in cls.__mro__ if "__dataclass_fields__" in vars(c))
         spec = [(n, t, field(repr=n not in self))
                 for n, t in cls.__annotations__.items()]
         cls.__dataclass_fields__ = make_dataclass(
@@ -159,7 +160,7 @@ def _frozen(convert=None, eq=True, hidden=()):
         names = tuple(cls.__annotations__)
         shown = [n for n in names if n not in hidden]
         get, show = attrgetter(*names), attrgetter(*shown)
-        text = f"{cls.__qualname__}({', '.join(n + '={!r}' for n in shown)})"
+        text = ", ".join(n + "={!r}" for n in shown)
 
         def setstate(self, state):
             for store, value in zip(stores, state):
@@ -171,8 +172,9 @@ def _frozen(convert=None, eq=True, hidden=()):
                                       f"{type(self).__name__} is frozen")
         body = dict(vars(cls), __slots__=names, __match_args__=names,
                     __qualname__=cls.__qualname__, __dataclass_fields__=_Fields(hidden),
-                    __repr__=lambda self: text.format(*show(self)),
-                    __getstate__=lambda self: list(get(self)), __setstate__=setstate)
+                    __getstate__=lambda self: list(get(self)), __setstate__=setstate,
+                    __repr__=lambda self: "{}({})".format(type(self).__qualname__,
+                                                          text.format(*show(self))))
         del body["__dict__"], body["__weakref__"]
         if eq:
             body["__hash__"] = lambda self: hash(get(self))

@@ -437,6 +437,24 @@ def test_dataclasses_helpers_read_the_fields(make, text, names, change):
     assert dataclasses.replace(obj) == obj
 
 
+def test_a_subclass_keeps_its_name_and_its_bases_fields():
+    from pcbounds.core import _frozen
+
+    @_frozen()
+    class Base:
+        a: int
+        b: int
+
+    class Sub(Base):
+        pass
+
+    sub = Sub(1, 2)
+    assert [f.name for f in dataclasses.fields(sub)] == ["a", "b"]  # first lookup
+    assert dataclasses.fields(Base) == dataclasses.fields(Sub)
+    assert repr(sub) == f"{Sub.__qualname__}(a=1, b=2)"
+    assert sub == Sub(1, 2) and sub != Base(1, 2)
+
+
 # Bytes of ``_dumps(obj, protocol)`` for each instance, made by pcbounds 0.9.0.
 PICKLES = json.loads(
     (Path(__file__).resolve().parent / "frozen_pickles_0.9.0.json").read_text())
