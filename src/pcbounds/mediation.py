@@ -35,9 +35,9 @@ the slack of the partial upper endpoint when the mediator block is
 independent of the response block (example 1: 0.8195, sharp 0.7960).
 
 Every field and derived rate is a plain float checked by ``core._unit``, each
-field stored through its slot by the ``__init__`` that ``core._frozen`` makes;
-where a derived p1 is subnormal, ``simple._rates`` runs the kernel again on
-``Fraction``s, exactly.
+field stored through its slot by the ``__init__`` that ``core._frozen`` makes and
+read back in ``__match_args__`` order by ``_fields``; where a derived p1 is
+subnormal, ``simple._rates`` runs the kernel again on ``Fraction``s, exactly.
 :func:`read_margins_json` reads a margins file into the type whose field names
 are its keys: ``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
 """
@@ -45,6 +45,7 @@ are its keys: ``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``
 from __future__ import annotations
 
 import os
+from operator import attrgetter
 
 from .core import (
     STRUCT_TOL,
@@ -100,11 +101,7 @@ class PartialMediationMargins:
     m1: float
 
 
-def _fields(m: PartialMediationMargins) -> tuple[float, ...]:
-    # Six slot reads in a function run faster than attrgetter(*__match_args__).
-    return (m.y00, m.y01, m.y10, m.y11, m.m0, m.m1)
-
-
+_fields = attrgetter(*PartialMediationMargins.__match_args__)
 _COMPLETE_UNDEFINED = ("derived P(Y=1 | X<-1) = 0 under complete mediation: the "
                        "probability of causation is undefined")
 _PARTIAL_UNDEFINED = ("derived P(Y=1 | X<-1) = 0: the probability of causation is "
