@@ -164,7 +164,7 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
 
 
 def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
-    return (1.0 - v[4], v[5], 1.0 - v[0], v[3])
+    return (1 - v[4], v[5], 1 - v[0], v[3])
 
 
 @_frozen()
@@ -174,7 +174,8 @@ class ComparisonReport:
     mediator value, and both upper numerators, raw from the float kernel even
     where p1 is subnormal; construction checks numerator_partial <= 2 numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
-    With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0.
+    With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0, and
+    the exact collapse's where the float one misses the other two and it does not.
     """
 
     simple_interval: BoundInterval
@@ -208,7 +209,9 @@ def compare(
     margins; pass a statistical tolerance for estimated ones), the
     margins are collapsed, and the complete-mediation interval joins the
     intersection; a claim raises :class:`PcUndefinedError` only where the
-    call without it does. A NaN, negative or bool ``claim_tol`` is invalid input.
+    call without it does, and :class:`InconsistentBoundsError` where both the
+    float and the exact collapse miss the other intervals. A NaN, negative or
+    bool ``claim_tol`` is invalid input.
     """
     _require_tol("claim_tol", claim_tol)
     v = _fields(m)
@@ -237,11 +240,22 @@ def compare(
             combined = BoundInterval(max(combined.lower, complete_iv.lower),
                                      min(combined.upper, complete_iv.upper))
         except InconsistentBoundsError:
-            raise InconsistentBoundsError(
-                f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
-                f"but its interval {complete_iv} is disjoint from {combined}, "
-                f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
-            ) from None
+            # The float collapse rounds 1 - m0 and 1 - y00, which may carry all of a
+            # tiny p1: the claim is inconsistent only if the exact collapse misses too.
+            from fractions import Fraction  # as in simple._rates, only where needed
+            parts = _complete_parts(*_collapsed(tuple(map(Fraction, v))))[:3]
+            exact = BoundInterval(*map(float, _interval(*parts, _COMPLETE_UNDEFINED)))
+            try:
+                combined = BoundInterval(max(combined.lower, exact.lower),
+                                         min(combined.upper, exact.upper))
+            except InconsistentBoundsError:
+                raise InconsistentBoundsError(
+                    f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+                    f"but its interval {complete_iv} is disjoint from {combined}, "
+                    f"where the simple {simple_iv} and partial {partial_iv} "
+                    "intervals meet"
+                ) from None
+            complete_iv = exact
     return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, alpha, beta,
                             gamma, delta, _unit(_min(alpha + beta, gamma + delta)),
                             numerator)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pcbounds import (
@@ -153,6 +153,7 @@ class TestUnitFastPath:
             assert _unit(value) is value
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), st.booleans())
+    @example([1.941549899085741e-214, 2.225073858507203e-309, 0.0, 0.0, 1.0, 0.5], True)
     def test_every_report_field_and_endpoint_is_a_probability(self, v, claim):
         if claim:
             v[2], v[3] = v[0], v[1]

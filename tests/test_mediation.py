@@ -64,8 +64,10 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     became a single pass, kept as the differential reference. The partial
     bounds go first, so p1 = 0 raises their message, as ``compare`` does.
     Where p1 > 0 but the collapsed margins' p1 is 0, the claim adds the
-    vacuous complete interval [0, 1]. The split and the numerators come
-    from the partial kernel."""
+    vacuous complete interval [0, 1]; where the collapse's interval misses
+    the other two, the interval of the collapse taken on fractions replaces
+    it, if that one meets them. The split and the numerators come from the
+    partial kernel."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -97,14 +99,22 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     except InconsistentBoundsError:
         if complete_iv is None:
             raise
-        # The one error ``compare`` words itself: an accepted claim whose
-        # interval misses the other two.
         both = BoundInterval(max(lowers[:2]), min(uppers[:2]))
-        raise InconsistentBoundsError(
-            f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
-            f"but its interval {complete_iv} is disjoint from {both}, "
-            f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
-        ) from None
+        exact = _complete_parts(1 - Fraction(m.m0), Fraction(m.m1),
+                                1 - Fraction(m.y00), Fraction(m.y11))
+        exact_iv = BoundInterval(*map(float, _interval(*exact[:3], "")))
+        try:
+            combined = BoundInterval(max(both.lower, exact_iv.lower),
+                                     min(both.upper, exact_iv.upper))
+        except InconsistentBoundsError:
+            # The one error ``compare`` words itself: an accepted claim whose
+            # interval misses the other two, on the float and the exact collapse.
+            raise InconsistentBoundsError(
+                f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+                f"but its interval {complete_iv} is disjoint from {both}, "
+                f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
+            ) from None
+        complete_iv = exact_iv
 
     _, _, numerator, split, _ = _partial_parts(*_fields(m))
     alpha, beta, gamma, delta = map(_unit, split)
@@ -460,6 +470,19 @@ class TestSinglePassCompare:
         free, claimed = compare(m), compare(m, complete_claim=True)
         assert claimed.complete_interval == BoundInterval(0.0, 1.0)
         assert claimed.combined_interval == free.combined_interval
+        assert report_bits(compare, m, True) == report_bits(reference_compare, m, True)
+
+    def test_a_claim_whose_float_collapse_misses_takes_the_exact_one(self):
+        # 1 - y00 rounds to 1, which leaves the collapsed p1 only the subnormal
+        # m1 y11: the float collapse gives [0, 0], the exact one [1, 1].
+        y0, y1 = 1.941549899085741e-214, 2.225073858507203e-309
+        m = PartialMediationMargins(y0, y1, y0, y1, 1.0, 0.5)
+        collapsed = CompleteMediationMargins(*_collapsed(_fields(m)))
+        assert complete_bounds(collapsed) == BoundInterval(0.0, 0.0)
+        rep = compare(m, complete_claim=True)
+        for iv in (rep.partial_interval, rep.complete_interval, rep.combined_interval):
+            assert (type(iv.lower), iv.lower, type(iv.upper), iv.upper) == (
+                float, 1.0, float, 1.0)
         assert report_bits(compare, m, True) == report_bits(reference_compare, m, True)
 
     @given(partial_margin_sets(st.sampled_from([0.0, 1e-17, 1e-10, 0.3, 1.0])),
