@@ -146,8 +146,9 @@ def _frozen(convert=None, eq=True, hidden=()):
     """A frozen slotted class with a dataclass's fields, made without ``dataclasses``.
 
     It has a dataclass's ``__match_args__``, repr (less the ``hidden`` fields), eq
-    and hash (unless ``eq=False``) and list pickle state; setting or deleting any
-    attribute raises FrozenInstanceError; :class:`_Fields` serves the helpers.
+    and hash (unless ``eq=False``), ``__replace__`` and list pickle state; setting
+    or deleting any attribute raises FrozenInstanceError; :class:`_Fields` serves
+    the helpers.
     One ``attrgetter`` reads the fields, another the shown ones: two or more each.
     The store rule: the package stores every field through its slot's own
     member descriptor, ``Cls.field.__set__(obj, value)``, which the refusal
@@ -173,6 +174,8 @@ def _frozen(convert=None, eq=True, hidden=()):
         body = dict(vars(cls), __slots__=names, __match_args__=names,
                     __qualname__=cls.__qualname__, __dataclass_fields__=_Fields(hidden),
                     __getstate__=lambda self: list(get(self)), __setstate__=setstate,
+                    __replace__=lambda self, /, **changes:  # copy.replace, 3.13+
+                        __import__("dataclasses").replace(self, **changes),
                     __repr__=lambda self: "{}({})".format(type(self).__qualname__,
                                                           text.format(*show(self))))
         del body["__dict__"], body["__weakref__"]

@@ -22,9 +22,7 @@ The layout is written down once, as two boolean mask tables: row x of
 ``_Y_MASKS`` the response cells with Y*(x, m) = 1. The margins, the
 independent law and the 4 x 16 indicator tables of the PC enumeration
 are all read off them. :func:`true_pc` is the one-law case of the
-batched enumeration :func:`soundness_report` runs. The two coupling
-references need no law: they evaluate their objectives exactly at the
-ends and corners of the Frechet ranges of the free cells.
+batched enumeration :func:`soundness_report` runs.
 
 Random laws are built one binary coordinate at a time, in the cell
 order above, with each margin holding by construction (see
@@ -57,16 +55,12 @@ from .core import (
     _unit,
 )
 from .estimate import Dataset
-from .mediation import CompleteMediationMargins, PartialMediationMargins, compare
-from .simple import SimpleMargins
+from .mediation import PartialMediationMargins, compare
 
 __all__ = [
     "PotentialOutcomeLaw",
     "read_law_json",
     "SoundnessReport",
-    "frechet",
-    "coupling_sweep_simple",
-    "complete_coupling_sweep",
     "sample_laws",
     "true_pc",
     "simulate_trial",
@@ -82,45 +76,6 @@ _Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
 _Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
 _JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
 _CODES = np.uint8([4 * x + 2 * _M_MASKS[x, :, None] + (_Y0, _Y1)[x] for x in (0, 1)])
-
-
-def frechet(p_a: float, p_b: float) -> BoundInterval:
-    """Frechet bounds on P(A and B) from the two event probabilities."""
-    pa, pb = _unit(p_a), _unit(p_b)
-    return BoundInterval(max(pa + pb - 1.0, 0.0), min(pa, pb))
-
-
-def coupling_sweep_simple(m: SimpleMargins) -> BoundInterval:
-    """Extremes of PC over all couplings of (Y(0), Y(1)) with the given margins.
-
-    The intersection cell q = P(Y(0)=0, Y(1)=1) ranges over its Frechet
-    interval and PC = q / p1 is increasing in q, so the extremes are the
-    two ends of that interval divided by p1.
-    """
-    p1 = m.p1
-    if p1 == 0.0:
-        raise PcUndefinedError("P(Y=1 | X<-1) = 0: the probability of causation is "
-                               "undefined")
-    cap = frechet(1.0 - m.p0, p1)
-    # q = p1 up to rounding makes the ratio overshoot 1 by an ulp when
-    # p1 is tiny; the ratio is a probability, so clip, don't reject.
-    return BoundInterval(*(min(q / p1, 1.0) for q in (cap.lower, cap.upper)))
-
-
-def complete_coupling_sweep(m: CompleteMediationMargins) -> float:
-    """Max of P(Y(0)=0, Y(1)=1) over independent mediator/response couplings.
-
-    Under complete mediation the joint event needs a discordant mediator
-    pair and a matching discordant response pair, so the probability is
-    q01 r01 + q10 r10 with q from the (M(0), M(1)) coupling and r from
-    the (Y*(0), Y*(1)) coupling. Each coupling has one free cell with a
-    Frechet range, and the sum is bilinear in the two, so its maximum
-    sits at one of the four corners of the box of ranges.
-    """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return max(q01 * r01 + (1.0 - a - b + q01) * (1.0 - c - d + r01)
-               for q01 in (max(a + b - 1.0, 0.0), min(a, b))
-               for r01 in (max(c + d - 1.0, 0.0), min(c, d)))
 
 
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:

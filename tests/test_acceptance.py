@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import pcbounds.cli as cli
+from couplings import coupling_sweep_simple
 from pcbounds import (
     BoundInterval,
     CompleteMediationMargins,
@@ -37,7 +38,6 @@ from pcbounds import (
     SimpleMargins,
     compare,
     complete_bounds,
-    coupling_sweep_simple,
     derive_simple_from_partial,
     estimate_partial,
     margins_from_count_table,

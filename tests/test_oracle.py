@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pcbounds.oracle as oracle_mod
+from couplings import complete_coupling_sweep, coupling_sweep_simple, frechet
 from pcbounds import (
     BoundInterval,
     CompleteMediationMargins,
@@ -20,9 +21,6 @@ from pcbounds import (
     Probability,
     SimpleMargins,
     complete_bounds,
-    complete_coupling_sweep,
-    coupling_sweep_simple,
-    frechet,
     read_law_json,
     sample_laws,
     simple_bounds,

@@ -37,14 +37,11 @@ EXPORTED = [
     "SoundnessReport",
     "compare",
     "complete_bounds",
-    "complete_coupling_sweep",
-    "coupling_sweep_simple",
     "derive_simple_from_complete",
     "derive_simple_from_partial",
     "estimate_complete",
     "estimate_partial",
     "estimate_simple",
-    "frechet",
     "margins_from_count_table",
     "partial_bounds",
     "read_count_json",
@@ -85,7 +82,7 @@ print(json.dumps({{"before": before, "public": public, "after": after,
 
 
 def test_all_is_the_frozen_sorted_list():
-    assert len(EXPORTED) == 44
+    assert len(EXPORTED) == 41
     assert pcbounds.__all__ == EXPORTED
 
 
