@@ -12,7 +12,9 @@ workload in ``BENCHMARK.json``, pair k (k = 1, 2, ...) runs
 the ``run_seconds`` of ``BENCHMARK.json``, the parent first in odd pairs and
 the change first in even ones. One A/A pair then runs the parent against
 its second copy (seed 1), so that the spread the tree's directory alone
-causes is printed next to each ratio. Every run has
+causes is printed next to each ratio, and one more pair, parent first, runs
+at the held-out seed 4242, which no pair uses; it is reported apart from the
+paired medians, each metric's parent and change value. Every run has
 ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``, and starts with every
 ``__pycache__`` of the three trees removed.
 
@@ -20,19 +22,20 @@ For each end-to-end metric the summary gives both sides' medians, the
 parent's quartiles, the paired ratio (the median over pairs of change /
 parent), the pairs the change won, whether the change's median is better
 than the parent's by more than the parent's interquartile distance, and the
-A/A spread |copy / parent - 1|. ``--out FILE`` writes every run and the
-summary as JSON. ``--smoke`` passes ``--smoke`` to ``run.py`` and runs
-for 1 s. The exit code is 1 when any op failed, 2 when a run could not
-run at all.
+A/A spread |copy / parent - 1|. ``--out FILE`` writes every run, the
+summary and the held-out pair (as ``held_out_seed_4242``) as JSON.
+``--smoke`` passes ``--smoke`` to ``run.py`` and runs for 1 s. The exit
+code is 1 when any op failed, 2 when a run could not run at all.
 
 ``--cold-start N`` times cold starts instead of the workloads: each command
 of ``COLD_STARTS`` (``import pcbounds`` and the CLI's ``compare`` on example
-1's margins, each with ``-S`` and without) runs as a fresh interpreter in the
-root of the parent and of the change, with ``PYTHONPATH`` set to the tree's
-``src``. One round writes the bytecode caches and is not kept; then N rounds
-run every command on both sides, the parent first in odd rounds and the change
-first in even ones. The summary gives each side's best and median wall time
-in milliseconds, and the change / parent ratio of each.
+1's margins, as text and as ``--json``, each with ``-S`` and without) runs
+as a fresh interpreter in the root of the parent and of the change, with
+``PYTHONPATH`` set to the tree's ``src``. One round writes the bytecode
+caches and is not kept; then N rounds run every command on both sides, the
+parent first in odd rounds and the change first in even ones. The summary
+gives each side's best and median wall time in milliseconds, and the change /
+parent ratio of each.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HELD_OUT_SEED = 4242
 
 
 def _quartiles(values: list) -> tuple:
@@ -90,6 +94,26 @@ def summarize(pairs: dict, aa: dict, declared: list) -> dict:
     return summary
 
 
+def summarize_held_out(held_out: dict, declared: list) -> dict:
+    """Per workload, each declared metric's and the failed ops' parent and change
+    value in the held-out pair ``held_out[workload]``, a (parent, change) pair of
+    results as ``run.py`` prints them."""
+    names = [metric["name"] for metric in declared]
+    return {w: {name: {"parent": p["metrics"][name]["value"],
+                       "change": c["metrics"][name]["value"]} for name in names}
+            | {"failed": {"parent": p["failed"], "change": c["failed"]}}
+            for w, (p, c) in held_out.items()}
+
+
+def format_held_out(held_out: dict) -> str:
+    lines = [f"held-out seed {HELD_OUT_SEED}: one pair, not in the medians above"]
+    for workload, rows in held_out.items():
+        lines.append(f"{workload:16s} {'parent':>12s} {'change':>12s}")
+        lines += [f"  {name:14s} {r['parent']:12.6g} {r['change']:12.6g}"
+                  for name, r in rows.items()]
+    return "\n".join(lines)
+
+
 def format_summary(summary: dict) -> str:
     lines = []
     for workload, rows in summary.items():
@@ -111,6 +135,8 @@ COLD_STARTS = {
     "import": ["-c", "import pcbounds"],
     "compare -S": ["-S", *_COMPARE],
     "compare": _COMPARE,
+    "compare --json -S": ["-S", *_COMPARE, "--json"],
+    "compare --json": [*_COMPARE, "--json"],
 }
 
 
@@ -132,11 +158,11 @@ def summarize_cold(times: dict) -> dict:
 
 
 def format_cold(summary: dict) -> str:
-    lines = [f"{'cold start (ms)':16s} {'parent best':>11s} {'median':>8s} "
+    lines = [f"{'cold start (ms)':19s} {'parent best':>11s} {'median':>8s} "
              f"{'change best':>11s} {'median':>8s} {'best x':>7s} {'median x':>8s}"]
     for command, r in summary.items():
         lines.append(
-            f"  {command:14s} {r['parent']['best_ms']:11.1f} "
+            f"  {command:17s} {r['parent']['best_ms']:11.1f} "
             f"{r['parent']['median_ms']:8.1f} {r['change']['best_ms']:11.1f} "
             f"{r['change']['median_ms']:8.1f} {r['best_ratio']:7.3f} "
             f"{r['median_ratio']:8.3f}")
@@ -204,8 +230,8 @@ def with_trees(rev: str, measure):
 
 
 def run_pairs(trees: dict, workloads: list, args) -> dict:
-    """The alternating pairs of every workload, then its A/A pair."""
-    runs = {"pairs": {w: [] for w in workloads}, "aa": {}}
+    """The alternating pairs of every workload, then its A/A and held-out pairs."""
+    runs = {"pairs": {w: [] for w in workloads}, "aa": {}, "held_out": {}}
     for w in workloads:
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
@@ -213,6 +239,8 @@ def run_pairs(trees: dict, workloads: list, args) -> dict:
             runs["pairs"][w].append((done["parent"], done["change"]))
         runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
                               for s in ("parent", "copy"))
+        runs["held_out"][w] = tuple(run_once(trees[s], trees, w, HELD_OUT_SEED, args)
+                                    for s in ("parent", "change"))
     return runs
 
 
@@ -266,14 +294,17 @@ def main(argv=None) -> int:
     summary = summarize({w: list(map(values, ps)) for w, ps in runs["pairs"].items()},
                         {w: values(pair) for w, pair in runs["aa"].items()},
                         declared["end_to_end"])
+    held_out = summarize_held_out(runs["held_out"], declared["end_to_end"])
     print(format_summary(summary))
+    print(format_held_out(held_out))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"parent": args.parent, "seconds": args.seconds,
-                       "smoke": args.smoke, "runs": runs, "summary": summary},
-                      fh, indent=1)
+                       "smoke": args.smoke, "runs": runs, "summary": summary,
+                       f"held_out_seed_{HELD_OUT_SEED}": held_out}, fh, indent=1)
     every = [r for pairs in runs["pairs"].values() for pair in pairs for r in pair]
-    every += [r for pair in runs["aa"].values() for r in pair]
+    every += [r for key in ("aa", "held_out") for pair in runs[key].values()
+              for r in pair]
     return 1 if any(r["failed"] for r in every) else 0
 
 

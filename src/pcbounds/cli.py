@@ -10,6 +10,10 @@ or a negative value is invalid input), the reporting tolerance of the
 consistency checks of ``complete``, ``partial`` and ``compare``; the
 other subcommands accept it and ignore it.
 
+A report is a plain dict: each subcommand returns the keys it sets, and
+``run`` takes the rest, and the order of all seven, from ``_REPORT``.
+``--json`` prints it as the tree ``_round_tree`` makes of it.
+
 ``_REGIMES`` holds one record per evidence regime: its name, its margins
 class, whose ``__match_args__`` are the keys the help text, the input echo
 and a wrong-kind error list, its assumption tags, and the bound,
@@ -32,16 +36,15 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 
 import pcbounds as pb
 
-from .core import _require_tol
+from .core import _frozen, _require_tol
 
-__all__ = ["BoundsReport", "run", "main"]
+__all__ = ["run", "main"]
 
 
-@dataclass(frozen=True)
+@_frozen()
 class _Regime:
     """What defines one evidence regime for the CLI."""
 
@@ -49,8 +52,8 @@ class _Regime:
     margins: type
     tags: tuple[str, ...]
     bounds: Callable
-    derive: Callable | None = None
-    estimate: Callable | None = None  # (dataset, tol) -> margins
+    derive: Callable | None
+    estimate: Callable | None  # (dataset, tol) -> margins
 
     @property
     def keys(self) -> str:
@@ -65,7 +68,8 @@ class _Regime:
 _BASE_TAGS = ("randomization", "exchangeability")
 # Each lambda looks its name up per call: a bound wrapper runs, numpy loads late.
 _REGIMES = {r.name: r for r in (
-    _Regime("simple", pb.SimpleMargins, _BASE_TAGS, lambda m: pb.simple_bounds(m)),
+    _Regime("simple", pb.SimpleMargins, _BASE_TAGS, lambda m: pb.simple_bounds(m),
+            None, None),
     _Regime("complete", pb.CompleteMediationMargins,
             ("A1", "A2", "A3", "complete-mediation", *_BASE_TAGS),
             lambda m: pb.complete_bounds(m),
@@ -81,17 +85,8 @@ _MEDIATOR_NOTE = (
 )
 
 
-@dataclass
-class BoundsReport:
-    """Everything a subcommand reports, in one schema-stable shape."""
-
-    method: str
-    interval: pb.BoundInterval | None
-    derived: pb.SimpleMargins | None
-    diagnostics: list[str] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
-    inputs_echo: dict = field(default_factory=dict)
-    oracle: dict | None = None
+_REPORT = {"method": None, "interval": None, "derived": None, "diagnostics": [],
+           "assumptions": [], "inputs_echo": {}, "oracle": None}
 
 
 def _sig12(x: float) -> float:
@@ -100,30 +95,33 @@ def _sig12(x: float) -> float:
 
 
 def _round_tree(obj):
+    """JSON of a report: floats to 12 digits, a frozen value as a dict of its fields."""
     if isinstance(obj, float):
         return _sig12(obj)
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
+    if hasattr(obj, "__match_args__"):
+        return {k: _round_tree(getattr(obj, k)) for k in obj.__match_args__}
     return obj
 
 
-def _print_report(r: BoundsReport, as_json: bool) -> None:
+def _print_report(r: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_round_tree(asdict(r)), indent=2))
+        print(json.dumps(_round_tree(r), indent=2))
         return
-    print(f"method: {r.method}")
-    if r.interval is not None:
-        print(f"interval: [{r.interval.lower:.2f}, {r.interval.upper:.2f}]")
-    if r.derived is not None:
-        print(f"derived: P(Y=1 | X<-1) = {r.derived.p1:.4f}, "
-              f"P(Y=1 | X<-0) = {r.derived.p0:.4f}")
-    if r.assumptions:
-        print("assumptions: " + ", ".join(r.assumptions))
-    if r.diagnostics:
+    print(f"method: {r['method']}")
+    if (interval := r["interval"]) is not None:
+        print(f"interval: [{interval.lower:.2f}, {interval.upper:.2f}]")
+    if (derived := r["derived"]) is not None:
+        print(f"derived: P(Y=1 | X<-1) = {derived.p1:.4f}, "
+              f"P(Y=1 | X<-0) = {derived.p0:.4f}")
+    if r["assumptions"]:
+        print("assumptions: " + ", ".join(r["assumptions"]))
+    if r["diagnostics"]:
         print("diagnostics:")
-        for line in r.diagnostics:
+        for line in r["diagnostics"]:
             print(f"  - {line}")
 
 
@@ -135,8 +133,7 @@ def _read_margins(path: str, regime: _Regime, command: str, **extra):
         raise pb.InvalidInputError(
             f"{path}: holds {held.noun}, but '{command}' needs {regime.noun}"
         )
-    fields = {name: getattr(m, name) for name in m.__match_args__}
-    return m, dict(kind=f"{regime.name}-margins", source=path, values=fields, **extra)
+    return m, dict(kind=f"{regime.name}-margins", source=path, values=m, **extra)
 
 
 def _counts_check(derived: pb.SimpleMargins, counts_path: str, tol: float) -> str:
@@ -159,17 +156,17 @@ def _rates_text(d: pb.SimpleMargins) -> str:
     return f"derived arm rates: p1 = {d.p1:.6g}, p0 = {d.p0:.6g}"
 
 
-def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
+def _cmd_simple(args, tol: float) -> tuple[dict, int]:
     if args.counts:
         table = pb.read_count_json(args.counts)
         margins = derived = pb.margins_from_count_table(table)
-        echo = {"kind": "counts", "source": args.counts, "values": asdict(table)}
+        echo = {"kind": "counts", "source": args.counts, "values": table}
     else:
         margins, echo = _read_margins(args.margins, _REGIMES["simple"], "simple")
         derived = None
     rr = pb.risk_ratio(margins)
     rr_text = "undefined (no events in either arm)" if math.isnan(rr) else f"{rr:.6g}"
-    return BoundsReport(
+    return dict(
         method="simple",
         interval=_REGIMES["simple"].bounds(margins),
         derived=derived,
@@ -179,7 +176,7 @@ def _cmd_simple(args, tol: float) -> tuple[BoundsReport, int]:
     ), 0
 
 
-def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
+def _cmd_mediated(args, tol: float) -> tuple[dict, int]:
     """``complete`` and ``partial``: margins or records in, one interval out."""
     regime = _REGIMES[args.command]
     notes: list[str] = []
@@ -193,7 +190,7 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
             "kind": "records",
             "source": args.records,
             "n_records": len(dataset),
-            "estimated_margins": asdict(margins),
+            "estimated_margins": margins,
         }
     else:
         margins, echo = _read_margins(args.margins, regime, args.command)
@@ -201,7 +198,7 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
     diagnostics = [_rates_text(derived), *notes]
     if args.counts:
         diagnostics.append(_counts_check(derived, args.counts, tol))
-    return BoundsReport(
+    return dict(
         method=regime.name,
         interval=regime.bounds(margins),
         derived=derived,
@@ -211,7 +208,7 @@ def _cmd_mediated(args, tol: float) -> tuple[BoundsReport, int]:
     ), 0
 
 
-def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
+def _cmd_compare(args, tol: float) -> tuple[dict, int]:
     margins, echo = _read_margins(
         args.margins, _REGIMES["partial"], "compare", complete_claim=bool(args.complete)
     )
@@ -237,7 +234,7 @@ def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
     if args.counts:
         diagnostics.append(_counts_check(derived, args.counts, tol))
     regime = _REGIMES["complete" if args.complete else "partial"]
-    return BoundsReport(
+    return dict(
         method="compare",
         interval=rep.combined_interval,
         derived=derived,
@@ -247,7 +244,7 @@ def _cmd_compare(args, tol: float) -> tuple[BoundsReport, int]:
     ), 0
 
 
-def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
+def _cmd_verify(args, tol: float) -> tuple[dict, int]:
     margins, echo = _read_margins(
         args.margins, _REGIMES["partial"], "verify",
         samples=args.samples, seed=args.seed, confounded=bool(args.confounded),
@@ -277,7 +274,7 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
         diagnostics.append("all sampled laws fall inside both intervals")
     code = 3 if (not rep.passed and not rep.confounded) else 0
     names = rep.__match_args__
-    return BoundsReport(
+    return dict(
         method="verify",
         interval=rep.interval,
         derived=pb.derive_simple_from_partial(margins),
@@ -291,7 +288,7 @@ def _cmd_verify(args, tol: float) -> tuple[BoundsReport, int]:
     ), code
 
 
-def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
+def _cmd_simulate(args, tol: float) -> tuple[dict, int]:
     law = pb.read_law_json(args.law)
     dataset = pb.simulate_trial(law, n_per_arm=args.n, seed=args.seed)
     written = pb.write_records_csv(dataset, args.out)
@@ -299,18 +296,11 @@ def _cmd_simulate(args, tol: float) -> tuple[BoundsReport, int]:
     for x in (0, 1):
         events, total = dataset.arm_counts(x)
         diagnostics.append(f"arm X={x}: {events} events in {total} records")
-    return BoundsReport(
+    return dict(
         method="simulate",
-        interval=None,
-        derived=None,
         diagnostics=diagnostics,
-        inputs_echo={
-            "kind": "law",
-            "source": args.law,
-            "n_per_arm": args.n,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
+        inputs_echo={"kind": "law", "source": args.law, "n_per_arm": args.n,
+                     "seed": args.seed, "out": str(args.out)},
     ), 0
 
 
@@ -405,7 +395,7 @@ def run(argv: list[str] | None = None) -> int:
     except (pb.PcBoundsError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _print_report(report, args.json)
+    _print_report(_REPORT | report, args.json)
     return code
 
 

@@ -284,11 +284,19 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _fspath(path: str | os.PathLike) -> str:
+    """The name to open ``path`` by, as given; a bytes path is an InvalidInputError."""
+    if isinstance(name := os.fspath(path), bytes):
+        raise InvalidInputError(f"{path!r}: a path is str or os.PathLike, not bytes")
+    return name
+
+
 def _read_json(path: str | os.PathLike):
     """Decode a JSON file, opened and named as given; any decoding failure, a
     repeated key included, is a RecordParseError."""
+    name = _fspath(path)
     try:
-        with open(os.fspath(path)) as fh:
+        with open(name) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise RecordParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None

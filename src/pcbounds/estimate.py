@@ -29,6 +29,7 @@ from .core import (
     InvalidInputError,
     RecordParseError,
     _frozen,
+    _fspath,
     _require_tol,
 )
 from .mediation import CompleteMediationMargins, PartialMediationMargins
@@ -334,7 +335,7 @@ def read_records_csv(path: str | os.PathLike) -> Dataset:
       cannot decode; ``path:N: field larger than field limit (...)``:
       a field ``csv.reader`` refuses.
     """
-    with open(os.fspath(path), "rb") as fh:
+    with open(_fspath(path), "rb") as fh:
         data = fh.read()
     cols = _canonical_columns(data)
     if cols is None:
@@ -356,7 +357,7 @@ def write_records_csv(records: Dataset, path: str | os.PathLike) -> int:
         raise InvalidInputError(
             f"records must be a Dataset, got {type(records).__name__}"
         )
-    with open(os.fspath(path), "wb") as fh:
+    with open(_fspath(path), "wb") as fh:
         fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
         for piece in np.split(records.codes, range(1 << 16, len(records), 1 << 16)):
             fh.write(np.take(_ROWS[records.has_mediator], piece, axis=0))

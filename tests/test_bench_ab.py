@@ -94,7 +94,27 @@ def test_cold_start_best_median_and_ratios():
 
 def test_cold_start_commands_are_the_import_and_the_cli_compare():
     commands = bench_ab.COLD_STARTS
-    assert set(commands) == {"import -S", "import", "compare -S", "compare"}
+    assert set(commands) == {"import -S", "import", "compare -S", "compare",
+                             "compare --json -S", "compare --json"}
     assert commands["import -S"] == ["-S", "-c", "import pcbounds"]
     assert commands["compare -S"] == ["-S"] + commands["compare"]
     assert commands["compare"][-2:] == ["--margins", "data/example1_margins.json"]
+    assert commands["compare --json"] == commands["compare"] + ["--json"]
+    assert commands["compare --json -S"] == ["-S"] + commands["compare --json"]
+
+
+def test_held_out_pair_is_each_metric_and_the_failed_ops_of_both_sides():
+    def result(items, failed):
+        return {"failed": failed, "metrics": {"items_per_s": {"value": items},
+                                              "op_p50_ms": {"value": 0.01},
+                                              "undeclared": {"value": 1.0}}}
+    held_out = {"w": (result(100.0, 0), result(90.0, 2))}
+    rows = bench_ab.summarize_held_out(held_out, DECLARED)["w"]
+    assert rows == {"items_per_s": {"parent": 100.0, "change": 90.0},
+                    "op_p50_ms": {"parent": 0.01, "change": 0.01},
+                    "failed": {"parent": 0, "change": 2}}
+    lines = bench_ab.format_held_out({"w": rows}).splitlines()
+    assert f"seed {bench_ab.HELD_OUT_SEED}" in lines[0]
+    assert [line.split() for line in lines[2:]] == [["items_per_s", "100", "90"],
+                                                    ["op_p50_ms", "0.01", "0.01"],
+                                                    ["failed", "0", "2"]]

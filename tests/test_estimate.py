@@ -657,6 +657,25 @@ class TestPathsAsGiven:
         assert str(exc.value).endswith("No such file or directory: ''")
 
     @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
+    def test_bytes_path_is_refused_before_any_file_is_opened(
+        self, tmp_path, monkeypatch, name
+    ):
+        class BytesPath:
+            def __fspath__(self):
+                return b"input"
+
+        function, good, _ = _FILE_FUNCTIONS[name]
+        monkeypatch.chdir(tmp_path)
+        if good is not None:
+            Path("input").write_text(good)
+        for path in (b"input", BytesPath()):
+            with pytest.raises(InvalidInputError) as exc:
+                function(path)
+            assert str(exc.value) == (f"{path!r}: a path is str or os.PathLike, "
+                                      "not bytes")
+        assert os.listdir() == ([] if good is None else ["input"])
+
+    @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
     def test_int_path_is_refused_and_leaves_the_descriptor_open(self, tmp_path, name):
         fd = os.open(tmp_path / "open.json", os.O_RDWR | os.O_CREAT)
         try:

@@ -204,22 +204,28 @@ print(json.dumps([codes, loaded]))
     assert loaded == [[]] * (len(routes) - 1) + [NUMPY_MODULES]
 
 
-def test_cli_margins_and_counts_routes_never_load_pathlib(cli_inputs):
+def test_cli_margins_and_counts_routes_load_no_pathlib_dataclasses_or_inspect(
+    cli_inputs,
+):
     # -S keeps site's .pth files, which may import pathlib, out of the run;
     # numpy is not importable under -S, so the records route stays out too.
+    # Each route runs as text, then with --json.
     routes, _ = cli_inputs
+    routes = [[str(a) for a in argv] + flag for flag in ([], ["--json"])
+              for argv in routes]
     codes, loaded = run_fresh(f"""
 import contextlib, io, json, sys
 from pcbounds.cli import run
 codes, loaded = [], []
-for argv in {[[str(a) for a in argv] for argv in routes]!r}:
+for argv in {routes!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(run(argv))
-    loaded.append("pathlib" in sys.modules)
+    loaded.append([m for m in ("pathlib", "dataclasses", "inspect")
+                   if m in sys.modules])
 print(json.dumps([codes, loaded]))
 """, "-S")
     assert codes == [0] * len(routes)
-    assert loaded == [False] * len(routes)
+    assert loaded == [[]] * len(routes)
 
 
 def _probability_calls(tree: ast.AST) -> list:
