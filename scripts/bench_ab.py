@@ -14,16 +14,19 @@ the change first in even ones. One A/A pair then runs the parent against
 its second copy (seed 1), so that the spread the tree's directory alone
 causes is printed next to each ratio, and one more pair, parent first, runs
 at the held-out seed 4242, which no pair uses; it is reported apart from the
-paired medians, each metric's parent and change value. Every run has
-``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``, and starts with every
-``__pycache__`` of the three trees removed.
+paired medians, each metric's parent and change value. Last, each workload
+runs ``benchmark/run.py --trace 1`` at seed 1, the parent first, and at seed 2,
+the change first, and each per-layer metric of ``BENCHMARK.json`` is printed
+for each side. Every run has ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``,
+and starts with every ``__pycache__`` of the three trees removed.
 
 For each end-to-end metric the summary gives both sides' medians, the
 parent's quartiles, the paired ratio (the median over pairs of change /
 parent), the pairs the change won, whether the change's median is better
 than the parent's by more than the parent's interquartile distance, and the
 A/A spread |copy / parent - 1|. ``--out FILE`` writes every run, the
-summary and the held-out pair (as ``held_out_seed_4242``) as JSON.
+summary, the held-out pair (as ``held_out_seed_4242``) and the per-layer
+values (as ``per_layer``) as JSON.
 ``--smoke`` passes ``--smoke`` to ``run.py`` and runs for 1 s. The exit
 code is 1 when any op failed, 2 when a run could not run at all.
 
@@ -52,6 +55,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HELD_OUT_SEED = 4242
+PER_LAYER_SEEDS = (1, 2)  # the parent first at the odd seed, the change at the even
 
 
 def _quartiles(values: list) -> tuple:
@@ -110,6 +114,37 @@ def format_held_out(held_out: dict) -> str:
     for workload, rows in held_out.items():
         lines.append(f"{workload:16s} {'parent':>12s} {'change':>12s}")
         lines += [f"  {name:14s} {r['parent']:12.6g} {r['change']:12.6g}"
+                  for name, r in rows.items()]
+    return "\n".join(lines)
+
+
+def summarize_per_layer(per_layer: dict, declared: list) -> dict:
+    """Per workload, each declared per-layer metric's and the failed ops' values on
+    each side, in the order of the traced pairs ``per_layer[workload]``, a list of
+    (parent, change) pairs of results as ``run.py`` prints them.
+
+    ``declared`` is ``BENCHMARK.json``'s ``per_layer`` list.
+    """
+    names = [metric["name"] for metric in declared]
+    summary = {}
+    for w, pairs in per_layer.items():
+        sides = list(zip(*pairs))  # the parent's results, then the change's
+        rows = {name: {side: [r["metrics"][name]["value"] for r in results]
+                       for side, results in zip(("parent", "change"), sides)}
+                for name in names}
+        rows["failed"] = {side: [r["failed"] for r in results]
+                          for side, results in zip(("parent", "change"), sides)}
+        summary[w] = rows
+    return summary
+
+
+def format_per_layer(per_layer: dict) -> str:
+    seeds = ", ".join(map(str, PER_LAYER_SEEDS))
+    lines = [f"per layer (--trace 1), seeds {seeds} on each side"]
+    for workload, rows in per_layer.items():
+        lines.append(f"{workload:40s} {'parent':>25s} {'change':>25s}")
+        lines += [f"  {name:38s} " + " ".join(f"{v:12.6g}" for side in
+                                               ("parent", "change") for v in r[side])
                   for name, r in rows.items()]
     return "\n".join(lines)
 
@@ -194,8 +229,9 @@ class RunFailed(Exception):
     """A benchmark run could not run; nothing was measured."""
 
 
-def run_once(tree: str, trees: dict, workload: str, seed: int, args) -> dict:
-    """One ``benchmark/run.py --trace 0`` in ``tree``: its last JSON line."""
+def run_once(tree: str, trees: dict, workload: str, seed: int, args,
+             trace: int = 0) -> dict:
+    """One ``benchmark/run.py --trace TRACE`` in ``tree``: its last JSON line."""
     for top in trees.values():
         for path, dirs, _ in os.walk(top):
             if "__pycache__" in dirs:
@@ -204,14 +240,14 @@ def run_once(tree: str, trees: dict, workload: str, seed: int, args) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd + ["--smoke"] * args.smoke, cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RunFailed(f"{workload} seed {seed} in {tree}: exit {proc.returncode}: "
                         f"{proc.stderr.strip()}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    print(f"  {os.path.basename(tree):6s} {workload} seed {seed}: "
+    print(f"  {os.path.basename(tree):6s} {workload} seed {seed} trace {trace}: "
           f"{result['failed']}/{result['attempted']} ops failed", flush=True)
     return result
 
@@ -229,18 +265,26 @@ def with_trees(rev: str, measure):
         shutil.rmtree(scratch, ignore_errors=True)
 
 
+def run_pair(trees: dict, workload: str, seed: int, args, trace: int = 0) -> tuple:
+    """(parent, change) at ``seed``: the parent runs first at an odd seed."""
+    order = ("parent", "change") if seed % 2 else ("change", "parent")
+    done = {s: run_once(trees[s], trees, workload, seed, args, trace) for s in order}
+    return done["parent"], done["change"]
+
+
 def run_pairs(trees: dict, workloads: list, args) -> dict:
-    """The alternating pairs of every workload, then its A/A and held-out pairs."""
-    runs = {"pairs": {w: [] for w in workloads}, "aa": {}, "held_out": {}}
+    """The alternating pairs of every workload, then its A/A, held-out and
+    per-layer pairs."""
+    runs = {"pairs": {}, "aa": {}, "held_out": {}, "per_layer": {}}
     for w in workloads:
-        for k in range(1, args.pairs + 1):
-            order = ("parent", "change") if k % 2 else ("change", "parent")
-            done = {s: run_once(trees[s], trees, w, k, args) for s in order}
-            runs["pairs"][w].append((done["parent"], done["change"]))
+        runs["pairs"][w] = [run_pair(trees, w, k, args)
+                            for k in range(1, args.pairs + 1)]
         runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
                               for s in ("parent", "copy"))
         runs["held_out"][w] = tuple(run_once(trees[s], trees, w, HELD_OUT_SEED, args)
                                     for s in ("parent", "change"))
+        runs["per_layer"][w] = [run_pair(trees, w, k, args, trace=1)
+                                for k in PER_LAYER_SEEDS]
     return runs
 
 
@@ -295,14 +339,18 @@ def main(argv=None) -> int:
                         {w: values(pair) for w, pair in runs["aa"].items()},
                         declared["end_to_end"])
     held_out = summarize_held_out(runs["held_out"], declared["end_to_end"])
+    per_layer = summarize_per_layer(runs["per_layer"], declared["per_layer"])
     print(format_summary(summary))
     print(format_held_out(held_out))
+    print(format_per_layer(per_layer))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"parent": args.parent, "seconds": args.seconds,
                        "smoke": args.smoke, "runs": runs, "summary": summary,
-                       f"held_out_seed_{HELD_OUT_SEED}": held_out}, fh, indent=1)
-    every = [r for pairs in runs["pairs"].values() for pair in pairs for r in pair]
+                       f"held_out_seed_{HELD_OUT_SEED}": held_out,
+                       "per_layer": per_layer}, fh, indent=1)
+    every = [r for key in ("pairs", "per_layer") for pairs in runs[key].values()
+             for pair in pairs for r in pair]
     every += [r for key in ("aa", "held_out") for pair in runs[key].values()
               for r in pair]
     return 1 if any(r["failed"] for r in every) else 0

@@ -10,8 +10,8 @@ or a negative value is invalid input), the reporting tolerance of the
 consistency checks of ``complete``, ``partial`` and ``compare``; the
 other subcommands accept it and ignore it.
 
-A report is a plain dict: each subcommand returns the keys it sets, and
-``run`` takes the rest, and the order of all seven, from ``_REPORT``.
+A report is a plain dict: each subcommand returns the keys it sets, ``run`` sets
+``method`` to its name and takes the rest, and the order of all seven, from ``_REPORT``.
 ``--json`` prints it as the tree ``_round_tree`` makes of it.
 
 ``_REGIMES`` holds one record per evidence regime: its name, its margins
@@ -167,7 +167,6 @@ def _cmd_simple(args, tol: float) -> tuple[dict, int]:
     rr = pb.risk_ratio(margins)
     rr_text = "undefined (no events in either arm)" if math.isnan(rr) else f"{rr:.6g}"
     return dict(
-        method="simple",
         interval=_REGIMES["simple"].bounds(margins),
         derived=derived,
         diagnostics=[f"risk ratio p1/p0 = {rr_text}"],
@@ -199,7 +198,6 @@ def _cmd_mediated(args, tol: float) -> tuple[dict, int]:
     if args.counts:
         diagnostics.append(_counts_check(derived, args.counts, tol))
     return dict(
-        method=regime.name,
         interval=regime.bounds(margins),
         derived=derived,
         diagnostics=diagnostics,
@@ -235,7 +233,6 @@ def _cmd_compare(args, tol: float) -> tuple[dict, int]:
         diagnostics.append(_counts_check(derived, args.counts, tol))
     regime = _REGIMES["complete" if args.complete else "partial"]
     return dict(
-        method="compare",
         interval=rep.combined_interval,
         derived=derived,
         diagnostics=diagnostics,
@@ -275,7 +272,6 @@ def _cmd_verify(args, tol: float) -> tuple[dict, int]:
     code = 3 if (not rep.passed and not rep.confounded) else 0
     names = rep.__match_args__
     return dict(
-        method="verify",
         interval=rep.interval,
         derived=pb.derive_simple_from_partial(margins),
         diagnostics=diagnostics,
@@ -297,7 +293,6 @@ def _cmd_simulate(args, tol: float) -> tuple[dict, int]:
         events, total = dataset.arm_counts(x)
         diagnostics.append(f"arm X={x}: {events} events in {total} records")
     return dict(
-        method="simulate",
         diagnostics=diagnostics,
         inputs_echo={"kind": "law", "source": args.law, "n_per_arm": args.n,
                      "seed": args.seed, "out": str(args.out)},
@@ -395,7 +390,7 @@ def run(argv: list[str] | None = None) -> int:
     except (pb.PcBoundsError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _print_report(_REPORT | report, args.json)
+    _print_report(_REPORT | {"method": args.command} | report, args.json)
     return code
 
 

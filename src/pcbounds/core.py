@@ -285,9 +285,11 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _fspath(path: str | os.PathLike) -> str:
-    """The name to open ``path`` by, as given; a bytes path is an InvalidInputError."""
+    """The name to open ``path`` by, as given; bytes or a NUL in it is refused."""
     if isinstance(name := os.fspath(path), bytes):
         raise InvalidInputError(f"{path!r}: a path is str or os.PathLike, not bytes")
+    if "\0" in name:
+        raise InvalidInputError(f"{path!r}: a path cannot hold a NUL character")
     return name
 
 

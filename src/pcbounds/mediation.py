@@ -25,8 +25,9 @@ returns the derived rates (p1, p0) and the upper numerator N
 which also returns the split (alpha, beta, gamma, delta) and the four
 trajectory caps), each Frechet min taken by ``simple._min``; one rule,
 ``simple._interval``, makes any of them [max(0, 1 - p0/p1), min(1, N/p1)].
-The public functions wrap them; :func:`compare` calls the partial kernel
-once and reports its split and both upper numerators.
+Every public function here reads its kernel through ``simple._parts``, which reruns it
+on ``Fraction``s where a derived p1 is subnormal, so each value read, :func:`compare`'s
+split and both upper numerators too, comes from one run, exact on that route.
 
 The partial N replaces each trajectory weight w_ab = P(M(0)=a, M(1)=b)
 with its own Frechet cap, min(P(M(0)=a), P(M(1)=b)). The four caps can
@@ -36,8 +37,7 @@ independent of the response block (example 1: 0.8195, sharp 0.7960).
 
 Every field and derived rate is a plain float checked by ``core._unit``, each
 field stored through its slot by the ``__init__`` that ``core._frozen`` makes and
-read back in ``__match_args__`` order by ``_fields``; where a derived p1 is
-subnormal, ``simple._rates`` runs the kernel again on ``Fraction``s, exactly.
+read back in ``__match_args__`` order by ``_fields``.
 :func:`read_margins_json` reads a margins file into the type whose field names
 are its keys: ``{p1, p0}``, ``{a, b, c, d}`` or ``{y00, y01, y10, y11, m0, m1}``.
 """
@@ -59,7 +59,7 @@ from .core import (
     _require_tol,
     _unit,
 )
-from .simple import SimpleMargins, _bounds, _interval, _min, _rates, _simple_parts
+from .simple import SimpleMargins, _bounds, _interval, _min, _parts, _simple_parts
 
 __all__ = [
     "CompleteMediationMargins",
@@ -121,7 +121,7 @@ def derive_simple_from_complete(m: CompleteMediationMargins) -> SimpleMargins:
     p1 = b d + (1-b)(1-c) and p0 = (1-a) d + a (1-c): push the mediator
     response for each arm through the shared outcome surface.
     """
-    return SimpleMargins(*_complete_parts(m.a, m.b, m.c, m.d)[:2])
+    return SimpleMargins(*_parts(_complete_parts, (m.a, m.b, m.c, m.d))[:2])
 
 
 def complete_bounds(m: CompleteMediationMargins) -> BoundInterval:
@@ -150,7 +150,7 @@ def _partial_parts(y00, y01, y10, y11, m0, m1) -> tuple:
 
 def derive_simple_from_partial(m: PartialMediationMargins) -> SimpleMargins:
     """Arm response rates implied by the six partial-mediation margins."""
-    return SimpleMargins(*_partial_parts(*_fields(m))[:2])
+    return SimpleMargins(*_parts(_partial_parts, _fields(m))[:2])
 
 
 def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
@@ -169,10 +169,10 @@ def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
 
 @_frozen()
 class ComparisonReport:
-    """Side-by-side intervals plus the quantities the comparison rests on:
-    the split of P(Y(0)=0) = alpha + beta and P(Y(1)=1) = gamma + delta by
-    mediator value, and both upper numerators, raw from the float kernel even
-    where p1 is subnormal; construction checks numerator_partial <= 2 numerator_simple.
+    """Side-by-side intervals plus what they rest on, from the kernel run they use
+    (exact where p1 is subnormal): the split of P(Y(0)=0) = alpha + beta and
+    P(Y(1)=1) = gamma + delta by mediator value, and both upper numerators, as floats;
+    construction checks numerator_partial <= 2 numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
     With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0, and
     the exact collapse's where the float one misses the other two and it does not.
@@ -223,10 +223,9 @@ def compare(
                     f"complete-mediation claim fails at M={mval}: "
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
-    p1, p0, numerator, (alpha, beta, gamma, delta), _ = _partial_parts(*v)
-    rates = _rates(_partial_parts, v, p1, p0, numerator)
-    lower, upper = _interval(*rates, _PARTIAL_UNDEFINED)
-    simple_upper = _interval(*_simple_parts(*rates[:2]), _PARTIAL_UNDEFINED)[1]
+    p1, p0, numerator, (alpha, beta, gamma, delta), _ = _parts(_partial_parts, v)
+    lower, upper = _interval(p1, p0, numerator, _PARTIAL_UNDEFINED)
+    simple_upper = _interval(*_simple_parts(p1, p0), _PARTIAL_UNDEFINED)[1]
     simple_iv = BoundInterval(float(lower), float(simple_upper))
     partial_iv = BoundInterval(float(lower), float(upper))
     combined = partial_iv if partial_iv.upper < simple_iv.upper else simple_iv
@@ -242,7 +241,7 @@ def compare(
         except InconsistentBoundsError:
             # The float collapse rounds 1 - m0 and 1 - y00, which may carry all of a
             # tiny p1: the claim is inconsistent only if the exact collapse misses too.
-            from fractions import Fraction  # as in simple._rates, only where needed
+            from fractions import Fraction  # as in simple._parts, only where needed
             parts = _complete_parts(*_collapsed(tuple(map(Fraction, v))))[:3]
             exact = BoundInterval(*map(float, _interval(*parts, _COMPLETE_UNDEFINED)))
             try:
@@ -258,7 +257,7 @@ def compare(
             complete_iv = exact
     return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, alpha, beta,
                             gamma, delta, _unit(_min(alpha + beta, gamma + delta)),
-                            numerator)
+                            float(numerator))
 
 
 def read_margins_json(

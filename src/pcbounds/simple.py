@@ -61,20 +61,21 @@ def _interval(p1, p0, numerator, undefined: str) -> tuple:
     return lower if lower > 0 else 0, upper if upper < 1 else 1
 
 
-def _rates(kernel, args, p1, p0, numerator) -> tuple:
-    """The derived (p1, p0) made probabilities, and the numerator; a subnormal p1 loses
-    the bounds to float products, so ``kernel`` then reruns on exact ``Fraction``s,
-    and the caller takes the ``float`` of each endpoint."""
-    if p1 < 2.2250738585072014e-308 and p1:
+def _parts(kernel, args) -> tuple:
+    """``kernel(*args)`` with (p1, p0) made probabilities, the one route to a mediated
+    kernel. A subnormal p1 loses the bounds to float products, so the kernel reruns on
+    ``Fraction``s: rates and numerator stay exact, later tuples come back as floats."""
+    parts = kernel(*args)
+    if parts[0] < 2.2250738585072014e-308 and parts[0]:
         from fractions import Fraction  # here alone: importing it costs about 18 ms
-        return kernel(*map(Fraction, args))[:3]
-    return _unit(p1), _unit(p0), numerator
+        exact = kernel(*map(Fraction, args))
+        return exact[:3] + tuple(tuple(map(float, t)) for t in exact[3:])
+    return (_unit(parts[0]), _unit(parts[1])) + parts[2:]
 
 
 def _bounds(kernel, args, undefined: str) -> BoundInterval:
-    """:func:`_interval` on :func:`_rates` of ``kernel(*args)``, as an interval."""
-    rates = _rates(kernel, args, *kernel(*args)[:3])
-    return BoundInterval(*map(float, _interval(*rates, undefined)))
+    """:func:`_interval` on :func:`_parts` of ``kernel``, as an interval."""
+    return BoundInterval(*map(float, _interval(*_parts(kernel, args)[:3], undefined)))
 
 
 def _simple_parts(p1, p0) -> tuple:

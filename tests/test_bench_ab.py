@@ -118,3 +118,24 @@ def test_held_out_pair_is_each_metric_and_the_failed_ops_of_both_sides():
     assert [line.split() for line in lines[2:]] == [["items_per_s", "100", "90"],
                                                     ["op_p50_ms", "0.01", "0.01"],
                                                     ["failed", "0", "2"]]
+
+
+def test_per_layer_is_each_metric_of_both_sides_in_seed_order():
+    declared = [{"name": "core.validate_us", "unit": "us", "better": "lower"},
+                {"name": "cli.import_ms", "unit": "ms", "better": "lower"}]
+
+    def result(validate, failed=0):
+        return {"failed": failed, "metrics": {"core.validate_us": {"value": validate},
+                                              "cli.import_ms": {"value": 9.0},
+                                              "undeclared": {"value": 1.0}}}
+    pairs = [(result(1.3), result(1.7)), (result(1.2), result(1.4, failed=1))]
+    rows = bench_ab.summarize_per_layer({"w": pairs}, declared)["w"]
+    assert rows == {"core.validate_us": {"parent": [1.3, 1.2], "change": [1.7, 1.4]},
+                    "cli.import_ms": {"parent": [9.0, 9.0], "change": [9.0, 9.0]},
+                    "failed": {"parent": [0, 0], "change": [0, 1]}}
+    lines = bench_ab.format_per_layer({"w": rows}).splitlines()
+    assert "--trace 1" in lines[0] and lines[1].split() == ["w", "parent", "change"]
+    assert [line.split() for line in lines[2:]] == [
+        ["core.validate_us", "1.3", "1.2", "1.7", "1.4"],
+        ["cli.import_ms", "9", "9", "9", "9"],
+        ["failed", "0", "0", "0", "1"]]

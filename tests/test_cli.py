@@ -195,6 +195,18 @@ class TestCompareCommand:
         assert run(["compare", "--margins", str(path)]) == 0
         assert "interval: [0.50, 1.00]\n" in capsys.readouterr().out
 
+    def test_subnormal_rates_print_the_numerators_of_the_exact_run(self, capsys,
+                                                                   tmp_path):
+        # The float kernel rounds the partial numerator, two halves of 5e-324, to 0.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "y00": 5e-324, "y01": 0.0, "y10": 5e-324, "y11": 0.0,
+            "m0": 0.5, "m1": 0.0,
+        }))
+        assert run(["compare", "--margins", str(path)]) == 0
+        assert ("  - upper-bound numerators: simple 4.94066e-324, partial "
+                "4.94066e-324 (ratio 1 <= 2)\n") in capsys.readouterr().out
+
     def test_complete_claim_violation_exits_1(self, capsys, partial_file):
         assert run(["compare", "--margins", partial_file, "--complete"]) == 1
         assert "complete-mediation claim fails" in capsys.readouterr().err

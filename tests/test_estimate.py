@@ -656,23 +656,32 @@ class TestPathsAsGiven:
             _FILE_FUNCTIONS[name][0]("")
         assert str(exc.value).endswith("No such file or directory: ''")
 
-    @pytest.mark.parametrize("name", _FILE_FUNCTIONS)
+    # The original cases keep the bare function name as their id.
+    @pytest.mark.parametrize("name, nul", [
+        *(pytest.param(name, False, id=name) for name in _FILE_FUNCTIONS),
+        *(pytest.param(name, True, id=f"{name}-nul") for name in _FILE_FUNCTIONS),
+    ])
     def test_bytes_path_is_refused_before_any_file_is_opened(
-        self, tmp_path, monkeypatch, name
+        self, tmp_path, monkeypatch, name, nul
     ):
         class BytesPath:
             def __fspath__(self):
                 return b"input"
 
+        class NulPath:
+            def __fspath__(self):
+                return "input\0.csv"
+
         function, good, _ = _FILE_FUNCTIONS[name]
         monkeypatch.chdir(tmp_path)
         if good is not None:
             Path("input").write_text(good)
-        for path in (b"input", BytesPath()):
+        reason = ("a path cannot hold a NUL character" if nul
+                  else "a path is str or os.PathLike, not bytes")
+        for path in ("input\0.csv", NulPath()) if nul else (b"input", BytesPath()):
             with pytest.raises(InvalidInputError) as exc:
                 function(path)
-            assert str(exc.value) == (f"{path!r}: a path is str or os.PathLike, "
-                                      "not bytes")
+            assert str(exc.value) == f"{path!r}: {reason}"
         assert os.listdir() == ([] if good is None else ["input"])
 
     @pytest.mark.parametrize("name", _FILE_FUNCTIONS)

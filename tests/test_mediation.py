@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pcbounds import (
@@ -67,7 +67,7 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     vacuous complete interval [0, 1]; where the collapse's interval misses
     the other two, the interval of the collapse taken on fractions replaces
     it, if that one meets them. The split and the numerators come from the
-    partial kernel."""
+    partial kernel, run on fractions where p1 is subnormal, as the rates are."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -117,6 +117,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
         complete_iv = exact_iv
 
     _, _, numerator, split, _ = _partial_parts(*_fields(m))
+    if 0 < _partial_parts(*_fields(m))[0] < 2.0**-1022:
+        _, _, numerator, split, _ = _partial_parts(*map(Fraction, _fields(m)))
+        numerator, split = float(numerator), tuple(map(float, split))
     alpha, beta, gamma, delta = map(_unit, split)
     return ComparisonReport(
         simple_interval=simple_iv,
@@ -498,15 +501,20 @@ class TestSinglePassCompare:
             pass
 
     @given(partial_margin_sets())
+    @example(PartialMediationMargins(5e-324, 0.0, 5e-324, 0.0, 0.5, 0.0))
     def test_numerators_match_their_checked_forms(self, m):
         assume(float(derive_simple_from_partial(m).p1) > 0.0)
         rep = compare(m)
         d = derive_simple_from_partial(m)
         assert abs(float(rep.alpha) + float(rep.beta) - (1.0 - float(d.p0))) <= 1e-12
         assert abs(float(rep.gamma) + float(rep.delta) - float(d.p1)) <= 1e-12
-        _, _, numerator, (alpha, beta, gamma, delta), _ = _partial_parts(*_fields(m))
+        v = _fields(m)
+        if _partial_parts(*v)[0] < 2.0**-1022:  # a subnormal p1: the exact run's values
+            v = tuple(map(Fraction, v))
+        _, _, numerator, split, _ = _partial_parts(*v)
+        alpha, beta, gamma, delta = map(float, split)
         assert rep.numerator_simple == _unit(min(alpha + beta, gamma + delta))
-        assert rep.numerator_partial == numerator
+        assert rep.numerator_partial == float(numerator)
         assert rep.numerator_partial <= 2.0 * float(rep.numerator_simple) + STRUCT_TOL
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, -1.0, "0.1", None, True, False])
@@ -593,3 +601,33 @@ class TestSubnormalRates:
             got = report_bits(compare, m, claim)
             assert got == report_bits(reference_compare, m, claim)
             assert all(isinstance(v, tuple) for v in got.values() if v is not None)
+
+    def test_split_and_numerators_come_from_the_exact_run(self):
+        # Each half of the partial numerator is 2.5e-324, which floats round to 0.
+        assert _partial_parts(*self.PARTIAL)[2] == 0.0
+        exact = _partial_parts(*map(Fraction, self.PARTIAL))
+        for claim in (False, True):
+            rep = compare(PartialMediationMargins(*self.PARTIAL), complete_claim=claim)
+            split = rep.alpha, rep.beta, rep.gamma, rep.delta
+            assert split == tuple(map(float, exact[3])) == (0.5, 0.5, 5e-324, 0.0)
+            assert rep.numerator_partial == float(exact[2]) == 5e-324
+            assert rep.numerator_simple == 5e-324
+            assert {type(v) for v in (*split, rep.numerator_partial)} == {float}
+
+    @pytest.mark.parametrize("kind, values", [
+        ("partial", PARTIAL),
+        ("partial", COLLAPSING),
+        # p0 is two halves of 5e-324: 0 in floats, 5e-324 exactly
+        ("partial", (5e-324, 5e-324, 5e-324, 0.0, 0.5, 0.0)),
+        ("complete", (0.05, 1.0, 1.0, 5e-324)),
+    ])
+    def test_derived_rates_are_the_floats_of_the_exact_ones(self, kind, values):
+        cls, kernel, derive = {
+            "partial": (PartialMediationMargins, _partial_parts,
+                        derive_simple_from_partial),
+            "complete": (CompleteMediationMargins, _complete_parts,
+                         derive_simple_from_complete),
+        }[kind]
+        d = derive(cls(*values))
+        assert (type(d.p1), type(d.p0)) == (float, float)
+        assert (d.p1, d.p0) == tuple(map(float, kernel(*map(Fraction, values))[:2]))
