@@ -25,9 +25,10 @@ returns the derived rates (p1, p0) and the upper numerator N
 which also returns the split (alpha, beta, gamma, delta) and the four
 trajectory caps), each Frechet min taken by ``simple._min``; one rule,
 ``simple._interval``, makes any of them [max(0, 1 - p0/p1), min(1, N/p1)].
-Every public function here reads its kernel through ``simple._parts``, which reruns it
-on ``Fraction``s where a derived p1 is subnormal, so each value read, :func:`compare`'s
-split and both upper numerators too, comes from one run, exact on that route.
+Every public function here reads its kernel through ``simple._parts``, which reruns
+it on exact fractions where a derived p1 is below 2**-9, so each value read, the split
+and both upper numerators of :func:`compare` too, comes from one run, exact on that
+route. A claimed collapse is ``_collapsed_parts`` of the six margins, read the same way.
 
 The partial N replaces each trajectory weight w_ab = P(M(0)=a, M(1)=b)
 with its own Frechet cap, min(P(M(0)=a), P(M(1)=b)). The four caps can
@@ -163,19 +164,20 @@ def partial_bounds(m: PartialMediationMargins) -> BoundInterval:
     return _bounds(_partial_parts, _fields(m), _PARTIAL_UNDEFINED)
 
 
-def _collapsed(v: tuple[float, ...]) -> tuple[float, float, float, float]:
-    return (1 - v[4], v[5], 1 - v[0], v[3])
+def _collapsed_parts(y00, y01, y10, y11, m0, m1) -> tuple:
+    """:func:`_complete_parts` of the collapse (a, b, c, d) = (1 - m0, m1, 1 - y00, y11)
+    that a complete-mediation claim makes of the six partial margins."""
+    return _complete_parts(1 - m0, m1, 1 - y00, y11)
 
 
 @_frozen()
 class ComparisonReport:
     """Side-by-side intervals plus what they rest on, from the kernel run they use
-    (exact where p1 is subnormal): the split of P(Y(0)=0) = alpha + beta and
+    (exact where p1 < 2**-9): the split of P(Y(0)=0) = alpha + beta and
     P(Y(1)=1) = gamma + delta by mediator value, and both upper numerators, as floats;
     construction checks numerator_partial <= 2 numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
-    With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0, and
-    the exact collapse's where the float one misses the other two and it does not.
+    With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0.
     """
 
     simple_interval: BoundInterval
@@ -209,9 +211,9 @@ def compare(
     margins; pass a statistical tolerance for estimated ones), the
     margins are collapsed, and the complete-mediation interval joins the
     intersection; a claim raises :class:`PcUndefinedError` only where the
-    call without it does, and :class:`InconsistentBoundsError` where both the
-    float and the exact collapse miss the other intervals. A NaN, negative or
-    bool ``claim_tol`` is invalid input.
+    call without it does, and :class:`InconsistentBoundsError` where the collapse's
+    interval misses the other two. A NaN, negative or bool ``claim_tol`` is invalid
+    input.
     """
     _require_tol("claim_tol", claim_tol)
     v = _fields(m)
@@ -232,29 +234,19 @@ def compare(
     complete_iv = None
     if complete_claim:
         try:
-            complete_iv = _bounds(_complete_parts, _collapsed(v), _COMPLETE_UNDEFINED)
+            complete_iv = _bounds(_collapsed_parts, v, _COMPLETE_UNDEFINED)
         except PcUndefinedError:  # p1 > 0, but not after the collapse
             complete_iv = BoundInterval(0.0, 1.0)
         try:
             combined = BoundInterval(max(combined.lower, complete_iv.lower),
                                      min(combined.upper, complete_iv.upper))
         except InconsistentBoundsError:
-            # The float collapse rounds 1 - m0 and 1 - y00, which may carry all of a
-            # tiny p1: the claim is inconsistent only if the exact collapse misses too.
-            from fractions import Fraction  # as in simple._parts, only where needed
-            parts = _complete_parts(*_collapsed(tuple(map(Fraction, v))))[:3]
-            exact = BoundInterval(*map(float, _interval(*parts, _COMPLETE_UNDEFINED)))
-            try:
-                combined = BoundInterval(max(combined.lower, exact.lower),
-                                         min(combined.upper, exact.upper))
-            except InconsistentBoundsError:
-                raise InconsistentBoundsError(
-                    f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
-                    f"but its interval {complete_iv} is disjoint from {combined}, "
-                    f"where the simple {simple_iv} and partial {partial_iv} "
-                    "intervals meet"
-                ) from None
-            complete_iv = exact
+            raise InconsistentBoundsError(
+                f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+                f"but its interval {complete_iv} is disjoint from {combined}, "
+                f"where the simple {simple_iv} and partial {partial_iv} "
+                "intervals meet"
+            ) from None
     return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, alpha, beta,
                             gamma, delta, _unit(_min(alpha + beta, gamma + delta)),
                             float(numerator))

@@ -50,7 +50,7 @@ from pcbounds import (
 )
 from pcbounds.cli import run
 from pcbounds.core import _unit
-from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
+from pcbounds.mediation import _collapsed_parts, _fields, _partial_parts
 
 
 def best_runtime(fn, repeats=5):
@@ -332,12 +332,12 @@ def test_criterion_6_dominance_properties(acceptance_log):
                     for name in _partial_property_violations(pm):
                         counts[name] += 1
                     _, t2, t3, _ = _partial_parts(*_fields(pm))[4]
-                    collapsed = _collapsed(_fields(pm))
-                    if _complete_parts(*collapsed)[2] != float(t2) + float(t3):
+                    if _collapsed_parts(*_fields(pm))[2] != float(t2) + float(t3):
                         counts["TABLE-2"] += 1
                     derived = derive_simple_from_partial(pm)
                     if float(derived.p1) > 0.0:
-                        cm = CompleteMediationMargins(*collapsed)
+                        cm = CompleteMediationMargins(1.0 - pm.m0, pm.m1,
+                                                      1.0 - pm.y00, pm.y11)
                         upper_c = float(complete_bounds(cm).upper)
                         if upper_c > float(partial_bounds(pm).upper) + 1e-9:
                             counts["COMPLETE-DOMINANCE"] += 1

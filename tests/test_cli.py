@@ -167,6 +167,19 @@ class TestMediationCommands:
         assert run(["partial", "--records", str(path)]) == 2
         assert "(x=1, m=0)" in capsys.readouterr().err
 
+    def test_a_p1_floats_round_to_0_exits_0_with_the_exact_interval(self, capsys,
+                                                                   tmp_path):
+        # p1 is two halves of 5e-324, each 0 in floats: undefined, exit 2, before
+        # the kernel reran on fractions wherever its float p1 is below 2**-9.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "y00": 0.0, "y01": 0.0, "y10": 5e-324, "y11": 5e-324,
+            "m0": 0.3, "m1": 0.5,
+        }))
+        code, rep = run_json(capsys, ["partial", "--margins", str(path), "--json"])
+        assert code == 0
+        assert rep["interval"] == {"lower": 1.0, "upper": 1.0}
+
 
 class TestCompareCommand:
     def test_intersection(self, capsys, tmp_path):

@@ -25,7 +25,12 @@ from pcbounds import (
     simple_bounds,
 )
 from pcbounds.core import _unit
-from pcbounds.mediation import _collapsed, _complete_parts, _fields, _partial_parts
+from pcbounds.mediation import (
+    _collapsed_parts,
+    _complete_parts,
+    _fields,
+    _partial_parts,
+)
 from pcbounds.simple import _interval, _simple_parts
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -49,14 +54,37 @@ def x_invariant_sets(draw):
     return PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
 
 
+SMALL_P1 = 2.0**-9  # below it, a kernel reruns on fractions (simple._parts)
+
+
+def collapse(m):
+    """The complete-mediation margins a claim makes of m, in floats."""
+    return CompleteMediationMargins(1 - m.m0, m.m1, 1 - m.y00, m.y11)
+
+
+def exact_interval(kernel, values):
+    """The float of each endpoint of ``kernel``'s interval on fractions of values."""
+    exact = kernel(*map(Fraction, values))[:3]
+    return BoundInterval(*map(float, _interval(*exact, "")))
+
+
 def simple_of_derived(m):
     """The simple bounds of m's derived rates: ``simple_bounds`` of the float
-    rates, or, where p1 is subnormal and float products have lost the bounds,
-    the float of each endpoint of the exact rates' interval."""
-    if 0 < _partial_parts(*_fields(m))[0] < 2.0**-1022:
-        exact = _simple_parts(*_partial_parts(*map(Fraction, _fields(m)))[:2])
-        return BoundInterval(*map(float, _interval(*exact, "")))
+    rates, or, where p1 is below 2**-9, the float of each endpoint of the exact
+    rates' interval."""
+    if _partial_parts(*_fields(m))[0] < SMALL_P1:
+        rates = _partial_parts(*map(Fraction, _fields(m)))[:2]
+        return exact_interval(_simple_parts, rates)
     return simple_bounds(derive_simple_from_partial(m))
+
+
+def collapsed_bounds(m):
+    """The complete interval of m's collapse: ``complete_bounds`` of the float
+    collapse, or, where its p1 is below 2**-9, the float of each endpoint of the
+    collapse taken on fractions of the six margins."""
+    if _collapsed_parts(*_fields(m))[0] < SMALL_P1:
+        return exact_interval(_collapsed_parts, _fields(m))
+    return complete_bounds(collapse(m))
 
 
 def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
@@ -64,10 +92,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     became a single pass, kept as the differential reference. The partial
     bounds go first, so p1 = 0 raises their message, as ``compare`` does.
     Where p1 > 0 but the collapsed margins' p1 is 0, the claim adds the
-    vacuous complete interval [0, 1]; where the collapse's interval misses
-    the other two, the interval of the collapse taken on fractions replaces
-    it, if that one meets them. The split and the numerators come from the
-    partial kernel, run on fractions where p1 is subnormal, as the rates are."""
+    vacuous complete interval [0, 1]. The split and the numerators come from
+    the partial kernel, run on fractions where p1 is below 2**-9, as the rates
+    are."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -84,8 +111,7 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     complete_iv = None
     if complete_claim:
         try:
-            complete_iv = complete_bounds(
-                CompleteMediationMargins(*_collapsed(_fields(m))))
+            complete_iv = collapsed_bounds(m)
         except PcUndefinedError:
             complete_iv = BoundInterval(0.0, 1.0)
 
@@ -99,25 +125,17 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     except InconsistentBoundsError:
         if complete_iv is None:
             raise
+        # The one error ``compare`` words itself: an accepted claim whose
+        # interval misses the other two.
         both = BoundInterval(max(lowers[:2]), min(uppers[:2]))
-        exact = _complete_parts(1 - Fraction(m.m0), Fraction(m.m1),
-                                1 - Fraction(m.y00), Fraction(m.y11))
-        exact_iv = BoundInterval(*map(float, _interval(*exact[:3], "")))
-        try:
-            combined = BoundInterval(max(both.lower, exact_iv.lower),
-                                     min(both.upper, exact_iv.upper))
-        except InconsistentBoundsError:
-            # The one error ``compare`` words itself: an accepted claim whose
-            # interval misses the other two, on the float and the exact collapse.
-            raise InconsistentBoundsError(
-                f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
-                f"but its interval {complete_iv} is disjoint from {both}, "
-                f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
-            ) from None
-        complete_iv = exact_iv
+        raise InconsistentBoundsError(
+            f"complete-mediation claim accepted at claim_tol {claim_tol:.6g}, "
+            f"but its interval {complete_iv} is disjoint from {both}, "
+            f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
+        ) from None
 
     _, _, numerator, split, _ = _partial_parts(*_fields(m))
-    if 0 < _partial_parts(*_fields(m))[0] < 2.0**-1022:
+    if _partial_parts(*_fields(m))[0] < SMALL_P1:
         _, _, numerator, split, _ = _partial_parts(*map(Fraction, _fields(m)))
         numerator, split = float(numerator), tuple(map(float, split))
     alpha, beta, gamma, delta = map(_unit, split)
@@ -293,24 +311,21 @@ class TestCollapse:
     def test_mapping(self):
         m = PartialMediationMargins(y00=0.3, y01=0.8, y10=0.3, y11=0.8,
                                     m0=0.4, m1=0.7)
-        a, b, c, d = _collapsed(_fields(m))
-        assert a == 0.6
-        assert b == 0.7
-        assert c == 0.7
-        assert d == 0.8
+        assert (1 - m.m0, m.m1, 1 - m.y00, m.y11) == (0.6, 0.7, 0.7, 0.8)
+        assert _collapsed_parts(*_fields(m)) == _complete_parts(0.6, 0.7, 0.7, 0.8)
 
     def test_mapping_reads_the_unexposed_surface(self):
         # c and d come from y00 and y11 even when the claim does not hold.
         m = PartialMediationMargins(y00=0.3, y01=0.6, y10=0.5, y11=0.8,
                                     m0=0.4, m1=0.7)
-        assert _collapsed(_fields(m))[2:] == (0.7, 0.8)
+        assert _collapsed_parts(*_fields(m)) == _complete_parts(0.6, 0.7, 0.7, 0.8)
 
     @given(y0=probs, y1=probs, m0=probs, m1=probs)
     def test_complete_never_looser_within_its_model(self, y0, y1, m0, m1):
         m = PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
         d = derive_simple_from_partial(m)
         assume(float(d.p1) > 1e-9)
-        cm = CompleteMediationMargins(*_collapsed(_fields(m)))
+        cm = collapse(m)
         upper_complete = float(complete_bounds(cm).upper)
         assert upper_complete <= float(partial_bounds(m).upper) + 1e-9
         assert upper_complete <= float(simple_bounds(d).upper) + 1e-9
@@ -321,7 +336,7 @@ class TestCollapse:
         # one rounding of 1 - (1 - m0), so this is not a bitwise check.
         m = PartialMediationMargins(y00=y0, y01=y1, y10=y0, y11=y1, m0=m0, m1=m1)
         _, t2, t3, _ = _partial_parts(*_fields(m))[4]
-        assert _complete_parts(*_collapsed(_fields(m)))[2] == pytest.approx(
+        assert _collapsed_parts(*_fields(m))[2] == pytest.approx(
             float(t2) + float(t3), abs=5e-16
         )
 
@@ -333,7 +348,7 @@ class TestCollapse:
             y00=1.0 - c, y01=d, y10=1.0 - c, y11=d, m0=1.0 - a, m1=b
         )
         _, t2, t3, _ = _partial_parts(*_fields(m))[4]
-        numerator = _complete_parts(*_collapsed(_fields(m)))[2]
+        numerator = _collapsed_parts(*_fields(m))[2]
         assert float(numerator) == float(t2) + float(t3)
 
 
@@ -375,7 +390,7 @@ class TestCompare:
                                     m0=0.4, m1=0.7)
         rep = compare(m, complete_claim=True)
         assert rep.complete_interval is not None
-        expected = complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
+        expected = complete_bounds(collapse(m))
         assert float(rep.complete_interval.upper) == float(expected.upper)
         assert float(rep.combined_interval.upper) <= float(
             rep.partial_interval.upper
@@ -394,8 +409,7 @@ class TestCompare:
             compare(example1_margins, complete_claim=True, claim_tol=1.0)
         simple_iv = simple_bounds(derive_simple_from_partial(example1_margins))
         partial_iv = partial_bounds(example1_margins)
-        collapsed = CompleteMediationMargins(*_collapsed(_fields(example1_margins)))
-        complete_iv = complete_bounds(collapsed)
+        complete_iv = complete_bounds(collapse(example1_margins))
         assert float(complete_iv.upper) < float(partial_iv.lower)
         assert str(exc.value) == (
             "complete-mediation claim accepted at claim_tol 1, but its interval "
@@ -465,23 +479,27 @@ class TestSinglePassCompare:
     @pytest.mark.parametrize("values", [(1e-17, 0.0, 1e-17, 0.0, 0.0, 0.0),
                                         (1e-17, 0.3, 1e-17, 0.3, 0.0, 0.0)])
     def test_a_claim_keeps_a_pc_its_collapse_rounds_away(self, values):
-        # 1 - y00 rounds to 1, so the collapsed p1 is 0 while the partial p1
-        # is 1e-17: the claim adds the vacuous complete interval.
+        # 1 - y00 rounds to 1, so the float collapse's p1 is 0 while the partial
+        # p1 is 1e-17. The collapse taken on fractions keeps p1 = 1e-17, and with
+        # m0 = m1 = 0 the claim makes Y(0) = Y(1), so PC = 0.
         m = PartialMediationMargins(*values)
         with pytest.raises(PcUndefinedError):
-            complete_bounds(CompleteMediationMargins(*_collapsed(_fields(m))))
+            complete_bounds(collapse(m))
+        assert _collapsed_parts(*map(Fraction, _fields(m)))[0] == Fraction(1e-17)
         free, claimed = compare(m), compare(m, complete_claim=True)
-        assert claimed.complete_interval == BoundInterval(0.0, 1.0)
-        assert claimed.combined_interval == free.combined_interval
+        assert free.combined_interval == BoundInterval(0.0, 1.0)
+        assert claimed.complete_interval == BoundInterval(0.0, 0.0)
+        assert claimed.combined_interval == BoundInterval(0.0, 0.0)
         assert report_bits(compare, m, True) == report_bits(reference_compare, m, True)
 
     def test_a_claim_whose_float_collapse_misses_takes_the_exact_one(self):
-        # 1 - y00 rounds to 1, which leaves the collapsed p1 only the subnormal
-        # m1 y11: the float collapse gives [0, 0], the exact one [1, 1].
+        # 1 - y00 rounds to 1, which leaves the float collapse's p1 only the
+        # subnormal m1 y11 and its interval [0, 0], which misses the partial
+        # [1, 1]. That p1 is below 2**-9, so compare takes the collapse on
+        # fractions, as every kernel there, and its interval is [1, 1].
         y0, y1 = 1.941549899085741e-214, 2.225073858507203e-309
         m = PartialMediationMargins(y0, y1, y0, y1, 1.0, 0.5)
-        collapsed = CompleteMediationMargins(*_collapsed(_fields(m)))
-        assert complete_bounds(collapsed) == BoundInterval(0.0, 0.0)
+        assert complete_bounds(collapse(m)) == BoundInterval(0.0, 0.0)
         rep = compare(m, complete_claim=True)
         for iv in (rep.partial_interval, rep.complete_interval, rep.combined_interval):
             assert (type(iv.lower), iv.lower, type(iv.upper), iv.upper) == (
@@ -509,7 +527,7 @@ class TestSinglePassCompare:
         assert abs(float(rep.alpha) + float(rep.beta) - (1.0 - float(d.p0))) <= 1e-12
         assert abs(float(rep.gamma) + float(rep.delta) - float(d.p1)) <= 1e-12
         v = _fields(m)
-        if _partial_parts(*v)[0] < 2.0**-1022:  # a subnormal p1: the exact run's values
+        if _partial_parts(*v)[0] < SMALL_P1:  # the exact run's values
             v = tuple(map(Fraction, v))
         _, _, numerator, split, _ = _partial_parts(*v)
         alpha, beta, gamma, delta = map(float, split)
@@ -554,8 +572,8 @@ def test_compare_words_an_undefined_pc_as_partial_bounds_does(claim):
 
 
 class TestSubnormalRates:
-    """A derived p1 below 2**-1022 loses the bounds to float products; the
-    kernel then reruns on fractions, and each endpoint is the float of the
+    """A derived p1 below 2**-1022 loses the bounds to float products; below
+    2**-9 the kernel reruns on fractions, and each endpoint is the float of the
     exact one. Both sets failed in floats: the partial one with a lower bound
     of 1 over an upper bound of 0, the complete one as [0, 0]."""
 
@@ -572,10 +590,27 @@ class TestSubnormalRates:
         m = PartialMediationMargins(*self.PARTIAL)
         assert self._ends(partial_bounds(m)) == (float, 0.5, float, 1.0)
         rep = compare(m, complete_claim=claim)
-        for iv in (rep.simple_interval, rep.partial_interval, rep.combined_interval):
+        for iv in (rep.simple_interval, rep.partial_interval):
             assert self._ends(iv) == (float, 0.5, float, 1.0)
-        # The collapsed p1 is 0 here, so the claim adds the vacuous interval.
-        assert rep.complete_interval == (BoundInterval(0.0, 1.0) if claim else None)
+        # The float collapse rounds 1 - y00 to 1, so its p1 is 0; taken on
+        # fractions it is 5e-324, and the complete interval is [0.5, 0.5].
+        with pytest.raises(PcUndefinedError):
+            complete_bounds(collapse(m))
+        assert rep.complete_interval == (BoundInterval(0.5, 0.5) if claim else None)
+        assert self._ends(rep.combined_interval) == (
+            float, 0.5, float, 0.5 if claim else 1.0)
+
+    def test_a_p1_floats_round_to_0_is_rerun(self):
+        # p1 is two halves of 5e-324, which floats round to 0 each; p0 is 0.
+        values = (0.0, 0.0, 5e-324, 5e-324, 0.3, 0.5)
+        assert _partial_parts(*values)[0] == 0.0
+        assert _partial_parts(*map(Fraction, values))[0] == Fraction(5e-324)
+        m = PartialMediationMargins(*values)
+        assert self._ends(partial_bounds(m)) == (float, 1.0, float, 1.0)
+        rep = compare(m)
+        for iv in (rep.simple_interval, rep.partial_interval, rep.combined_interval):
+            assert self._ends(iv) == (float, 1.0, float, 1.0)
+        assert report_bits(compare, m) == report_bits(reference_compare, m)
 
     def test_complete_set(self):
         m = CompleteMediationMargins(0.05, 1.0, 1.0, 5e-324)
@@ -584,9 +619,8 @@ class TestSubnormalRates:
     def test_complete_set_through_compare(self):
         m = PartialMediationMargins(*self.COLLAPSING)
         a = 1 - 0.95  # exact in floats
-        assert _collapsed(_fields(m)) == (a, 1.0, 1.0, 5e-324)
-        assert self._ends(complete_bounds(CompleteMediationMargins(*_collapsed(
-            _fields(m))))) == (float, a, float, a)
+        assert collapse(m) == CompleteMediationMargins(a, 1.0, 1.0, 5e-324)
+        assert self._ends(complete_bounds(collapse(m))) == (float, a, float, a)
         assert self._ends(partial_bounds(m)) == (float, a, float, 1.0)
         rep = compare(m, complete_claim=True)
         assert self._ends(rep.simple_interval) == (float, a, float, 1.0)
