@@ -66,10 +66,12 @@ _ROWS = {m: np.array([list(",".join(str(c >> s & 1) for s in shifts).encode() + 
 
 
 def _pack(columns) -> np.ndarray:
-    """Cell codes from the x, (m,) y columns; bit 0 of an entry is its value."""
-    codes = np.zeros(len(columns[0]), np.uint8)
-    for col, shift in zip(columns, _SHIFTS[len(columns) == 3]):
-        codes |= (col & 1) << shift
+    """Cell codes from uint8 columns x, (m,) y of 0/1 or of the tokens ``0``/``1``."""
+    codes = columns[0] << 2
+    if len(columns) == 3:
+        codes |= columns[1] << 1
+    codes |= columns[-1]
+    codes &= 7  # bit 0 is the value, bits 1-2 are clear, shifts lift the rest past 2
     return codes
 
 
@@ -157,8 +159,7 @@ def _require_arm(d: Dataset, x: int) -> tuple[int, int]:
     events, n = d.arm_counts(x)
     if n == 0:
         raise InsufficientDataError(
-            f"arm X={x} has no records; P(Y=1 | X<-{x}) is inestimable"
-        )
+            f"arm X={x} has no records; P(Y=1 | X<-{x}) is inestimable")
     return events, n
 
 
@@ -215,8 +216,7 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
             )
         pooled[m] = (e1 + e0) / (c1 + c0)
         if c1 > 0 and c0 > 0:
-            p1m = e1 / c1
-            p0m = e0 / c0
+            p1m, p0m = e1 / c1, e0 / c0
             se = math.sqrt(p1m * (1 - p1m) / c1 + p0m * (1 - p0m) / c0)
             if abs(p1m - p0m) > tol + 3.0 * se:
                 warnings.warn(
@@ -252,7 +252,7 @@ def _canonical_columns(data: bytes) -> np.ndarray | None:
     if len(data) == start or (len(data) - start) % len(row):
         return None
     # Translating 0 to 1 maps '0' and '1', and only those, to '1'.
-    piece = row * (_PIECE_BYTES // len(row))
+    piece = row * (min(_PIECE_BYTES, len(data) - start) // len(row))
     for i in range(start, len(data), len(piece)):
         chunk = data[i : i + len(piece)].translate(_ZERO_TO_ONE)
         if chunk != piece[: len(chunk)]:
@@ -355,11 +355,11 @@ def write_records_csv(records: Dataset, path: str | os.PathLike) -> int:
     """
     if not isinstance(records, Dataset):
         raise InvalidInputError(
-            f"records must be a Dataset, got {type(records).__name__}"
-        )
+            f"records must be a Dataset, got {type(records).__name__}")
+    rows, codes = _ROWS[records.has_mediator], records.codes
     with open(_fspath(path), "wb") as fh:
         fh.write(b"x,m,y\r\n" if records.has_mediator else b"x,y\r\n")
-        for piece in np.split(records.codes, range(1 << 16, len(records), 1 << 16)):
-            fh.write(np.take(_ROWS[records.has_mediator], piece, axis=0))
+        for i in range(0, len(codes), 1 << 16):
+            fh.write(np.take(rows, codes[i : i + (1 << 16)], axis=0))
     return len(records)
 

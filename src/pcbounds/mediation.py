@@ -173,9 +173,9 @@ def _collapsed_parts(y00, y01, y10, y11, m0, m1) -> tuple:
 @_frozen()
 class ComparisonReport:
     """Side-by-side intervals plus what they rest on, from the kernel run they use
-    (exact where p1 < 2**-9): the split of P(Y(0)=0) = alpha + beta and
-    P(Y(1)=1) = gamma + delta by mediator value, and both upper numerators, as floats;
-    construction checks numerator_partial <= 2 numerator_simple.
+    (exact where p1 < 2**-9): the split of P(Y(0)=0) = alpha + beta and P(Y(1)=1) =
+    gamma + delta by mediator value, and the upper numerators, min(1 - p0, p1) and the
+    partial one, as floats; construction checks numerator_partial <= 2 numerator_simple.
     Without a complete claim, combined_interval is the narrower of the two, not a copy.
     With one, complete_interval is [0, 1] where p1 > 0 but the collapsed p1 is 0.
     """
@@ -225,9 +225,10 @@ def compare(
                     f"complete-mediation claim fails at M={mval}: "
                     f"|y0{mval} - y1{mval}| = {gap:.6g} exceeds {claim_tol:.6g}"
                 )
-    p1, p0, numerator, (alpha, beta, gamma, delta), _ = _parts(_partial_parts, v)
+    p1, p0, numerator, split, _ = _parts(_partial_parts, v)
+    simple = _simple_parts(p1, p0)[2]
     lower, upper = _interval(p1, p0, numerator, _PARTIAL_UNDEFINED)
-    simple_upper = _interval(*_simple_parts(p1, p0), _PARTIAL_UNDEFINED)[1]
+    simple_upper = _interval(p1, p0, simple, _PARTIAL_UNDEFINED)[1]
     simple_iv = BoundInterval(float(lower), float(simple_upper))
     partial_iv = BoundInterval(float(lower), float(upper))
     combined = partial_iv if partial_iv.upper < simple_iv.upper else simple_iv
@@ -247,9 +248,8 @@ def compare(
                 f"where the simple {simple_iv} and partial {partial_iv} "
                 "intervals meet"
             ) from None
-    return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, alpha, beta,
-                            gamma, delta, _unit(_min(alpha + beta, gamma + delta)),
-                            float(numerator))
+    return ComparisonReport(simple_iv, partial_iv, complete_iv, combined, *split,
+                            float(simple), float(numerator))
 
 
 def read_margins_json(

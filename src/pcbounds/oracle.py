@@ -76,6 +76,7 @@ _Y_MASKS = (np.arange(16) >> np.arange(3, -1, -1)[:, None] & 1).astype(bool)
 _Y0, _Y1 = (_Y_MASKS[2 * x + _M_MASKS[x].astype(int)] for x in (0, 1))
 _JOINT_IND, _Y1_IND = (_Y1 & ~_Y0) * 1.0, _Y1 * 1.0
 _CODES = np.uint8([4 * x + 2 * _M_MASKS[x, :, None] + (_Y0, _Y1)[x] for x in (0, 1)])
+_MAX_SIZE = np.iinfo(np.intp).max // 144  # see _require_size
 
 
 def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
@@ -87,16 +88,13 @@ def _clean_block(name: str, values, size: int) -> tuple[float, ...]:
         cells = array("d", values).tolist()
     except OverflowError:
         raise InvalidInputError(
-            f"{name} holds a number too large for a float"
-        ) from None
+            f"{name} holds a number too large for a float") from None
     except (TypeError, ValueError):
         raise InvalidInputError(
             f"{name} must be a sequence of {size} numbers, got {reprlib.repr(values)}"
         ) from None
     if len(cells) != size:
-        raise InvalidInputError(
-            f"{name} must have {size} cells, got {len(cells)}"
-        )
+        raise InvalidInputError(f"{name} must have {size} cells, got {len(cells)}")
     for k, v in enumerate(cells):
         if not 0.0 <= v <= 1.0:
             try:
@@ -211,7 +209,7 @@ def _require_size(name: str, n) -> None:
     """Reject a size that is not a positive integer, or one so large that numpy
     cannot index its (n, 18) float64 draws."""
     _require_int(name, n, 1)
-    if n > np.iinfo(np.intp).max // 144:
+    if n > _MAX_SIZE:
         raise InvalidInputError(f"{name} = {n} is too large to draw")
 
 
@@ -269,9 +267,10 @@ def simulate_trial(
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
         gen = _stream(seed, x)
-        mcells, ycells = (np.searchsorted(cdf, gen.random(n_per_arm), side="right")
+        mcells, ycells = (cdf.searchsorted(gen.random(n_per_arm), side="right")
                           .astype(np.uint8) for cdf in cdfs)
-        np.take(_CODES[x], 16 * mcells + ycells, out=arm)
+        mcells <<= 4  # the flat index 16 * mcells + ycells, built in place
+        _CODES[x].take(np.bitwise_or(mcells, ycells, out=mcells), out=arm)
     return Dataset._from_codes(codes.ravel(), has_mediator=True)
 
 

@@ -94,7 +94,7 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
     Where p1 > 0 but the collapsed margins' p1 is 0, the claim adds the
     vacuous complete interval [0, 1]. The split and the numerators come from
     the partial kernel, run on fractions where p1 is below 2**-9, as the rates
-    are."""
+    are; the simple numerator is min(1 - p0, p1) of that run."""
     if complete_claim:
         for mval, lhs, rhs, names in (
             (0, float(m.y00), float(m.y10), ("y00", "y10")),
@@ -134,9 +134,9 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
             f"where the simple {simple_iv} and partial {partial_iv} intervals meet"
         ) from None
 
-    _, _, numerator, split, _ = _partial_parts(*_fields(m))
-    if _partial_parts(*_fields(m))[0] < SMALL_P1:
-        _, _, numerator, split, _ = _partial_parts(*map(Fraction, _fields(m)))
+    p1, p0, numerator, split, _ = _partial_parts(*_fields(m))
+    if p1 < SMALL_P1:
+        p1, p0, numerator, split, _ = _partial_parts(*map(Fraction, _fields(m)))
         numerator, split = float(numerator), tuple(map(float, split))
     alpha, beta, gamma, delta = map(_unit, split)
     return ComparisonReport(
@@ -148,7 +148,7 @@ def reference_compare(m, complete_claim=False, claim_tol=STRUCT_TOL):
         beta=beta,
         gamma=gamma,
         delta=delta,
-        numerator_simple=_unit(min(split[0] + split[1], split[2] + split[3])),
+        numerator_simple=float(min(1 - p0, p1)),
         numerator_partial=numerator,
     )
 
@@ -529,9 +529,8 @@ class TestSinglePassCompare:
         v = _fields(m)
         if _partial_parts(*v)[0] < SMALL_P1:  # the exact run's values
             v = tuple(map(Fraction, v))
-        _, _, numerator, split, _ = _partial_parts(*v)
-        alpha, beta, gamma, delta = map(float, split)
-        assert rep.numerator_simple == _unit(min(alpha + beta, gamma + delta))
+        p1, p0, numerator, _, _ = _partial_parts(*v)
+        assert rep.numerator_simple == float(min(1 - p0, p1))
         assert rep.numerator_partial == float(numerator)
         assert rep.numerator_partial <= 2.0 * float(rep.numerator_simple) + STRUCT_TOL
 
@@ -610,6 +609,9 @@ class TestSubnormalRates:
         rep = compare(m)
         for iv in (rep.simple_interval, rep.partial_interval, rep.combined_interval):
             assert self._ends(iv) == (float, 1.0, float, 1.0)
+        # Both numerators come from the exact run; the split's floats sum to 0.
+        assert (rep.gamma, rep.delta) == (0.0, 0.0)
+        assert (rep.numerator_simple, rep.numerator_partial) == (5e-324, 1e-323)
         assert report_bits(compare, m) == report_bits(reference_compare, m)
 
     def test_complete_set(self):

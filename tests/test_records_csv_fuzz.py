@@ -180,6 +180,30 @@ def test_written_files_take_the_vectorized_path(tmp_path):
         assert _canonical_columns(data[:-2]) is None
 
 
+@pytest.mark.parametrize("header", ["x,m,y", "x,y"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_both_routes_decode_every_row_kind_alike(tmp_path, header, eol):
+    """Every row kind, read from the canonical file and from the same file with
+    one space added (which sends it through ``csv.reader``), gives the codes
+    x << 2 | m << 1 | y and the cell counts of ``Dataset`` built from its columns."""
+    width = header.count(",") + 1
+    rows = [[c >> s & 1 for s in reversed(range(width))] for c in range(2**width)]
+    x, *m, y = (list(col) for col in zip(*rows))
+    want = Dataset(x, m[0] if m else None, y)
+    codes = [4 * a + 2 * b + c for a, b, c in zip(x, m[0] if m else [0] * len(x), y)]
+    assert want.codes.tolist() == codes
+    text = header + eol + "".join(",".join(map(str, r)) + eol for r in rows)
+    path = tmp_path / "r.csv"
+    for data, canonical in ((text, True), (text.replace(eol, " " + eol, 1), False)):
+        data = data.encode()
+        assert (_canonical_columns(data) is not None) == canonical
+        path.write_bytes(data)
+        got = read_records_csv(path)
+        assert got.codes.tolist() == codes
+        assert got._cells == want._cells
+        assert got.has_mediator == want.has_mediator
+
+
 @pytest.mark.parametrize("header, eol", [("x,m,y", b"\r\n"), ("x,y", b"\n")])
 def test_one_bad_byte_leaves_the_vectorized_path(tmp_path, header, eol):
     """A file of several comparison pieces, with one bad token at the first
