@@ -22,7 +22,7 @@ from .core import *  # noqa: F403
 from .mediation import *  # noqa: F403
 from .simple import *  # noqa: F403
 
-__version__ = "0.10.3"
+__version__ = "0.10.4"
 
 
 def __getattr__(name):

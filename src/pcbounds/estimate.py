@@ -112,9 +112,11 @@ class Dataset:
     def _fill(self, codes: np.ndarray, has_mediator: bool, source: str) -> "Dataset":
         codes.flags.writeable = False
         # bincount widens its input to intp, so count in pieces of 2^16 codes
-        counts = sum(np.bincount(codes[i : i + (1 << 16)], minlength=8)
-                     for i in range(0, codes.size, 1 << 16)).reshape(2, 2, 2).tolist()
-        self.__setstate__((source, has_mediator, codes, counts))
+        counts = np.bincount(codes[: 1 << 16], minlength=8)
+        for i in range(1 << 16, codes.size, 1 << 16):
+            counts += np.bincount(codes[i : i + (1 << 16)], minlength=8)
+        self.__setstate__((source, has_mediator, codes,
+                           counts.reshape(2, 2, 2).tolist()))
         return self
 
     def __reduce__(self):
@@ -229,7 +231,6 @@ def estimate_complete(d: Dataset, tol: float = REPORT_TOL) -> CompleteMediationM
     return CompleteMediationMargins(a=a, b=b, c=1.0 - pooled[0], d=pooled[1])
 
 
-_ZERO_TO_ONE = bytes.maketrans(b"0", b"1")
 _PIECE_BYTES = 1 << 16  # the canonical check compares pieces of about this size
 
 
@@ -251,14 +252,15 @@ def _canonical_columns(data: bytes) -> np.ndarray | None:
     start = len(head) + 1
     if len(data) == start or (len(data) - start) % len(row):
         return None
-    # Translating 0 to 1 maps '0' and '1', and only those, to '1'.
-    piece = row * (min(_PIECE_BYTES, len(data) - start) // len(row))
-    for i in range(start, len(data), len(piece)):
-        chunk = data[i : i + len(piece)].translate(_ZERO_TO_ONE)
-        if chunk != piece[: len(chunk)]:
+    # The mask sets bit 0 at each token; b | 1 == ord("1") holds for '0' and '1' alone.
+    count = min(_PIECE_BYTES, len(data) - start) // len(row)
+    piece, view = row * count, np.frombuffer(data, np.uint8, offset=start)
+    mask = np.frombuffer((b"\1\0" * width).ljust(len(row), b"\0") * count, np.uint8)
+    for i in range(0, view.size, mask.size):
+        chunk = view[i : i + mask.size]
+        if (chunk | mask[: chunk.size]).tobytes() != piece[: chunk.size]:
             return None
-    cells = np.frombuffer(data, np.uint8, offset=start).reshape(-1, len(row))
-    return cells[:, 0 : 2 * width : 2].T
+    return view.reshape(-1, len(row))[:, 0 : 2 * width : 2].T
 
 
 def _parsed_columns(path: str | os.PathLike, data: bytes) -> np.ndarray:
@@ -269,8 +271,7 @@ def _parsed_columns(path: str | os.PathLike, data: bytes) -> np.ndarray:
         # bytes.splitlines breaks lines where csv.reader does: LF, CR, CRLF
         lineno = len(data[: e.start + 1].splitlines())
         raise RecordParseError(
-            f"{path}:{lineno}: not {e.encoding} text ({e.reason})"
-        ) from None
+            f"{path}:{lineno}: not {e.encoding} text ({e.reason})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return _reader_columns(path, reader)
@@ -293,8 +294,7 @@ def _reader_columns(path: str | os.PathLike, reader) -> np.ndarray:
     for lineno, row in enumerate(reader, start=2):
         if len(row) != width:
             raise RecordParseError(
-                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-            )
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         for col, token in zip(header, row):
             token = token.strip()
             if token not in ("0", "1"):

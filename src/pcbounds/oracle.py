@@ -263,7 +263,7 @@ def simulate_trial(
     """
     _require_size("n_per_arm", n_per_arm)
     # Searching all but the last sum stays in the block if the sum rounds below 1.
-    cdfs = (np.cumsum(law.m_block)[:-1], np.cumsum(law.y_block)[:-1])
+    cdfs = (np.add.accumulate(law.m_block)[:-1], np.add.accumulate(law.y_block)[:-1])
     codes = np.empty((2, n_per_arm), np.uint8)
     for x, arm in enumerate(codes):
         gen = _stream(seed, x)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import pcbounds.cli as cli
 from pcbounds import (
     STRUCT_TOL,
     AssumptionViolationError,
@@ -667,3 +668,22 @@ class TestSubnormalRates:
         d = derive(cls(*values))
         assert (type(d.p1), type(d.p0)) == (float, float)
         assert (d.p1, d.p0) == tuple(map(float, kernel(*map(Fraction, values))[:2]))
+
+    def test_derived_rates_can_miss_the_simple_interval(self, tmp_path, capsys):
+        # p1 is 5e-324 and p0 is 0.7 of it, which floats round to 5e-324 too:
+        # compare's exact run gives the closed form [m0, 1], the float rates [0, 1].
+        values = (5e-324, 0.0, 5e-324, 0.0, 0.3, 0.0)
+        m = PartialMediationMargins(*values)
+        assert self._ends(compare(m).simple_interval) == (float, 0.3, float, 1.0)
+        assert exact_interval(_simple_parts, _partial_parts(
+            *map(Fraction, values))[:2]) == BoundInterval(0.3, 1.0)
+        d = derive_simple_from_partial(m)
+        assert (d.p1, d.p0) == (5e-324, 5e-324)
+        assert self._ends(simple_bounds(d)) == (float, 0.0, float, 1.0)
+        path = tmp_path / "margins.json"
+        path.write_text('{"y00": 5e-324, "y01": 0, "y10": 5e-324, "y11": 0, '
+                        '"m0": 0.3, "m1": 0}')
+        assert cli.run(["compare", "--margins", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "derived arm rates: p1 = 4.94066e-324, p0 = 4.94066e-324" in out
+        assert "simple interval [0.3, 1]" in out

@@ -234,3 +234,86 @@ def test_one_bad_byte_leaves_the_vectorized_path(tmp_path, header, eol):
         name = header.split(",")[col]
         want = f"{path}:{r + 2}: column {name!r} must be 0 or 1, got '2'"
         assert outcome(read_records_csv, path) == ("RecordParseError", want)
+
+
+def every_row_kind(header, eol):
+    """A record file of header, eol, then each row kind once, in code order."""
+    width = header.count(",") + 1
+    rows = [[c >> s & 1 for s in reversed(range(width))] for c in range(2**width)]
+    return (header + eol + "".join(",".join(map(str, r)) + eol for r in rows)).encode()
+
+
+def reference_outcome(path, line):
+    """``reference_read``'s outcome, or, for bytes it cannot decode, the message
+    ``read_records_csv`` gives them on ``line`` (as ``csv.reader`` counts lines)."""
+    try:
+        return outcome(reference_read, path)
+    except UnicodeDecodeError as e:
+        message = f"{path}:{line}: not {e.encoding} text ({e.reason})"
+        return ("RecordParseError", message)
+
+
+@pytest.mark.parametrize("header", ["x,m,y", "x,y"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_every_byte_value_at_every_row_position(tmp_path, header, eol):
+    """Each byte after the header of a file holding every row kind, set to each of
+    the 256 values: the canonical check accepts the file exactly when the byte is
+    unchanged or a token set to 0 or 1, and the reader agrees with ``reference_read``
+    on every other file."""
+    data = every_row_kind(header, eol)
+    width = header.count(",") + 1
+    start, row_len = len(header) + len(eol), 2 * width - 1 + len(eol)
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    for pos in range(start, len(data)):
+        col = (pos - start) % row_len
+        token = col < 2 * width - 1 and col % 2 == 0
+        for value in range(256):
+            bad = data[:pos] + bytes([value]) + data[pos + 1 :]
+            cols = _canonical_columns(bad)
+            if value == data[pos] or token and value in b"01":
+                assert cols is not None, (pos, value)
+                rows = bad[start:].split(eol.encode())[:-1]
+                assert (cols & 1).T.tolist() == [
+                    [int(v) for v in r.split(b",")] for r in rows]
+                continue
+            assert cols is None, (pos, value)
+            with path.open("r+b") as fh:  # in place: every variant has one length
+                fh.write(bad)
+            got = outcome(read_records_csv, path)
+            if isinstance(got, Dataset):
+                got = columns(got)
+            # LF, CR and CRLF each end a line, as in csv.reader
+            line = len(bad[: pos + 1].splitlines())
+            assert got == reference_outcome(path, line), (pos, value)
+
+
+@pytest.mark.parametrize("header", ["x,m,y", "x,y"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_a_bad_separator_at_a_piece_boundary(tmp_path, header, eol):
+    """A file longer than one comparison piece, with a comma, the CR or the LF of
+    the last row before the boundary or the first after it off by bit 0."""
+    width = header.count(",") + 1
+    eol = eol.encode()
+    row_len = 2 * width - 1 + len(eol)
+    piece_rows = _PIECE_BYTES // row_len
+    n = piece_rows + piece_rows // 2
+    rows = np.random.default_rng(7).integers(0, 2, (n, width))
+    data = header.encode() + eol + b"".join(
+        b",".join(b"%d" % v for v in r) + eol for r in rows
+    )
+    start = len(header) + len(eol)
+    assert (_canonical_columns(data) & 1).T.tolist() == rows.tolist()
+    path = tmp_path / "r.csv"
+    for r in (piece_rows - 1, piece_rows):
+        # every comma, then the CR if there is one and the LF
+        for col in (c for c in range(row_len) if c % 2 or c >= 2 * width - 1):
+            bad = bytearray(data)
+            bad[start + r * row_len + col] ^= 1
+            bad = bytes(bad)
+            assert _canonical_columns(bad) is None, (r, col)
+            path.write_bytes(bad)
+            got = outcome(read_records_csv, path)
+            if isinstance(got, Dataset):
+                got = columns(got)
+            assert got == outcome(reference_read, path), (r, col)
