@@ -12,21 +12,21 @@ workload in ``BENCHMARK.json``, pair k (k = 1, 2, ...) runs
 the ``run_seconds`` of ``BENCHMARK.json``, the parent first in odd pairs and
 the change first in even ones. One A/A pair then runs the parent against
 its second copy (seed 1), so that the spread the tree's directory alone
-causes is printed next to each ratio, and one more pair, parent first, runs
-at the held-out seed 4242, which no pair uses; it is reported apart from the
-paired medians, each metric's parent and change value. Last, each workload
-runs ``benchmark/run.py --trace 1`` at seed 1, the parent first, and at seed 2,
-the change first, and each per-layer metric of ``BENCHMARK.json`` is printed
-for each side. Every run has ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``,
-and starts with every ``__pycache__`` of the three trees removed.
+causes is printed next to each ratio. Then ``HELD_OUT_PAIRS`` pairs, k = 1
+to 4, run at the held-out seed 4242, which no pair above uses, and are
+summarized like the paired seeds, apart from them. Last, each workload runs
+``benchmark/run.py --trace 1`` at seed 1, as pair 1, and at seed 2, as pair
+2, and each per-layer metric of ``BENCHMARK.json`` is printed for each side.
+Every run has ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``, and starts
+with every ``__pycache__`` of the three trees removed.
 
-For each end-to-end metric the summary gives both sides' medians, the
+For each end-to-end metric a summary gives both sides' medians, the
 parent's quartiles, the paired ratio (the median over pairs of change /
 parent), the pairs the change won, whether the change's median is better
 than the parent's by more than the parent's interquartile distance, and the
 A/A spread |copy / parent - 1|. ``--out FILE`` writes every run, the
-summary, the held-out pair (as ``held_out_seed_4242``) and the per-layer
-values (as ``per_layer``) as JSON.
+summary, the held-out pairs' summary (as ``held_out_seed_4242``, with the
+summary's rows) and the per-layer values (as ``per_layer``) as JSON.
 ``--smoke`` passes ``--smoke`` to ``run.py`` and runs for 1 s. The exit
 code is 1 when any op failed, 2 when a run could not run at all.
 
@@ -55,6 +55,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HELD_OUT_SEED = 4242
+HELD_OUT_PAIRS = 4
 PER_LAYER_SEEDS = (1, 2)  # the parent first at the odd seed, the change at the even
 
 
@@ -69,20 +70,20 @@ def _quartiles(values: list) -> tuple:
 def summarize(pairs: dict, aa: dict, declared: list) -> dict:
     """Per workload and declared end-to-end metric, the paired comparison.
 
-    ``pairs[workload]`` is a list of (parent, change) metric dicts, one per
-    pair; ``aa[workload]`` is one (parent, copy) pair of the parent with
-    itself; ``declared`` is ``BENCHMARK.json``'s ``end_to_end`` list.
+    ``pairs[workload]`` is a list of (parent, change) pairs of ``run.py``
+    results; ``aa[workload]`` is a list of one (parent, copy) pair of the
+    parent with itself; ``declared`` is ``BENCHMARK.json``'s ``end_to_end`` list.
     """
     summary = {}
     for workload, runs in pairs.items():
         rows = {}
         for metric in declared:
             name, higher = metric["name"], metric["better"] == "higher"
-            a, b = [p[name] for p, _ in runs], [c[name] for _, c in runs]
+            a, b = ([r["metrics"][name]["value"] for r in side] for side in zip(*runs))
             ratios = [y / x if x else float("nan") for x, y in zip(a, b)]
             q1, q3 = _quartiles(a)
             gain = statistics.median(b) - statistics.median(a)
-            base, copy = (run[name] for run in aa[workload])
+            base, copy = (r["metrics"][name]["value"] for r in aa[workload][0])
             rows[name] = {
                 "parent_median": statistics.median(a),
                 "parent_q1": q1,
@@ -96,26 +97,6 @@ def summarize(pairs: dict, aa: dict, declared: list) -> dict:
             }
         summary[workload] = rows
     return summary
-
-
-def summarize_held_out(held_out: dict, declared: list) -> dict:
-    """Per workload, each declared metric's and the failed ops' parent and change
-    value in the held-out pair ``held_out[workload]``, a (parent, change) pair of
-    results as ``run.py`` prints them."""
-    names = [metric["name"] for metric in declared]
-    return {w: {name: {"parent": p["metrics"][name]["value"],
-                       "change": c["metrics"][name]["value"]} for name in names}
-            | {"failed": {"parent": p["failed"], "change": c["failed"]}}
-            for w, (p, c) in held_out.items()}
-
-
-def format_held_out(held_out: dict) -> str:
-    lines = [f"held-out seed {HELD_OUT_SEED}: one pair, not in the medians above"]
-    for workload, rows in held_out.items():
-        lines.append(f"{workload:16s} {'parent':>12s} {'change':>12s}")
-        lines += [f"  {name:14s} {r['parent']:12.6g} {r['change']:12.6g}"
-                  for name, r in rows.items()]
-    return "\n".join(lines)
 
 
 def summarize_per_layer(per_layer: dict, declared: list) -> dict:
@@ -229,6 +210,23 @@ class RunFailed(Exception):
     """A benchmark run could not run; nothing was measured."""
 
 
+def run_json(tree: str, cmd: list, what: str, codes=(0,), **env):
+    """The JSON on the last line ``cmd`` prints in ``tree``, run with ``env``, no
+    other ``PYTHONPATH`` and ``PYTHONDONTWRITEBYTECODE=1``; RunFailed, naming
+    ``what`` and the stderr, if it exits with a code not in ``codes`` or prints
+    no JSON."""
+    env = ({k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+           | {"PYTHONDONTWRITEBYTECODE": "1"} | env)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    why = f"exit {proc.returncode}"
+    if proc.returncode in codes:
+        try:
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            why = "no JSON result"
+    raise RunFailed(f"{what}: {why}: {proc.stderr.strip()}")
+
+
 def run_once(tree: str, trees: dict, workload: str, seed: int, args,
              trace: int = 0) -> dict:
     """One ``benchmark/run.py --trace TRACE`` in ``tree``: its last JSON line."""
@@ -237,16 +235,10 @@ def run_once(tree: str, trees: dict, workload: str, seed: int, args,
             if "__pycache__" in dirs:
                 shutil.rmtree(os.path.join(path, "__pycache__"))
                 dirs.remove("__pycache__")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd + ["--smoke"] * args.smoke, cwd=tree, env=env,
-                          capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        raise RunFailed(f"{workload} seed {seed} in {tree}: exit {proc.returncode}: "
-                        f"{proc.stderr.strip()}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = run_json(tree, cmd + ["--smoke"] * args.smoke,
+                      f"{workload} seed {seed} in {tree}", codes=(0, 1))
     print(f"  {os.path.basename(tree):6s} {workload} seed {seed} trace {trace}: "
           f"{result['failed']}/{result['attempted']} ops failed", flush=True)
     return result
@@ -265,25 +257,25 @@ def with_trees(rev: str, measure):
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def run_pair(trees: dict, workload: str, seed: int, args, trace: int = 0) -> tuple:
-    """(parent, change) at ``seed``: the parent runs first at an odd seed."""
-    order = ("parent", "change") if seed % 2 else ("change", "parent")
+def run_pair(trees: dict, workload: str, seed: int, k: int, args, trace=0) -> tuple:
+    """(parent, change) at ``seed`` as pair ``k``: the parent runs first at an odd k."""
+    order = ("parent", "change") if k % 2 else ("change", "parent")
     done = {s: run_once(trees[s], trees, workload, seed, args, trace) for s in order}
     return done["parent"], done["change"]
 
 
 def run_pairs(trees: dict, workloads: list, args) -> dict:
     """The alternating pairs of every workload, then its A/A, held-out and
-    per-layer pairs."""
+    per-layer pairs: per group and workload, a list of pairs of results."""
     runs = {"pairs": {}, "aa": {}, "held_out": {}, "per_layer": {}}
     for w in workloads:
-        runs["pairs"][w] = [run_pair(trees, w, k, args)
+        runs["pairs"][w] = [run_pair(trees, w, k, k, args)
                             for k in range(1, args.pairs + 1)]
-        runs["aa"][w] = tuple(run_once(trees[s], trees, w, 1, args)
-                              for s in ("parent", "copy"))
-        runs["held_out"][w] = tuple(run_once(trees[s], trees, w, HELD_OUT_SEED, args)
-                                    for s in ("parent", "change"))
-        runs["per_layer"][w] = [run_pair(trees, w, k, args, trace=1)
+        runs["aa"][w] = [tuple(run_once(trees[s], trees, w, 1, args)
+                               for s in ("parent", "copy"))]
+        runs["held_out"][w] = [run_pair(trees, w, HELD_OUT_SEED, k, args)
+                               for k in range(1, HELD_OUT_PAIRS + 1)]
+        runs["per_layer"][w] = [run_pair(trees, w, k, k, args, trace=1)
                                 for k in PER_LAYER_SEEDS]
     return runs
 
@@ -332,16 +324,12 @@ def main(argv=None) -> int:
     runs = with_trees(args.parent, lambda trees: run_pairs(trees, workloads, args))
     if runs is None:
         return 2
-
-    def values(pair):
-        return tuple({k: v["value"] for k, v in r["metrics"].items()} for r in pair)
-    summary = summarize({w: list(map(values, ps)) for w, ps in runs["pairs"].items()},
-                        {w: values(pair) for w, pair in runs["aa"].items()},
-                        declared["end_to_end"])
-    held_out = summarize_held_out(runs["held_out"], declared["end_to_end"])
+    summary, held_out = (summarize(runs[key], runs["aa"], declared["end_to_end"])
+                         for key in ("pairs", "held_out"))
     per_layer = summarize_per_layer(runs["per_layer"], declared["per_layer"])
     print(format_summary(summary))
-    print(format_held_out(held_out))
+    print(f"held-out seed {HELD_OUT_SEED}: not in the medians above")
+    print(format_summary(held_out))
     print(format_per_layer(per_layer))
     if args.out:
         with open(args.out, "w") as fh:
@@ -349,11 +337,8 @@ def main(argv=None) -> int:
                        "smoke": args.smoke, "runs": runs, "summary": summary,
                        f"held_out_seed_{HELD_OUT_SEED}": held_out,
                        "per_layer": per_layer}, fh, indent=1)
-    every = [r for key in ("pairs", "per_layer") for pairs in runs[key].values()
-             for pair in pairs for r in pair]
-    every += [r for key in ("aa", "held_out") for pair in runs[key].values()
-              for r in pair]
-    return 1 if any(r["failed"] for r in every) else 0
+    return 1 if any(r["failed"] for group in runs.values() for pairs in group.values()
+                    for pair in pairs for r in pair) else 0
 
 
 def main_cold(args) -> int:

@@ -10,13 +10,16 @@ five stages: ``simulate`` (``simulate_trial``), ``write``
 (``write_records_csv``), ``read`` (``read_records_csv``), ``estimate``
 (``estimate_partial`` and ``estimate_complete``) and ``bounds`` (``compare``
 and ``complete_bounds``); ``total`` is the whole op. The parent
-(``git archive REV``), a second copy of it and the working tree are built as
-``scripts/bench_ab.py`` builds them. Each round starts one fresh interpreter
-per tree, the order rotating from round to round; it warms up with one op,
-then times ``--reps`` ops with ``perf_counter`` around each stage and keeps
-each stage's fastest. The summary gives each stage's best over all rounds,
-in microseconds, for every tree, and the change / parent and copy / parent
-ratios; the copy is an A/A control for the tree's directory alone.
+(``git archive REV``), a second copy of it and the working tree are built,
+and removed after, by ``scripts/bench_ab.py``'s ``with_trees``. Each round
+starts one fresh interpreter per tree, the order rotating from round to
+round; it warms up with one op, then times ``--reps`` ops with
+``perf_counter`` around each stage and keeps each stage's fastest. The
+summary gives each stage's best over all rounds, in microseconds, for every
+tree, the change / parent and copy / parent ratios, and the A/A spread, the
+largest per-round |copy / parent - 1|; the copy is an A/A control for the
+tree's directory alone. A child that fails or prints no result stops the
+script with exit code 2.
 ``--out FILE`` writes the summary and every round as JSON.
 
 The per-layer trace of ``benchmark/run.py`` cannot resolve changes under
@@ -29,12 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 
-from bench_ab import build_trees
+from bench_ab import run_json, with_trees
 
 STAGES = ("simulate", "write", "read", "estimate", "bounds", "total")
 SIDES = ("parent", "copy", "change")
@@ -74,13 +74,10 @@ print(json.dumps([b * 1e6 for b in best]))
 
 def run_child(tree: str, n: int, reps: int) -> dict:
     """One fresh interpreter in ``tree``: each stage's best over ``reps`` ops, in us."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = os.path.join(tree, "src")
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
     law = os.path.join(tree, "data", "example1_law.json")
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(n), str(reps), law],
-                          cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return dict(zip(STAGES, json.loads(proc.stdout)))
+    cmd = [sys.executable, "-c", CHILD, str(n), str(reps), law]
+    return dict(zip(STAGES, run_json(tree, cmd, f"stage child in {tree}",
+                                     PYTHONPATH=os.path.join(tree, "src"))))
 
 
 def measure(trees: dict, rounds: int, n: int, reps: int) -> list:
@@ -95,14 +92,16 @@ def measure(trees: dict, rounds: int, n: int, reps: int) -> list:
 
 
 def summarize(runs: list) -> dict:
-    """Per stage, each tree's best over the rounds and the ratios to the parent."""
+    """Per stage, each tree's best over the rounds, the ratios to the parent and
+    the A/A spread, the largest per-round |copy / parent - 1|."""
     summary = {}
     for stage in STAGES:
         best = {side: min(r[side][stage] for r in runs) for side in SIDES}
         ratios = {f"{side}_over_parent": round(best[side] / best["parent"], 4)
                   for side in ("change", "copy")}
         times = {f"{side}_us": round(v, 2) for side, v in best.items()}
-        summary[stage] = times | ratios
+        spread = max(abs(r["copy"][stage] / r["parent"][stage] - 1) for r in runs)
+        summary[stage] = times | ratios | {"aa_spread": round(spread, 4)}
     return summary
 
 
@@ -116,22 +115,18 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if min(args.rounds, args.reps, args.n) < 1:
         p.error("--rounds, --reps and --n must be positive")
-    scratch = tempfile.mkdtemp(prefix="round_trip_stages-")
-    try:
-        trees = build_trees(args.parent, scratch)
-        runs = measure(trees, args.rounds, args.n, args.reps)
-    except subprocess.CalledProcessError as e:  # git archive or a child
-        print(f"{e}\n{(e.stderr or '').strip()}", file=sys.stderr)
+    runs = with_trees(args.parent,
+                      lambda trees: measure(trees, args.rounds, args.n, args.reps))
+    if runs is None:
         return 2
-    finally:
-        shutil.rmtree(scratch)
     summary = summarize(runs)
     print(f"{'stage':9s} {'parent':>10s} {'copy':>10s} {'change':>10s} "
-          f"{'change/parent':>14s} {'copy/parent':>12s}   (best of {args.rounds}, us)")
+          f"{'change/parent':>14s} {'copy/parent':>12s} {'A/A':>6s}"
+          f"   (best of {args.rounds}, us)")
     for stage, row in summary.items():
         print(f"{stage:9s} {row['parent_us']:10.1f} {row['copy_us']:10.1f} "
               f"{row['change_us']:10.1f} {row['change_over_parent']:14.3f} "
-              f"{row['copy_over_parent']:12.3f}")
+              f"{row['copy_over_parent']:12.3f} {row['aa_spread']:6.3f}")
     if args.out:
         report = {"parent": args.parent, "rounds": args.rounds, "reps": args.reps,
                   "n_per_arm": args.n, "summary": summary, "runs": runs}
